@@ -144,10 +144,6 @@ class FingerprintModel:
     def expected_groups(self, cell: int):
         return self._groups[cell]
 
-    def true_distances_at(self, cell: int, pl: Placement, masks: np.ndarray) -> np.ndarray:
-        vis = np.flatnonzero(masks[:, cell])
-        return np.linalg.norm(pl.positions3d[vis] - self.grid.centers[cell], axis=1)
-
 
 def _match_cost_sq(meas: tuple[int, ...], expect: tuple[int, ...]) -> tuple[float, int]:
     """Minimum |bin difference| monotone matching of two sorted bin tuples.

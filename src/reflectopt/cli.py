@@ -15,7 +15,7 @@ import numpy as np
 from . import files
 from .geom import build_grid
 from .mopso import run as run_pso
-from .objectives import ambiguity, gdop_objective, EvalConfig, evaluate
+from .objectives import EvalConfig, ambiguity, gdop_objective, penalty_pair
 from .placement import check_constraints, placement_masks
 from .harness import run_experiment
 
@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--compare", default=None,
                        help="second placement for a matched-seed paired report")
-    p_sim.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -126,24 +125,25 @@ def _cmd_evaluate(args) -> int:
         f"margin_ok = {str(report.margin_ok).lower()} "
         f"(violating reflectors: {report.margin_violations.tolist()})",
     ]
-    f1, f2 = evaluate(pl, room, grid, masks, cfg)
-    lines.append(f"f1 = {f1}")
-    lines.append(f"f2 = {f2!r}")
-
+    sigma = cfg.resolve_sigma(room)
+    f1, f2 = penalty_pair(grid, sigma)
+    map_lines = ["maps skipped: coverage constraint violated"]
     if report.coverage_ok:
-        sigma = cfg.resolve_sigma(room)
         f1_map, amb_map = ambiguity(pl, room, grid, masks, cfg.n, room.r_res)
-        _, gmap = gdop_objective(pl, room, grid, masks, sigma, cfg.use_sqrt_gdop)
-        lines.append(f"ambiguous_local = {amb_map.n_local}")
-        lines.append(f"ambiguous_global = {amb_map.n_global}")
-        lines.append(f"unique = {amb_map.n_unique}")
+        f2_map, gmap = gdop_objective(pl, room, grid, masks, sigma, cfg.use_sqrt_gdop)
+        if report.feasible:  # the pair objectives.evaluate returns, read off the maps
+            f1, f2 = f1_map, f2_map
+        map_lines = [
+            f"ambiguous_local = {amb_map.n_local}",
+            f"ambiguous_global = {amb_map.n_global}",
+            f"unique = {amb_map.n_unique}",
+        ]
         files.write_map_csv(out / "ambiguity_map.csv", grid, amb_map.classes,
                             header="x,y,class")
         files.write_ambiguity_pgm(out / "ambiguity_map.pgm", grid, amb_map.classes)
         files.write_map_csv(out / "gdop_map.csv", grid, gmap.values)
         files.write_value_pgm(out / "gdop_map.pgm", grid, gmap.values)
-    else:
-        lines.append("maps skipped: coverage constraint violated")
+    lines += [f"f1 = {f1}", f"f2 = {f2!r}"] + map_lines
 
     text = "\n".join(lines) + "\n"
     (out / "metrics.txt").write_text(text)
@@ -178,7 +178,7 @@ def _cmd_simulate(args) -> int:
             return EXIT_INFEASIBLE
         reports[label] = run_experiment(
             room, placement, path_cfg, noise_cfg, seeds,
-            amcl_config=amcl_cfg, burn_in=burn_in, grid=grid,
+            amcl_config=amcl_cfg, burn_in=burn_in, grid=grid, masks=masks,
         )
 
     text_parts = []

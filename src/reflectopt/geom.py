@@ -3,6 +3,13 @@
 All polygons are simple (non-self-intersecting), counterclockwise, without
 holes. Points on a polygon boundary count as inside (closed-set convention),
 so grid cells whose centers land exactly on a wall are kept.
+
+Line of sight between a reflector and a grid element is a direct segment
+test: the segment is blocked iff it strictly crosses an occluder edge, an
+edge with some polygon vertex strictly on its right (the edges that are not
+on the convex hull). Convex-hull edges cannot block a segment between two
+points of the polygon, so a convex room has no occluders at all. A segment
+that only touches a wall or grazes a vertex counts as visible.
 """
 
 from __future__ import annotations
@@ -70,9 +77,23 @@ class Polygon:
         b = np.roll(self.vertices, -1, axis=0)
         return a, b
 
+    @cached_property
+    def occluder_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(start, end) vertices of the edges with some vertex strictly on their right.
+
+        These are the edges off the convex hull; only they can block the view
+        between two points strictly inside the polygon.
+        """
+        a, b = self._edges
+        v = self.vertices
+        right = _cross(b[:, None, 0] - a[:, None, 0], b[:, None, 1] - a[:, None, 1],
+                       v[None, :, 0] - a[:, None, 0], v[None, :, 1] - a[:, None, 1]) < 0.0
+        occ = right.any(axis=1)
+        return a[occ], b[occ]
+
     def contains_points(self, points) -> np.ndarray:
         """Boolean per point; boundary points count as inside."""
-        return _contains_points_raw(self.vertices, _as_points(points))
+        return _contains_points_raw(*self._edges, _as_points(points))
 
     def edge_distances(self, points) -> np.ndarray:
         """Unsigned distance from each point to the nearest boundary edge."""
@@ -278,11 +299,16 @@ def point_in_polygon(p, poly: Polygon) -> bool:
     return bool(poly.contains_points(np.asarray(p, dtype=float).reshape(1, 2))[0])
 
 
+def boundary_distances(points, poly: Polygon) -> np.ndarray:
+    """Signed distance of each point to the polygon boundary: >0 inside, <0 outside."""
+    pts = _as_points(points)
+    d = poly.edge_distances(pts)
+    return np.where(poly.contains_points(pts), d, -d)
+
+
 def boundary_distance(p, poly: Polygon) -> float:
     """Signed distance to the polygon boundary: >0 inside, <0 outside."""
-    pts = np.asarray(p, dtype=float).reshape(1, 2)
-    d = float(poly.edge_distances(pts)[0])
-    return d if poly.contains_points(pts)[0] else -d
+    return float(boundary_distances(np.asarray(p, dtype=float).reshape(1, 2), poly)[0])
 
 
 def _visibility_vertices(q_xy: np.ndarray, poly: Polygon) -> np.ndarray:
@@ -351,27 +377,52 @@ def cone_mask(q, grid: Grid, room: RoomModel) -> np.ndarray:
 def visibility_mask(q, grid: Grid, room: RoomModel, strict: bool = True) -> np.ndarray:
     """Elementwise AND of the cone mask and the line-of-sight mask of q.
 
-    With strict=False, a reflector not strictly inside the room yields an
-    all-false mask instead of raising (useful for transient repair states).
+    One row of ``visibility_masks`` for a reflector at q = (x, y, z): an
+    element is visible iff it lies under the cone and the segment to it
+    strictly crosses no occluder edge (touching a wall or grazing a vertex
+    counts as visible). With strict=False, a reflector not strictly inside
+    the room yields an all-false mask instead of raising (useful for
+    transient repair states).
     """
     q = np.asarray(q, dtype=float).reshape(3)
-    if boundary_distance(q[:2], room.boundary) <= _EDGE_TOL:
-        if strict:
-            raise ValueError("reflector (x, y) must lie strictly inside the room")
-        return np.zeros(len(grid), dtype=bool)
-    cone = cone_mask(q, grid, room)
-    if not np.any(cone):
-        return cone
-    vis = _visibility_vertices(q[:2], room.boundary)
-    out = np.zeros(len(grid), dtype=bool)
-    out[cone] = _contains_points_raw(vis, grid.xy[cone])
+    return visibility_masks(q[None, :2], q[2], grid, room, strict)[0]
+
+
+def visibility_masks(xy, z: float, grid: Grid, room: RoomModel, strict: bool = True) -> np.ndarray:
+    """(M, n_elements) cone-and-line-of-sight masks of reflectors at (xy, z).
+
+    Row i is true where the element lies within the cone radius of reflector
+    i and the segment between them strictly crosses no occluder edge of the
+    room (``Polygon.occluder_edges``); a segment that only touches a wall or
+    grazes a vertex counts as visible. A reflector not strictly inside the
+    room (signed boundary distance at most _EDGE_TOL) raises with strict,
+    and gets an all-false row otherwise.
+    """
+    xy = _as_points(xy)
+    inside = boundary_distances(xy, room.boundary) > _EDGE_TOL
+    if strict and not inside.all():
+        raise ValueError("reflector (x, y) must lie strictly inside the room")
+    radius = (float(z) - room.z_r) * math.tan(room.cone_half_angle)
+    gx, gy = grid.xy[:, 0], grid.xy[:, 1]
+    qx, qy = xy[:, 0:1], xy[:, 1:2]
+    out = np.hypot(gx - qx, gy - qy) <= radius
+    out &= inside[:, None]
+    # Strict crossing of segment q->p with edge a->b: q and p strictly on
+    # opposite sides of the edge line, a and b strictly on opposite sides of
+    # the segment line.
+    for (ax, ay), (bx, by) in zip(*room.boundary.occluder_edges):
+        d1 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
+        d2 = (bx - ax) * (gy - ay) - (by - ay) * (gx - ax)
+        d3 = (gx - qx) * (ay - qy) - (gy - qy) * (ax - qx)
+        d4 = (gx - qx) * (by - qy) - (gy - qy) * (bx - qx)
+        out &= ~(((d1 * d2) < -1e-12) & ((d3 * d4) < -1e-12))
     return out
 
 
-def _contains_points_raw(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Boundary-inclusive point-in-polygon against a raw vertex array."""
-    ax, ay = verts[:, 0], verts[:, 1]
-    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+def _contains_points_raw(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Boundary-inclusive point-in-polygon against the edges a[i] -> b[i]."""
+    ax, ay = a[:, 0], a[:, 1]
+    bx, by = b[:, 0], b[:, 1]
     px = pts[:, 0:1]
     py = pts[:, 1:2]
     cond = (ay > py) != (by > py)

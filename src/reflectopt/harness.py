@@ -174,16 +174,19 @@ def run_experiment(
     amcl_config: AmclConfig | None = None,
     burn_in: int = 20,
     grid: Grid | None = None,
+    masks: np.ndarray | None = None,
 ) -> ExperimentReport:
     """Track the robot along the path once per seed and collect RMSE stats.
 
     Measurement, odometry and filter randomness use independent streams
     derived from each seed, so odometry noise realizations are identical
-    across placements compared on matched seeds.
+    across placements compared on matched seeds. ``masks`` are the
+    placement's visibility masks on ``grid``, computed when not given.
     """
     if grid is None:
         grid = build_grid(room)
-    masks = placement_masks(pl, grid, room)
+    if masks is None:
+        masks = placement_masks(pl, grid, room)
     if amcl_config is None:
         amcl_config = AmclConfig()
     steps = gen_path(path_config.waypoints, path_config.step, room)

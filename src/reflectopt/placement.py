@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Grid, RoomModel, visibility_mask
+from .geom import Grid, RoomModel, visibility_masks
 
 
 class Reflector(NamedTuple):
@@ -84,11 +84,7 @@ def type_assignment(m: int, n_types: int) -> np.ndarray:
 
 def placement_masks(pl: Placement, grid: Grid, room: RoomModel, strict: bool = True) -> np.ndarray:
     """(M, n_elements) boolean visibility mask, one row per reflector."""
-    masks = np.zeros((pl.m, len(grid)), dtype=bool)
-    p3 = pl.positions3d
-    for i in range(pl.m):
-        masks[i] = visibility_mask(p3[i], grid, room, strict=strict)
-    return masks
+    return visibility_masks(pl.xy, pl.z, grid, room, strict=strict)
 
 
 @dataclass(frozen=True)

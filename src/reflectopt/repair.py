@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .geom import Grid, RoomModel, build_grid, project_into_margin
+from .geom import Grid, RoomModel, boundary_distances, build_grid, project_into_margin
 from .placement import Placement, check_constraints, placement_masks, type_assignment
 
 # Relative overshoot past d_min when separating a violating pair, so the
@@ -217,14 +217,18 @@ def repair(
 
     Returns (placement, feasible, iterations). An already feasible placement
     is returned unchanged with 0 iterations; otherwise the loop runs until
-    the constraints hold or config.max_iter is exhausted.
+    the constraints hold or config.max_iter is exhausted. The mask matrix is
+    kept across iterations; only the rows of reflectors that moved are
+    recomputed.
     """
     m_max = pl.m if m_max is None else m_max
     current = pl
+    masks = placement_masks(current, grid, room, strict=False)
+    masks_xy = current.xy
     best_violations = np.inf
     stall = 0
     for iteration in range(config.max_iter):
-        masks = placement_masks(current, grid, room, strict=False)
+        masks, masks_xy = _refresh_masks(masks, masks_xy, current, grid, room)
         report = check_constraints(
             current, room, grid, masks, m_max=m_max, k_min=config.k_min, d_min=config.d_min
         )
@@ -254,13 +258,33 @@ def repair(
                 current = gravitation_step(current, centroids, config.gamma, config.step_cap)
         if not report.spacing_ok:
             current = magnet_step(current, config.d_min, rng)
-        projected = np.stack([project_into_margin(p, room) for p in current.xy])
-        current = current.with_xy(projected)
-    masks = placement_masks(current, grid, room, strict=False)
+        current = _project_short_of_margin(current, room)
+    masks, _ = _refresh_masks(masks, masks_xy, current, grid, room)
     report = check_constraints(
         current, room, grid, masks, m_max=m_max, k_min=config.k_min, d_min=config.d_min
     )
     return current, report.feasible, config.max_iter
+
+
+def _refresh_masks(masks: np.ndarray, masks_xy: np.ndarray, pl: Placement, grid: Grid,
+                   room: RoomModel) -> tuple[np.ndarray, np.ndarray]:
+    """Recompute the mask rows of reflectors whose (x, y) differs from masks_xy."""
+    moved = np.flatnonzero(np.any(pl.xy != masks_xy, axis=1))
+    if moved.size:
+        sub = Placement(xy=pl.xy[moved], types=pl.types[moved], z=pl.z)
+        masks[moved] = placement_masks(sub, grid, room, strict=False)
+    return masks, pl.xy
+
+
+def _project_short_of_margin(pl: Placement, room: RoomModel) -> Placement:
+    """Project the reflectors closer than wall_margin to the walls onto the margin."""
+    short = np.flatnonzero(~(boundary_distances(pl.xy, room.boundary) >= room.wall_margin))
+    if short.size == 0:
+        return pl
+    xy = pl.xy.copy()
+    for i in short:
+        xy[i] = project_into_margin(xy[i], room)
+    return pl.with_xy(xy)
 
 
 def sample_in_margin(room: RoomModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -293,8 +317,13 @@ def random_feasible(
     """Random placement repaired into feasibility, with restarts.
 
     Raises RuntimeError when no feasible placement is found after
-    config.restarts attempts (e.g. m too small for the coverage constraint).
+    config.restarts attempts (e.g. m too small for the coverage constraint),
+    and at once, before any draw, when m < config.k_min: no element can then
+    see k_min reflectors.
     """
+    if m < config.k_min:
+        raise RuntimeError(f"no feasible placement with {m} reflectors: every grid element "
+                           f"must see k_min={config.k_min} of them")
     if grid is None:
         grid = build_grid(room)
     types = type_assignment(m, n_types)

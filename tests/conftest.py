@@ -16,6 +16,13 @@ def l_room_poly():
 
 
 @pytest.fixture(scope="session")
+def readme_l_room(l_room_poly):
+    # The README L room: 0.2 m grid (1500 elements), cone radius 4.5 m.
+    return RoomModel(boundary=l_room_poly, grid_size=0.2, z_r=0.5, z_l=5.0, r_res=0.075,
+                     cone_half_angle=np.deg2rad(45.0), wall_margin=0.5)
+
+
+@pytest.fixture(scope="session")
 def small_room():
     # 4 x 4 m test room with a wide cone: radius (4.5-0.5)*tan(60 deg) ~ 6.9 m.
     return RoomModel(

@@ -8,13 +8,16 @@ from reflectopt.geom import (
     Polygon,
     RoomModel,
     boundary_distance,
+    boundary_distances,
     build_grid,
     cone_mask,
     point_in_polygon,
     project_into_margin,
     visibility_mask,
+    visibility_masks,
     visibility_polygon,
 )
+from reflectopt.placement import Placement, placement_masks
 from conftest import mc_visibility_area, segment_visible
 
 
@@ -203,9 +206,7 @@ class TestVisibilityMask:
             d = np.hypot(grid.xy[:, 0] - q[0], grid.xy[:, 1] - q[1])
             cone = d <= (room.z_l - room.z_r) * math.tan(room.cone_half_angle)
             expect = los & cone
-            # allow disagreement only for centers within a hair of a shadow line
-            diff = mask != expect
-            assert diff.mean() < 0.002
+            assert np.array_equal(mask, expect)
 
     def test_monotone_in_cone_angle(self, l_room_poly):
         base = dict(boundary=l_room_poly, grid_size=0.25, z_r=0.5, z_l=3.5)
@@ -224,6 +225,91 @@ class TestVisibilityMask:
         with pytest.raises(ValueError):
             visibility_mask(q, small_grid, small_room)
         assert not visibility_mask(q, small_grid, small_room, strict=False).any()
+
+
+class TestOccluderEdges:
+    def test_l_room_has_the_two_reflex_walls(self, l_room_poly):
+        a, b = l_room_poly.occluder_edges
+        got = {(tuple(p), tuple(q)) for p, q in zip(a.tolist(), b.tolist())}
+        assert got == {((5.0, 8.0), (5.0, 4.0)), ((5.0, 4.0), (0.0, 4.0))}
+
+    def test_convex_rooms_have_none(self, unit_square):
+        rect = Polygon([(0, 0), (10, 0), (10, 8), (0, 8)])
+        assert len(rect.occluder_edges[0]) == len(unit_square.occluder_edges[0]) == 0
+        assert len(_five_test_rooms()[0].occluder_edges[0]) == 0
+
+    def test_u_room_has_its_three_inner_walls_and_no_hull_edge(self):
+        u = _five_test_rooms()[2]
+        a, b = u.occluder_edges
+        got = {(tuple(p), tuple(q)) for p, q in zip(a.tolist(), b.tolist())}
+        assert got == {((6.0, 6.0), (6.0, 2.0)), ((6.0, 2.0), (3.0, 2.0)),
+                       ((3.0, 2.0), (3.0, 6.0))}
+
+
+def _test_room(vertices, grid_size=0.25, z_l=4.0):
+    """Room with a 45 degree cone: radius 3.5 m at the default z_l."""
+    return RoomModel(boundary=Polygon(vertices), grid_size=grid_size, z_r=0.5, z_l=z_l,
+                     cone_half_angle=np.deg2rad(45.0), wall_margin=0.5)
+
+
+def _oracle_masks(xy, grid, room):
+    """Cone AND brute-force segment test, one row per reflector."""
+    rows = []
+    for q in xy:
+        cone = np.hypot(grid.xy[:, 0] - q[0], grid.xy[:, 1] - q[1]) <= room.cone_radius
+        rows.append(cone & segment_visible(q, grid.xy, room.boundary))
+    return np.array(rows)
+
+
+class TestVisibilityMasks:
+    @pytest.mark.parametrize("room_index", range(6))
+    def test_placement_masks_equal_oracle(self, room_index, readme_l_room):
+        # The five test rooms, then the README L room (0.2 m grid, 4.5 m cone).
+        rooms = [_test_room(poly.vertices) for poly in _five_test_rooms()] + [readme_l_room]
+        room = rooms[room_index]
+        grid = build_grid(room)
+        rng = np.random.default_rng(100 + room_index)
+        xmin, ymin, xmax, ymax = room.boundary.bounds
+        cand = rng.uniform([xmin, ymin], [xmax, ymax], size=(2000, 2))
+        xy = cand[boundary_distances(cand, room.boundary) > 0.01][:60]
+        assert len(xy) == 60
+        pl = Placement(xy=xy, types=np.zeros(len(xy), int), z=room.z_l)
+        masks = placement_masks(pl, grid, room)
+        assert np.array_equal(masks, _oracle_masks(xy, grid, room))
+
+    def test_u_room_grazing_ray_is_visible(self):
+        # The segment q -> (7.9, 3.5) passes 6e-5 m beside the reflex vertex
+        # (7, 3) without crossing a wall, so the element is visible. A
+        # ray-cast visibility polygon, whose auxiliary rays sit 1e-4 rad off
+        # each vertex ray, called it hidden.
+        room = _test_room([(0, 0), (10, 0), (10, 8), (7, 8), (7, 3), (3, 3), (3, 8), (0, 8)],
+                          grid_size=0.2, z_l=5.0)
+        grid = build_grid(room)
+        q = np.array([5.53888661, 2.18809138])
+        cell = grid.element_at((7.9, 3.5))
+        assert segment_visible(q, grid.xy[cell:cell + 1], room.boundary)[0]
+        assert visibility_mask([*q, room.z_l], grid, room)[cell]
+        assert np.array_equal(visibility_masks(q[None], room.z_l, grid, room),
+                              _oracle_masks(q[None], grid, room))
+
+    def test_rows_off_the_interior(self, readme_l_room):
+        room = readme_l_room
+        grid = build_grid(room)
+        inside = [(2.0, 2.0), (7.5, 6.0)]
+        off = [(0.0, 2.0), (5.0, 6.0), (-1.0, 2.0), (2.0, 6.0)]  # two walls, two outside
+        xy = np.array(inside + off)
+        with pytest.raises(ValueError, match="strictly inside"):
+            visibility_masks(xy, room.z_l, grid, room, strict=True)
+        masks = visibility_masks(xy, room.z_l, grid, room, strict=False)
+        assert masks.shape == (len(xy), len(grid))
+        assert not masks[len(inside):].any()
+        for row, q in zip(masks, inside):
+            assert np.array_equal(row, visibility_mask([*q, room.z_l], grid, room))
+            assert row.any()
+
+    def test_empty_batch(self, small_room, small_grid):
+        masks = visibility_masks(np.empty((0, 2)), small_room.z_l, small_grid, small_room)
+        assert masks.shape == (0, len(small_grid))
 
 
 class TestProjectIntoMargin:

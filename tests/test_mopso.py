@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,26 @@ class TestRun:
         assert sorted((e.f1, round(e.f2, 9)) for e in a1.entries) == sorted(
             (e.f1, round(e.f2, 9)) for e in a2.entries
         )
+
+    def test_seeded_l_room_run_is_unchanged(self, readme_l_room):
+        # Recorded before the occluder-edge visibility kernel and repair's
+        # incremental masks: a concave room, with up- and down-mutations.
+        cfg = PsoConfig(swarm_size=4, iterations=3, m_max=16, m_init_range=(12, 14),
+                        p_up=0.2, p_down=0.2, seed=3)
+        archive, log = run(readme_l_room, cfg)
+        assert [(r.iteration, r.best_f1, r.best_f2, r.archive_size, r.evaluations)
+                for r in log] == [
+            (0, 252, 87.228023947478, 3, 4), (1, 252, 80.35419125766451, 5, 8),
+            (2, 252, 61.49376362336709, 8, 12), (3, 252, 60.600261770964266, 5, 16),
+        ]
+        assert [(e.placement.m, e.f1, e.f2) for e in archive.entries] == [
+            (12, 252, 142.10581784166743), (12, 345, 106.08403956307971),
+            (13, 311, 120.1380936673716), (15, 475, 60.600261770964266),
+            (14, 356, 77.14563846797361),
+        ]
+        xy_bytes = b"".join(e.placement.xy.tobytes() for e in archive.entries)
+        assert hashlib.sha256(xy_bytes).hexdigest() == (
+            "7ec90434e1c1e465482627cedbc2e11815fdbb1e3be69f0df41aa397429cb8cd")
 
     def test_snapshot_callback_invoked(self, small_room):
         seen = []

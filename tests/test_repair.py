@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from reflectopt.geom import Polygon, RoomModel, build_grid
-from reflectopt.placement import Placement, check_constraints, placement_masks
+from reflectopt.mopso import PsoConfig
+from reflectopt.placement import Placement, check_constraints, placement_masks, type_assignment
 from reflectopt.repair import (
     RepairConfig,
     _rescue_jump,
@@ -201,6 +202,44 @@ class TestRepair:
         out2, _, _ = repair(pl, small_room, small_grid, rng=np.random.default_rng(7))
         assert np.array_equal(out1.xy, out2.xy)
 
+    def test_seeded_l_room_result_is_unchanged(self, readme_l_room):
+        # Recorded before repair kept its masks across iterations: a clustered
+        # start in the lower-right arm of the L room, 35 iterations including
+        # a rescue jump. Every float must come out the same.
+        rng = np.random.default_rng(3)
+        xy = rng.uniform([6.0, 0.6], [9.4, 2.5], size=(12, 2))
+        pl = Placement(xy=xy, types=type_assignment(12, 2), z=readme_l_room.z_l)
+        out, feasible, iters = repair(pl, readme_l_room, build_grid(readme_l_room),
+                                      PsoConfig().repair_config(), rng)
+        assert (feasible, iters) == (True, 35)
+        assert out.xy.tolist() == [
+            [5.5, 7.4999995], [7.909191484749368, 4.007656931328147],
+            [3.6873504797761645, 1.3116600094347597], [3.7723085651553894, 1.8297402384810881],
+            [5.783025934947873, 1.1767700135646277], [3.2332631880185696, 1.659314805441054],
+            [7.689610672896887, 5.263034162015549], [7.2080621411471615, 5.053902596799572],
+            [7.588238974078328, 3.592187936222669], [8.256962927509846, 3.5883512356455642],
+            [5.5000005, 4.034218660768971], [3.2773048045400035, 2.182464244907617],
+        ]
+
+    def test_recomputes_only_moved_rows(self, small_room, small_grid, monkeypatch):
+        import reflectopt.repair as repair_module
+
+        rows = []
+        original = repair_module.placement_masks
+
+        def counting(pl, *args, **kwargs):
+            rows.append(pl.m)
+            return original(pl, *args, **kwargs)
+
+        monkeypatch.setattr(repair_module, "placement_masks", counting)
+        # Eight reflectors cover the room; the ninth sits 0.2 m from the
+        # eighth, so only that magnet pair moves.
+        base = [[x, y] for x in (1.0, 2.0, 3.0) for y in (1.0, 3.0)] + [[2.0, 2.0], [1.0, 2.0]]
+        pl = _pl(base + [[1.2, 2.0]], z=small_room.z_l)
+        out, feasible, iters = repair(pl, small_room, small_grid, rng=np.random.default_rng(0))
+        assert feasible and iters == 1
+        assert rows == [9, 2]
+
 
 class TestSampleInMargin:
     def test_all_samples_respect_margin(self, small_room):
@@ -225,6 +264,19 @@ class TestRandomFeasible:
         cfg = RepairConfig(max_iter=15, restarts=2)
         with pytest.raises(RuntimeError):
             random_feasible(small_room, 1, 1, np.random.default_rng(0), small_grid, cfg)
+
+    def test_m_below_k_min_fails_before_any_draw(self, small_room, small_grid):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="k_min=4"):
+            random_feasible(small_room, 3, 2, rng, small_grid)
+        assert rng.bit_generator.state == state
+
+    def test_restarts_run_out(self, small_room, small_grid):
+        # d_min beyond the room diagonal: no placement of 4 can be spaced out.
+        cfg = RepairConfig(d_min=10.0, max_iter=5, restarts=2)
+        with pytest.raises(RuntimeError, match="after 2 restarts"):
+            random_feasible(small_room, 4, 2, np.random.default_rng(0), small_grid, cfg)
 
     def test_types_follow_equal_split(self, small_room, small_grid):
         pl = random_feasible(small_room, 7, 2, np.random.default_rng(5), small_grid)
