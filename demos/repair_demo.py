@@ -1,21 +1,20 @@
 """Walkthrough: turning an infeasible placement feasible.
 
 Starts from a deliberately bad placement (all reflectors clustered in one
-corner), then lets the repair loop run: reflectors repel each other like
-equal-polarity magnets when closer than the minimum spacing, get pulled
-toward the centroids of under-covered grid regions, and are projected back
-behind the wall margin. Prints the violation counts per iteration.
+corner of an L-shaped room), then lets the repair loop run: reflectors
+repel each other like equal-polarity magnets when closer than the minimum
+spacing, each under-covered grid region recruits just the reflectors it is
+missing, and every reflector is projected back behind the wall margin.
+Prints the violation counts before and after, and the iterations it took.
 
 Run:  python3 demos/repair_demo.py
 """
 
 import numpy as np
 
-from reflectopt.geom import Polygon, RoomModel, build_grid, project_into_margin
+from reflectopt.geom import Polygon, RoomModel, build_grid
 from reflectopt.placement import Placement, check_constraints, placement_masks, type_assignment
-from reflectopt.repair import (
-    RepairConfig, coverage_violation_centroids, gravitation_step, magnet_step,
-)
+from reflectopt.repair import RepairConfig, repair
 
 room = RoomModel(
     boundary=Polygon([(0, 0), (10, 0), (10, 8), (5, 8), (5, 4), (0, 4)]),
@@ -29,30 +28,29 @@ grid = build_grid(room)
 cfg = RepairConfig()
 rng = np.random.default_rng(2)
 
-m = 12
+m = 16
 xy = np.array([7.5, 2.0]) + rng.uniform(-0.5, 0.5, size=(m, 2))
-pl = Placement(xy=xy, types=type_assignment(m, 1), z=room.z_l)
+start = Placement(xy=xy, types=type_assignment(m, 1), z=room.z_l)
 print(f"{m} reflectors clustered near (7.5, 2.0); grid has {len(grid)} elements\n")
 
-for iteration in range(cfg.max_iter):
+
+def show(label, pl):
     masks = placement_masks(pl, grid, room, strict=False)
     report = check_constraints(pl, room, grid, masks, m_max=m,
                                k_min=cfg.k_min, d_min=cfg.d_min)
-    print(f"iteration {iteration:3d}: "
-          f"under-covered elements {len(report.coverage_violations):4d}, "
-          f"spacing violations {len(report.spacing_violations):2d}, "
+    print(f"{label}: under-covered elements {len(report.coverage_violations):4d}, "
+          f"spacing violations {len(report.spacing_violations):3d}, "
           f"margin violations {len(report.margin_violations)}")
-    if report.feasible:
-        print("\nfeasible placement reached")
-        break
-    if not report.coverage_ok:
-        centroids = coverage_violation_centroids(grid, masks, cfg.k_min)
-        pl = gravitation_step(pl, centroids, cfg.gamma, cfg.step_cap)
-    if not report.spacing_ok:
-        pl = magnet_step(pl, cfg.d_min, rng)
-    pl = pl.with_xy(np.stack([project_into_margin(p, room) for p in pl.xy]))
+
+
+show("before repair", start)
+pl, feasible, iterations = repair(start, room, grid, cfg, rng)
+show("after repair ", pl)
+
+if feasible:
+    print(f"\nfeasible placement reached after {iterations} iterations")
 else:
-    print("\nno feasible placement within the iteration cap")
+    print(f"\nno feasible placement within the cap of {iterations} iterations")
 
 print("\nfinal reflector positions:")
 for i, (x, y) in enumerate(pl.xy):

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geom import Grid, RoomModel, build_grid
-from .objectives import distance_bins
+from .objectives import distance_bins, nearest_visible
 from .placement import Placement, placement_masks
 
 
@@ -120,11 +120,7 @@ class FingerprintModel:
         self.n = n
         self.r_res = room.r_res
         self.sigma_r = room.r_res if sigma_r is None else sigma_r
-        diff = grid.centers[:, None, :] - pl.positions3d[None, :, :]
-        d = np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))
-        d = np.where(masks.T, d, np.inf)
-        order = np.argsort(d, axis=1, kind="stable")[:, : n]
-        dsel = np.take_along_axis(d, order, axis=1)
+        order, dsel = nearest_visible(pl, masks, grid, n)
         self.valid = np.all(np.isfinite(dsel), axis=1)
         bins = np.where(np.isfinite(dsel), dsel, 0.0)
         bins = distance_bins(bins, room.r_res)

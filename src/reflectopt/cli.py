@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--seed", type=int, default=None)
     p_opt.add_argument("--iterations", type=int, default=None)
     p_opt.add_argument("--particles", type=int, default=None)
-    p_opt.add_argument("--threads", type=int, default=1)
 
     p_eval = sub.add_parser("evaluate", help="score a placement file")
     p_eval.add_argument("--config", required=True, help="room config file")
@@ -86,7 +85,7 @@ def _cmd_optimize(args) -> int:
         files.write_front(out / f"front_iter_{iteration:05d}.csv", archive)
 
     try:
-        archive, log = run_pso(room, config, threads=args.threads, snapshot_cb=snapshot)
+        archive, log = run_pso(room, config, snapshot_cb=snapshot)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INIT

@@ -10,8 +10,7 @@ different sizes compete in one swarm.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -343,16 +342,14 @@ class IterationLog:
 def run(
     room: RoomModel,
     config: PsoConfig,
-    threads: int = 1,
     snapshot_cb=None,
     initial_placements: list[Placement] | None = None,
 ) -> tuple[ParetoArchive, list[IterationLog]]:
     """Run the optimizer and return the Pareto archive plus per-iteration log.
 
-    Leaders, velocities, repairs and mutations advance serially in particle
-    index order; objective evaluations (pure functions) may run on a thread
-    pool without affecting results, so a fixed seed gives identical output
-    for any thread count. ``initial_placements`` overrides the random
+    Leaders, velocities, repairs, mutations and evaluations advance serially
+    in particle index order from one seeded generator, so a fixed seed gives
+    identical output. ``initial_placements`` overrides the random
     initialization (used by permutation-invariance checks).
     """
     rng = np.random.default_rng(config.seed)
@@ -378,7 +375,7 @@ def run(
     else:
         placements = list(initial_placements)
 
-    objectives = _evaluate_all(placements, room, grid, eval_cfg, threads)
+    objectives = [_evaluate(pl, room, grid, eval_cfg) for pl in placements]
     particles = [
         SwarmParticle(
             placement=pl,
@@ -413,8 +410,8 @@ def run(
             p.velocity = mutated.velocity
             p.check_dimensions()
 
-        # Phase B (parallelizable): pure objective evaluations.
-        objs = _evaluate_all([p.placement for p in particles], room, grid, eval_cfg, threads)
+        # Phase B: objective evaluations, which draw no random numbers.
+        objs = [_evaluate(p.placement, room, grid, eval_cfg) for p in particles]
         evaluations += len(particles)
 
         # Phase C (serial): pbest and archive updates in particle order.
@@ -445,18 +442,6 @@ def _log_entry(iteration: int, archive: ParetoArchive, evaluations: int) -> Iter
     )
 
 
-def _evaluate_all(
-    placements: list[Placement],
-    room: RoomModel,
-    grid: Grid,
-    eval_cfg: EvalConfig,
-    threads: int,
-) -> list[Objectives]:
-    def one(pl: Placement) -> Objectives:
-        masks = placement_masks(pl, grid, room, strict=False)
-        return evaluate(pl, room, grid, masks, eval_cfg)
-
-    if threads <= 1 or len(placements) <= 1:
-        return [one(pl) for pl in placements]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, placements))
+def _evaluate(pl: Placement, room: RoomModel, grid: Grid, eval_cfg: EvalConfig) -> Objectives:
+    masks = placement_masks(pl, grid, room, strict=False)
+    return evaluate(pl, room, grid, masks, eval_cfg)

@@ -80,11 +80,7 @@ def fingerprint_table(
     compare lexicographically like sorted (bin, type) entry lists. Raises
     CoverageError if any element sees fewer than n reflectors.
     """
-    d = _true_distances(pl, grid)
-    d = np.where(masks.T, d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")[:, :n]
-    rows = np.arange(len(grid))[:, None]
-    dsel = np.take_along_axis(d, order, axis=1)
+    order, dsel = nearest_visible(pl, masks, grid, n)
     if not np.all(np.isfinite(dsel)):
         short = int(np.isinf(dsel).any(axis=1).sum())
         raise CoverageError(f"{short} grid elements see fewer than {n} reflectors")
@@ -95,9 +91,19 @@ def fingerprint_table(
     return codes
 
 
-def _true_distances(pl: Placement, grid: Grid) -> np.ndarray:
+def nearest_visible(
+    pl: Placement, masks: np.ndarray, grid: Grid, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n nearest visible reflectors of every grid element.
+
+    Returns (indices, distances), both (n_elements, min(n, m)), nearest
+    first by true 3D distance with ties going to the lower reflector index.
+    Columns past an element's count of visible reflectors hold distance inf.
+    """
     diff = grid.centers[:, None, :] - pl.positions3d[None, :, :]
-    return np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))
+    d = np.where(masks.T, np.sqrt(np.einsum("nmk,nmk->nm", diff, diff)), np.inf)
+    order = np.argsort(d, axis=1, kind="stable")[:, :n]
+    return order, np.take_along_axis(d, order, axis=1)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,12 @@ centers of gravitation. Together with projection onto the wall-margin
 contour these steps turn infeasible placements feasible within a few
 iterations, and they double as the particle initializer.
 
-Two coverage-attraction modes exist. ``gravitation_step`` pulls every
-reflector toward its nearest violation centroid; experiments show this mass
-pull thrashes on tight configurations (settled regions get dragged away),
-so the repair loop defaults to a selective variant: each violating region
-recruits exactly its missing number of reflectors, preferring redundant
-ones whose departure leaves no element under-covered, and a stalled search
-relocates the most redundant reflector straight onto the biggest hole.
+Coverage attraction is selective: each violating region recruits exactly
+its missing number of reflectors, preferring redundant ones whose departure
+leaves no element under-covered, and a stalled search relocates the most
+redundant reflector straight onto the biggest hole. Pulling every reflector
+toward its nearest hole instead drags reflectors away from regions that are
+already covered, so on tight configurations the holes only move around.
 """
 
 from __future__ import annotations
@@ -38,12 +37,7 @@ class RepairConfig:
     step_cap: float = 2.0  # max attraction move per iteration (m)
     max_iter: int = 200
     restarts: int = 10  # random_feasible re-initializations
-    pull_mode: str = "deficit"  # "deficit" (selective) or "all" (mass pull)
     stall_limit: int = 12  # iterations without progress before a rescue jump
-
-    def __post_init__(self):
-        if self.pull_mode not in ("deficit", "all"):
-            raise ValueError("pull_mode must be 'deficit' or 'all'")
 
 
 def magnet_step(pl: Placement, d_min: float, rng: np.random.Generator | None = None) -> Placement:
@@ -103,38 +97,6 @@ def _coverage_regions(grid: Grid, masks: np.ndarray, k_min: int):
         att = members[np.argmin(np.linalg.norm(grid.xy[members] - centroid, axis=1))]
         regions.append((members, int(att)))
     return counts, regions
-
-
-def coverage_violation_centroids(grid: Grid, masks: np.ndarray, k_min: int) -> np.ndarray:
-    """Centroids of the 4-connected grid regions seeing < k_min reflectors.
-
-    Returns an (n_regions, 2) array, empty when coverage is satisfied.
-    """
-    _, regions = _coverage_regions(grid, masks, k_min)
-    if not regions:
-        return np.empty((0, 2))
-    return np.asarray([grid.xy[members].mean(axis=0) for members, _ in regions])
-
-
-def gravitation_step(pl: Placement, centroids: np.ndarray, gamma: float = 0.2,
-                     step_cap: float = 1.0) -> Placement:
-    """Pull every reflector toward its nearest gravitation center.
-
-    The move is gamma times the distance to that center, capped at step_cap.
-    """
-    centroids = np.asarray(centroids, float).reshape(-1, 2)
-    if len(centroids) == 0:
-        raise ValueError("gravitation_step needs at least one centroid")
-    diff = centroids[None, :, :] - pl.xy[:, None, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    nearest = np.argmin(dist, axis=1)
-    rows = np.arange(pl.m)
-    d = dist[rows, nearest]
-    step = np.minimum(gamma * d, step_cap)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direction = diff[rows, nearest] / d[:, None]
-    direction[d < 1e-12] = 0.0
-    return pl.with_xy(pl.xy + step[:, None] * direction)
 
 
 def _coverage_slack(pl: Placement, masks: np.ndarray, counts: np.ndarray, k_min: int) -> np.ndarray:
@@ -245,17 +207,13 @@ def repair(
         else:
             stall += 1
         if not report.coverage_ok:
-            if config.pull_mode == "deficit":
-                if stall >= config.stall_limit:
-                    current = _rescue_jump(current, grid, masks, config.k_min)
-                    stall = 0
-                else:
-                    current = deficit_gravitation_step(
-                        current, grid, masks, config.k_min, config.gamma, config.step_cap
-                    )
+            if stall >= config.stall_limit:
+                current = _rescue_jump(current, grid, masks, config.k_min)
+                stall = 0
             else:
-                centroids = coverage_violation_centroids(grid, masks, config.k_min)
-                current = gravitation_step(current, centroids, config.gamma, config.step_cap)
+                current = deficit_gravitation_step(
+                    current, grid, masks, config.k_min, config.gamma, config.step_cap
+                )
         if not report.spacing_ok:
             current = magnet_step(current, config.d_min, rng)
         current = _project_short_of_margin(current, room)

@@ -279,13 +279,6 @@ class TestRun:
         for e1, e2 in zip(a1.entries, a2.entries):
             assert e1.placement == e2.placement
 
-    def test_thread_count_does_not_change_result(self, small_room):
-        cfg = _desk_config()
-        a1, log1 = run(small_room, cfg, threads=1)
-        a2, log2 = run(small_room, cfg, threads=4)
-        assert [(e.f1, e.f2) for e in a1.entries] == [(e.f1, e.f2) for e in a2.entries]
-        assert log1 == log2
-
     def test_best_trajectories_non_increasing(self, small_room):
         cfg = _desk_config(iterations=6)
         _, log = run(small_room, cfg)

@@ -19,6 +19,7 @@ from reflectopt.objectives import (
     gdop,
     gdop_objective,
     gdop_values,
+    nearest_visible,
     penalty_pair,
 )
 from reflectopt.placement import Placement, placement_masks, type_assignment, visible_reflectors
@@ -99,6 +100,26 @@ class TestFingerprint:
             )
             codes = sorted(2 * b + t for b, t in fp.entries)
             assert codes == table[idx].tolist()
+
+    def test_nearest_visible_matches_scalar_oracle(self, readme_l_room):
+        grid = build_grid(readme_l_room)
+        rng = np.random.default_rng(21)
+        xy = rng.uniform([0.6, 0.6], [9.4, 3.4], size=(7, 2))
+        e = int(grid.nearest_element(np.array([[3.0, 2.0]]))[0])
+        c = grid.xy[e]
+        xy = np.vstack([xy, c + [0.3, 0.0], c - [0.3, 0.0]])  # equidistant from element e
+        pl = Placement(xy=xy, types=type_assignment(9, 2), z=readme_l_room.z_l)
+        masks = placement_masks(pl, grid, readme_l_room)
+        order, dist = nearest_visible(pl, masks, grid, 4)
+        assert order.shape == dist.shape == (len(grid), 4)
+        assert np.isinf(dist).any(axis=1).any()  # some elements see fewer than 4
+        for idx in range(len(grid)):
+            vis = visible_reflectors(grid.centers[idx], pl, masks, grid)[:4]
+            k = len(vis)
+            assert order[idx, :k].tolist() == [r.index for r, _ in vis]
+            assert np.allclose(dist[idx, :k], [d for _, d in vis], rtol=1e-12, atol=0.0)
+            assert np.all(np.isinf(dist[idx, k:]))
+        assert order[e, :2].tolist() == [7, 8]  # equal distances: lower index first
 
     def test_permutation_invariance(self, small_room, small_grid):
         rng = np.random.default_rng(14)

@@ -6,10 +6,9 @@ from reflectopt.mopso import PsoConfig
 from reflectopt.placement import Placement, check_constraints, placement_masks, type_assignment
 from reflectopt.repair import (
     RepairConfig,
+    _coverage_regions,
     _rescue_jump,
-    coverage_violation_centroids,
     deficit_gravitation_step,
-    gravitation_step,
     magnet_step,
     random_feasible,
     repair,
@@ -66,9 +65,13 @@ class TestMagnetStep:
 
 
 class TestCoverageCentroids:
+    """Under-covered regions of _coverage_regions and their attractor elements."""
+
     def test_full_coverage_empty(self, small_room, small_grid):
         masks = np.ones((4, len(small_grid)), dtype=bool)
-        assert len(coverage_violation_centroids(small_grid, masks, k_min=4)) == 0
+        counts, regions = _coverage_regions(small_grid, masks, k_min=4)
+        assert regions == []
+        assert np.array_equal(counts, np.full(len(small_grid), 4))
 
     def test_square_block_centroid(self, small_room, small_grid):
         masks = np.ones((4, len(small_grid)), dtype=bool)
@@ -77,58 +80,32 @@ class TestCoverageCentroids:
             & (small_grid.xy[:, 1] > 1.0) & (small_grid.xy[:, 1] < 2.0)
         )
         masks[0, block] = False  # block sees only 3 reflectors
-        cents = coverage_violation_centroids(small_grid, masks, k_min=4)
-        assert len(cents) == 1
-        assert np.allclose(cents[0], small_grid.xy[block].mean(axis=0))
-        assert np.allclose(cents[0], [1.5, 1.5], atol=0.01)
+        _, regions = _coverage_regions(small_grid, masks, k_min=4)
+        assert len(regions) == 1
+        members, att = regions[0]
+        assert np.array_equal(members, np.flatnonzero(block))
+        centroid = small_grid.xy[block].mean(axis=0)
+        assert np.allclose(centroid, [1.5, 1.5], atol=0.01)
+        dist = np.linalg.norm(small_grid.xy - centroid, axis=1)
+        assert att in members
+        assert dist[att] == dist[block].min()
 
     def test_two_components_match_flood_fill(self, small_room, small_grid):
         masks = np.ones((4, len(small_grid)), dtype=bool)
         blob_a = np.linalg.norm(small_grid.xy - [0.6, 0.6], axis=1) < 0.4
         blob_b = np.linalg.norm(small_grid.xy - [3.2, 3.2], axis=1) < 0.5
         masks[0, blob_a | blob_b] = False
-        cents = coverage_violation_centroids(small_grid, masks, k_min=4)
-        assert len(cents) == 2
-        got = sorted(map(tuple, np.round(cents, 9)))
-        expect = sorted([
-            tuple(np.round(small_grid.xy[blob_a].mean(axis=0), 9)),
-            tuple(np.round(small_grid.xy[blob_b].mean(axis=0), 9)),
-        ])
+        _, regions = _coverage_regions(small_grid, masks, k_min=4)
+        assert len(regions) == 2
+        got = sorted(tuple(members.tolist()) for members, _ in regions)
+        expect = sorted([tuple(np.flatnonzero(blob_a).tolist()),
+                         tuple(np.flatnonzero(blob_b).tolist())])
         assert got == expect
-
-
-class TestGravitationStep:
-    def test_moves_fraction_of_distance(self):
-        pl = _pl([[0.0, 0.0]])
-        out = gravitation_step(pl, np.array([[2.0, 0.0]]), gamma=0.2)
-        assert np.allclose(out.xy[0], [0.4, 0.0])
-
-    def test_at_centroid_unchanged(self):
-        pl = _pl([[2.0, 1.0]])
-        out = gravitation_step(pl, np.array([[2.0, 1.0]]), gamma=0.2)
-        assert np.allclose(out.xy[0], [2.0, 1.0])
-
-    def test_nearest_center_wins(self):
-        pl = _pl([[0.0, 0.0]])
-        cents = np.array([[1.0, 0.0], [10.0, 0.0]])
-        out = gravitation_step(pl, cents, gamma=0.5)
-        assert np.allclose(out.xy[0], [0.5, 0.0])
-
-    def test_step_cap(self):
-        pl = _pl([[0.0, 0.0]])
-        out = gravitation_step(pl, np.array([[100.0, 0.0]]), gamma=0.2, step_cap=1.0)
-        assert np.allclose(out.xy[0], [1.0, 0.0])
-
-    def test_strictly_decreases_distance(self):
-        rng = np.random.default_rng(3)
-        cents = rng.uniform(0, 10, size=(3, 2))
-        pl = _pl(rng.uniform(0, 10, size=(6, 2)))
-        out = gravitation_step(pl, cents, gamma=0.2)
-        for before, after in zip(pl.xy, out.xy):
-            d0 = np.linalg.norm(cents - before, axis=1).min()
-            d1 = np.linalg.norm(cents - after, axis=1).min()
-            if d0 > 1e-9:
-                assert d1 < d0
+        for members, att in regions:
+            assert att in members
+            centroid = small_grid.xy[members].mean(axis=0)
+            dist = np.linalg.norm(small_grid.xy[members] - centroid, axis=1)
+            assert np.linalg.norm(small_grid.xy[att] - centroid) == dist.min()
 
 
 class TestDeficitGravitation:
