@@ -19,9 +19,8 @@ from .placement import Placement
 def hungarian(cost) -> np.ndarray:
     """Minimum-cost injective row-to-column assignment (rows n <= columns m).
 
-    Returns the assigned column per row. Among all optimal assignments the
-    lexicographically smallest column sequence is returned, which makes the
-    result deterministic under cost ties.
+    Returns the assigned column per row, as found by scipy's
+    ``linear_sum_assignment``, which is deterministic for a given matrix.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.size == 0:
@@ -31,33 +30,7 @@ def hungarian(cost) -> np.ndarray:
         raise ValueError("cost matrix needs at least as many columns as rows")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
-
-    rows, cols = linear_sum_assignment(cost)
-    best = cost[rows, cols].sum()
-    tol = 1e-9 * max(1.0, abs(best))
-
-    # Fix rows greedily to the smallest column that preserves optimality.
-    available = list(range(m))
-    assigned = np.empty(n, dtype=np.int64)
-    fixed_cost = 0.0
-    for i in range(n):
-        for c in available:
-            rest_rows = np.arange(i + 1, n)
-            rest_cols = [x for x in available if x != c]
-            if len(rest_rows) == 0:
-                rest = 0.0
-            else:
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                rr, cc = linear_sum_assignment(sub)
-                rest = sub[rr, cc].sum()
-            if fixed_cost + cost[i, c] + rest <= best + tol:
-                assigned[i] = c
-                fixed_cost += cost[i, c]
-                available.remove(c)
-                break
-        else:  # pragma: no cover - optimality guarantees a choice exists
-            raise RuntimeError("no optimal column found during tie resolution")
-    return assigned
+    return linear_sum_assignment(cost)[1]
 
 
 def align_leader(particle: Placement, leader: Placement, type_constrained: bool) -> np.ndarray:

@@ -124,12 +124,11 @@ def _cmd_evaluate(args) -> int:
         f"margin_ok = {str(report.margin_ok).lower()} "
         f"(violating reflectors: {report.margin_violations.tolist()})",
     ]
-    sigma = cfg.resolve_sigma(room)
-    f1, f2 = penalty_pair(grid, sigma)
+    f1, f2 = penalty_pair(grid, room.r_res)
     map_lines = ["maps skipped: coverage constraint violated"]
     if report.coverage_ok:
         f1_map, amb_map = ambiguity(pl, room, grid, masks, cfg.n, room.r_res)
-        f2_map, gmap = gdop_objective(pl, room, grid, masks, sigma, cfg.use_sqrt_gdop)
+        f2_map, gmap = gdop_objective(pl, room, grid, masks, room.r_res)
         if report.feasible:  # the pair objectives.evaluate returns, read off the maps
             f1, f2 = f1_map, f2_map
         map_lines = [
@@ -166,10 +165,10 @@ def _cmd_simulate(args) -> int:
         pl2, _ = files.load_placement(args.compare)
         placements.append(("compare", pl2, Path(args.compare)))
 
+    cfg = EvalConfig()
     reports = {}
     for label, placement, src in placements:
         masks = placement_masks(placement, grid, room, strict=False)
-        cfg = EvalConfig(n=amcl_cfg.n)
         report = check_constraints(placement, room, grid, masks, m_max=cfg.m_max,
                                    k_min=cfg.k_min, d_min=cfg.d_min)
         if not report.feasible:

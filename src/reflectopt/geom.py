@@ -47,6 +47,8 @@ class Polygon:
         verts = _as_points(vertices)
         if len(verts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
+        if not np.all(np.isfinite(verts)):
+            raise ValueError("polygon vertices must be finite")
         area2 = _shoelace2(verts)
         if area2 <= 0.0:
             raise ValueError("polygon vertices must be counterclockwise with positive area")
@@ -189,6 +191,9 @@ class RoomModel:
     wall_margin: float = 0.5
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.grid_size, self.z_r, self.z_l, self.r_res,
+                                              self.cone_half_angle, self.wall_margin)):
+            raise ValueError("room parameters must be finite")
         if not (self.z_l > self.z_r > 0):
             raise ValueError("need z_l > z_r > 0")
         if self.grid_size <= 0:

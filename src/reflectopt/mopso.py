@@ -98,9 +98,6 @@ class ParetoArchive:
             del self.entries[drop]
         self._crowding_dirty = True
 
-    def best(self, objective: int) -> ArchiveEntry:
-        return min(self.entries, key=lambda e: (e.objectives[objective], e.objectives[1 - objective]))
-
     def select_leader(self, rng: np.random.Generator) -> Placement:
         """Binary tournament on crowding distance (ties broken randomly)."""
         if not self.entries:
@@ -159,12 +156,6 @@ class PsoConfig:
     v_max: float | None = None  # None: 2 * room bbox diagonal / iterations
     seed: int = 0
     snapshot_every: int = 10
-    sigma_r: float | None = None
-    use_sqrt_gdop: bool = False
-    repair_gamma: float = 0.2
-    repair_step_cap: float = 1.0
-    repair_max_iter: int = 200
-    restarts: int = 10
 
     def __post_init__(self):
         for lo, hi in (self.w_range, self.c1_range, self.c2_range):
@@ -176,19 +167,14 @@ class PsoConfig:
             raise ValueError("m_init_range must lie within [1, m_max]")
         if self.n_types not in (1, 2):
             raise ValueError("n_types must be 1 or 2")
+        if self.n > self.k_min:
+            raise ValueError("fingerprint size n must not exceed k_min")
 
     def eval_config(self) -> EvalConfig:
-        return EvalConfig(
-            n=self.n, k_min=self.k_min, d_min=self.d_min, m_max=self.m_max,
-            sigma_r=self.sigma_r, use_sqrt_gdop=self.use_sqrt_gdop,
-        )
+        return EvalConfig(n=self.n, k_min=self.k_min, d_min=self.d_min, m_max=self.m_max)
 
     def repair_config(self) -> RepairConfig:
-        return RepairConfig(
-            k_min=self.k_min, d_min=self.d_min, gamma=self.repair_gamma,
-            step_cap=self.repair_step_cap, max_iter=self.repair_max_iter,
-            restarts=self.restarts,
-        )
+        return RepairConfig(k_min=self.k_min, d_min=self.d_min, gamma=0.2, step_cap=1.0)
 
     def resolve_v_max(self, room: RoomModel) -> float:
         if self.v_max is not None:

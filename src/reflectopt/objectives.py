@@ -43,11 +43,10 @@ class EvalConfig:
     k_min: int = 4  # minimum visible reflectors per grid element
     d_min: float = 0.5  # minimum pairwise reflector distance (m)
     m_max: int = 32  # maximum reflector count
-    sigma_r: float | None = None  # range error std dev; None -> room.r_res
-    use_sqrt_gdop: bool = False  # classical sqrt(trace) variant instead of Eq. trace
 
-    def resolve_sigma(self, room: RoomModel) -> float:
-        return room.r_res if self.sigma_r is None else self.sigma_r
+    def __post_init__(self):
+        if self.n > self.k_min:
+            raise ValueError("fingerprint size n must not exceed k_min")
 
 
 def distance_bins(distances: np.ndarray, r_res: float) -> np.ndarray:
@@ -96,14 +95,21 @@ def nearest_visible(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The n nearest visible reflectors of every grid element.
 
-    Returns (indices, distances), both (n_elements, min(n, m)), nearest
-    first by true 3D distance with ties going to the lower reflector index.
-    Columns past an element's count of visible reflectors hold distance inf.
+    Returns (indices, distances), both (n_elements, n), nearest first by
+    true 3D distance with ties going to the lower reflector index. Columns
+    past an element's count of visible reflectors hold distance inf; when
+    the placement has fewer than n reflectors, the missing columns also
+    hold index 0.
     """
     diff = grid.centers[:, None, :] - pl.positions3d[None, :, :]
     d = np.where(masks.T, np.sqrt(np.einsum("nmk,nmk->nm", diff, diff)), np.inf)
     order = np.argsort(d, axis=1, kind="stable")[:, :n]
-    return order, np.take_along_axis(d, order, axis=1)
+    dsel = np.take_along_axis(d, order, axis=1)
+    short = n - order.shape[1]
+    if short > 0:
+        order = np.pad(order, ((0, 0), (0, short)))
+        dsel = np.pad(dsel, ((0, 0), (0, short)), constant_values=np.inf)
+    return order, dsel
 
 
 @dataclass(frozen=True)
@@ -174,7 +180,7 @@ def _same_value_components(grid: Grid, values: np.ndarray) -> np.ndarray:
     return labels
 
 
-def gdop(p_r, visible: list, sigma_r: float, use_sqrt: bool = False) -> float:
+def gdop(p_r, visible: list, sigma_r: float) -> float:
     """GDOP of one position from its visible reflectors (Fisher-information form).
 
     ``visible`` holds (reflector, distance) pairs as returned by
@@ -187,25 +193,20 @@ def gdop(p_r, visible: list, sigma_r: float, use_sqrt: bool = False) -> float:
     h = np.stack([(p - r.position) / d for r, d in visible])
     j = h.T @ h
     vals = np.linalg.eigvalsh(j)
-    return _gdop_from_eigvals(vals[None, :], sigma_r, use_sqrt)[0]
+    return _gdop_from_eigvals(vals[None, :], sigma_r)[0]
 
 
-def _gdop_from_eigvals(vals: np.ndarray, sigma_r: float, use_sqrt: bool) -> np.ndarray:
+def _gdop_from_eigvals(vals: np.ndarray, sigma_r: float) -> np.ndarray:
     vmin = vals[:, 0]
     vmax = vals[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         trace_inv = (1.0 / vals).sum(axis=1)
         cond = vmax / vmin
     bad = (vmin <= 0) | ~np.isfinite(trace_inv) | (cond > _COND_LIMIT)
-    raw = np.where(bad, _GDOP_PENALTY_TRACE, trace_inv)
-    if use_sqrt:
-        return np.sqrt(raw) * sigma_r
-    return raw * sigma_r**2
+    return np.where(bad, _GDOP_PENALTY_TRACE, trace_inv) * sigma_r**2
 
 
-def gdop_values(
-    pl: Placement, masks: np.ndarray, grid: Grid, sigma_r: float, use_sqrt: bool = False
-) -> np.ndarray:
+def gdop_values(pl: Placement, masks: np.ndarray, grid: Grid, sigma_r: float) -> np.ndarray:
     """Per-element GDOP over the whole grid (vectorized)."""
     counts = masks.sum(axis=0)
     if counts.min() < 4:
@@ -216,7 +217,7 @@ def gdop_values(
     u = u * masks.T[:, :, None]
     j = np.einsum("nmi,nmj->nij", u, u)
     vals = np.linalg.eigvalsh(j)
-    return _gdop_from_eigvals(vals, sigma_r, use_sqrt)
+    return _gdop_from_eigvals(vals, sigma_r)
 
 
 @dataclass(frozen=True)
@@ -230,10 +231,9 @@ def gdop_objective(
     grid: Grid,
     masks: np.ndarray,
     sigma_r: float,
-    use_sqrt: bool = False,
 ) -> tuple[float, GdopMap]:
     """Sum of the per-element GDOP plus the per-element map."""
-    values = gdop_values(pl, masks, grid, sigma_r, use_sqrt)
+    values = gdop_values(pl, masks, grid, sigma_r)
     return float(values.sum()), GdopMap(values=values)
 
 
@@ -249,13 +249,15 @@ def evaluate(
     masks: np.ndarray,
     config: EvalConfig,
 ) -> tuple[int, float]:
-    """Joint objective evaluation: (f1, f2), or the penalty pair if infeasible."""
-    sigma_r = config.resolve_sigma(room)
+    """Joint objective evaluation: (f1, f2), or the penalty pair if infeasible.
+
+    The range error of the GDOP is the room's range resolution r_res.
+    """
     report = check_constraints(
         pl, room, grid, masks, m_max=config.m_max, k_min=config.k_min, d_min=config.d_min
     )
     if not report.feasible:
-        return penalty_pair(grid, sigma_r)
+        return penalty_pair(grid, room.r_res)
     f1, _ = ambiguity(pl, room, grid, masks, config.n, room.r_res, with_map=False)
-    f2, _ = gdop_objective(pl, room, grid, masks, sigma_r, config.use_sqrt_gdop)
+    f2, _ = gdop_objective(pl, room, grid, masks, room.r_res)
     return f1, f2

@@ -27,6 +27,8 @@ from .placement import Placement, check_constraints, placement_masks, type_assig
 # Relative overshoot past d_min when separating a violating pair, so the
 # pair does not land exactly on the constraint boundary and oscillate.
 _PUSH_DELTA = 0.05
+# Repair iterations without fewer violations before a rescue jump.
+_STALL_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class RepairConfig:
     step_cap: float = 2.0  # max attraction move per iteration (m)
     max_iter: int = 200
     restarts: int = 10  # random_feasible re-initializations
-    stall_limit: int = 12  # iterations without progress before a rescue jump
 
 
 def magnet_step(pl: Placement, d_min: float, rng: np.random.Generator | None = None) -> Placement:
@@ -207,7 +208,7 @@ def repair(
         else:
             stall += 1
         if not report.coverage_ok:
-            if stall >= config.stall_limit:
+            if stall >= _STALL_LIMIT:
                 current = _rescue_jump(current, grid, masks, config.k_min)
                 stall = 0
             else:

@@ -194,6 +194,16 @@ class TestMeasurementLikelihood:
         assert w == cfg.weight_floor
 
 
+class TestFingerprintModel:
+    def test_placement_smaller_than_fingerprint_has_no_valid_cell(self, small_room, small_grid):
+        pl = Placement(xy=[[1.0, 1.0], [3.0, 1.0], [2.0, 3.0]], types=[0, 1, 0],
+                       z=small_room.z_l)
+        masks = placement_masks(pl, small_grid, small_room)
+        assert masks.all()  # every cell sees all 3 reflectors
+        model = FingerprintModel(pl, masks, small_grid, small_room, 4)
+        assert not model.valid.any()
+
+
 class TestResample:
     def test_equal_weights_identity_multiset(self):
         rng = np.random.default_rng(7)

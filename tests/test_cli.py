@@ -178,6 +178,13 @@ class TestOptimizeCommand:
         assert main(["optimize", "--config", str(tmp_path / "nope.cfg"),
                      "--out-dir", str(tmp_path / "o")]) == 2
 
+    def test_fingerprint_larger_than_k_min_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.cfg"
+        cfg.write_text(ROOM_SECTION + "\n" + PSO_SECTION + "fingerprint_size = 5\nk_min = 4\n")
+        assert main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_init_failure_exit_3(self, tmp_path):
         # coverage impossible: m_init below k_min in a large room
         cfg = tmp_path / "cfg.cfg"
@@ -202,6 +209,21 @@ class TestEvaluateCommand:
         pgm = (out / "gdop_map.pgm").read_bytes()
         assert pgm.startswith(b"P5\n16 16\n255\n")
         assert len(pgm) == len(b"P5\n16 16\n255\n") + 16 * 16
+
+    @pytest.mark.parametrize("old, new", [
+        ("grid_size = 0.25", "grid_size = nan"),
+        ("wall_margin = 0.5", "wall_margin = nan"),
+        ("4.0 4.0", "4.0 nan"),
+    ], ids=["grid_size", "wall_margin", "vertex"])
+    def test_nan_room_value_exit_2(self, feasible_placement_file, tmp_path, capsys, old, new):
+        assert ROOM_SECTION.count(old) == 1
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(ROOM_SECTION.replace(old, new))
+        code = main(["evaluate", "--config", str(cfg),
+                     "--placement", str(feasible_placement_file),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_spacing_violation_reported(self, cfg_file, tmp_path, small_room, small_grid):
         pl = random_feasible(small_room, 8, 2, np.random.default_rng(11), small_grid)
@@ -264,6 +286,16 @@ class TestSimulateCommand:
                      "--placement", str(tmp_path / "nope.txt"),
                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
+
+    def test_fingerprint_size_beyond_k_min(self, cfg_file, feasible_placement_file, tmp_path):
+        # simulate checks feasibility with the default constraints; the tracker's
+        # fingerprint size is its own setting and may exceed k_min
+        cfg = tmp_path / "n5.cfg"
+        cfg.write_text(cfg_file.read_text().replace("[sim]\n", "[sim]\nfingerprint_size = 5\n"))
+        code = main(["simulate", "--config", str(cfg),
+                     "--placement", str(feasible_placement_file),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 0
 
     def test_compare_mode(self, cfg_file, feasible_placement_file, tmp_path, small_room, small_grid):
         pl2 = random_feasible(small_room, 8, 2, np.random.default_rng(23), small_grid)

@@ -88,6 +88,19 @@ class TestFingerprint:
         with pytest.raises(CoverageError):
             fingerprint(c, pl, masks, small_grid, n=2, r_res=0.1)
 
+    def test_table_rejects_placement_smaller_than_fingerprint(self, small_room, small_grid):
+        # every element sees all 3 reflectors, one short of the fingerprint size
+        pl = Placement(xy=[[1.0, 1.0], [3.0, 1.0], [2.0, 3.0]], types=[0, 1, 0],
+                       z=small_room.z_l)
+        masks = placement_masks(pl, small_grid, small_room)
+        order, dist = nearest_visible(pl, masks, small_grid, 4)
+        assert order.shape == dist.shape == (len(small_grid), 4)
+        assert np.all(np.isinf(dist[:, 3])) and np.all(np.isfinite(dist[:, :3]))
+        with pytest.raises(CoverageError):
+            fingerprint(small_grid.centers[0], pl, masks, small_grid, n=4, r_res=0.1)
+        with pytest.raises(CoverageError):
+            fingerprint_table(pl, masks, small_grid, n=4, r_res=0.1)
+
     def test_table_matches_per_element_op(self, small_room, small_grid):
         rng = np.random.default_rng(9)
         xy = rng.uniform(0.8, 3.2, size=(6, 2))
@@ -316,11 +329,6 @@ class TestGdop:
         v2 = gdop(p_r, vis, sigma_r=2.0)
         assert v2 == pytest.approx(4.0 * v1)
 
-    def test_sqrt_variant(self):
-        p_r, vis = self._sym_case()
-        v = gdop(p_r, vis, sigma_r=2.0, use_sqrt=True)
-        assert v == pytest.approx(np.sqrt(3.375) * 2.0, abs=1e-12)
-
 
 class TestGdopObjective:
     def test_single_element_sum(self, small_room):
@@ -385,6 +393,12 @@ class TestEvaluate:
         a, _ = ambiguity(pl, small_room, small_grid, masks, cfg.n, small_room.r_res)
         g, _ = gdop_objective(pl, small_room, small_grid, masks, small_room.r_res)
         assert (f1, f2) == (a, pytest.approx(g))
+
+    def test_fingerprint_larger_than_k_min_rejected(self):
+        # a feasible placement only guarantees k_min visible reflectors per element
+        with pytest.raises(ValueError, match="k_min"):
+            EvalConfig(n=5, k_min=4)
+        assert EvalConfig(n=4, k_min=4).n == 4
 
     def test_spacing_violation_gets_penalty(self, small_room, small_grid):
         xy = np.array([[1.0, 1.0], [1.2, 1.0], [3.0, 1.0], [1.0, 3.0], [3.0, 3.0]])
