@@ -228,6 +228,7 @@ class Grid:
     x0: float
     y0: float
     _kdtree: cKDTree | None = field(default=None, compare=False, repr=False)
+    _separated: dict[float, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self.centers.flags.writeable = False
@@ -250,6 +251,37 @@ class Grid:
         if self._kdtree is None:
             object.__setattr__(self, "_kdtree", cKDTree(self.centers[:, :2]))
         return self._kdtree
+
+    def separated_elements(self, radius: float) -> np.ndarray:
+        """Indices of grid elements lying pairwise more than 2 * radius apart.
+
+        No disk of that radius holds two of them, so covering every element
+        k times with such disks takes at least k times as many disks. The set
+        is greedy, not maximum: a farthest-point traversal started from each
+        edge element (one with a missing 4-neighbour), keeping the largest.
+        The separation carries a relative slack of 1e-9 against rounding.
+        Computed on first use per radius; O(n_elements) working memory.
+        """
+        if radius not in self._separated:
+            sep = 2.0 * radius * (1.0 + 1e-9)
+            occ = np.pad(self.cell_index >= 0, 1)
+            inner = occ[1:-1, 1:-1] & occ[:-2, 1:-1] & occ[2:, 1:-1] & occ[1:-1, :-2] & occ[1:-1, 2:]
+            starts = self.cell_index[occ[1:-1, 1:-1] & ~inner]
+            x, y = self.xy[:, 0], self.xy[:, 1]
+            best = []
+            for s in starts:
+                chosen = [int(s)]
+                dmin = np.hypot(x - x[s], y - y[s])
+                while True:
+                    j = int(np.argmax(dmin))
+                    if dmin[j] <= sep:
+                        break
+                    chosen.append(j)
+                    np.minimum(dmin, np.hypot(x - x[j], y - y[j]), out=dmin)
+                if len(chosen) > len(best):
+                    best = chosen
+            self._separated[radius] = np.array(best)
+        return self._separated[radius]
 
     def nearest_element(self, points) -> np.ndarray:
         """Index of the grid element whose center is closest to each point."""

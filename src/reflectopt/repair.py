@@ -276,15 +276,20 @@ def random_feasible(
     """Random placement repaired into feasibility, with restarts.
 
     Raises RuntimeError when no feasible placement is found after
-    config.restarts attempts (e.g. m too small for the coverage constraint),
-    and at once, before any draw, when m < config.k_min: no element can then
-    see k_min reflectors.
+    config.restarts attempts, and at once, before any draw, when m lies below
+    the coverage floor k_min * |S|: S holds grid elements pairwise more than
+    two cone radii apart (``Grid.separated_elements``), no reflector sees two
+    of them, and each must see k_min reflectors. The floor is at least k_min.
     """
-    if m < config.k_min:
-        raise RuntimeError(f"no feasible placement with {m} reflectors: every grid element "
-                           f"must see k_min={config.k_min} of them")
     if grid is None:
         grid = build_grid(room)
+    spread = grid.separated_elements(room.cone_radius)
+    floor = config.k_min * len(spread)
+    if m < floor:
+        who = (f"{len(spread)} grid elements lie pairwise more than 2 cone radii apart and each"
+               if len(spread) > 1 else "every grid element")
+        raise RuntimeError(f"no feasible placement with {m} reflectors: need at least {floor} "
+                           f"reflectors: {who} must see k_min={config.k_min} of them")
     types = type_assignment(m, n_types)
     for _ in range(config.restarts):
         xy = sample_in_margin(room, m, rng)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,24 @@ wall_margin = 0.5
 0.0 0.0
 4.0 0.0
 4.0 4.0
+0.0 4.0
+"""
+
+L_ROOM_SECTION = """\
+[room]
+grid_size = 0.2
+z_r = 0.5
+z_l = 5.0
+r_res = 0.075
+cone_half_angle_deg = 45.0
+wall_margin = 0.5
+
+[vertices]
+0.0 0.0
+10.0 0.0
+10.0 8.0
+5.0 8.0
+5.0 4.0
 0.0 4.0
 """
 
@@ -191,6 +211,23 @@ class TestOptimizeCommand:
         cfg.write_text(ROOM_SECTION + "\n" + PSO_SECTION.replace(
             "m_init_min = 8", "m_init_min = 2").replace("m_init_max = 9", "m_init_max = 2"))
         assert main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+
+    def test_m_init_below_coverage_floor_exit_3_at_once(self, tmp_path, capsys):
+        # README L room: three elements lie pairwise more than 2 cone radii
+        # (9 m) apart, so k_min=4 needs at least 12 reflectors; every draw
+        # of m in 8..11 fails before any repair.
+        cfg = tmp_path / "l_room.cfg"
+        cfg.write_text(L_ROOM_SECTION + "\n" + PSO_SECTION.replace(
+            "m_max = 10", "m_max = 16").replace("m_init_max = 9", "m_init_max = 11"))
+        start = time.perf_counter()
+        code = main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert ("need at least 12 reflectors: 3 grid elements lie pairwise more than "
+                "2 cone radii apart") in err
+        assert elapsed < 1.0
 
 
 class TestEvaluateCommand:

@@ -312,6 +312,49 @@ class TestVisibilityMasks:
         assert masks.shape == (0, len(small_grid))
 
 
+class TestSeparatedElements:
+    @staticmethod
+    def _rooms(readme_l_room):
+        # The five test rooms, the README L room, and the U room (10 x 8 m
+        # with a 4 x 5 m notch).
+        u_room = _test_room([(0, 0), (10, 0), (10, 8), (7, 8), (7, 3), (3, 3), (3, 8), (0, 8)],
+                            grid_size=0.2, z_l=5.0)
+        return [_test_room(poly.vertices) for poly in _five_test_rooms()] + [readme_l_room, u_room]
+
+    @pytest.mark.parametrize("room_index", range(7))
+    def test_no_reflector_sees_two(self, room_index, readme_l_room):
+        room = self._rooms(readme_l_room)[room_index]
+        grid = build_grid(room)
+        s = grid.separated_elements(room.cone_radius)
+        assert len(s) >= 1 and len(set(s.tolist())) == len(s)
+        pts = grid.xy[s]
+        dist = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+        assert np.all(dist[~np.eye(len(s), dtype=bool)] > 2.0 * room.cone_radius)
+        rng = np.random.default_rng(300 + room_index)
+        xmin, ymin, xmax, ymax = room.boundary.bounds
+        cand = rng.uniform([xmin, ymin], [xmax, ymax], size=(5000, 2))
+        xy = cand[boundary_distances(cand, room.boundary) > 0.01][:200]
+        assert len(xy) == 200
+        # The midpoints of the pairs are where one reflector comes closest
+        # to seeing two of them.
+        i, j = np.triu_indices(len(s), k=1)
+        mids = 0.5 * (pts[i] + pts[j])
+        xy = np.vstack([xy, mids[boundary_distances(mids, room.boundary) > 0.01]])
+        pl = Placement(xy=xy, types=np.zeros(len(xy), int), z=room.z_l)
+        assert np.all(placement_masks(pl, grid, room)[:, s].sum(axis=1) <= 1)
+
+    def test_readme_l_room_floor_is_12(self, readme_l_room):
+        grid = build_grid(readme_l_room)
+        assert grid._separated == {}  # lazy: build_grid does not compute it
+        s = grid.separated_elements(readme_l_room.cone_radius)
+        assert 4 * len(s) == 12
+        assert grid.separated_elements(readme_l_room.cone_radius) is s
+
+    def test_room_inside_one_cone_has_floor_k_min(self, small_room, small_grid):
+        # 4 x 4 m room, cone radius ~6.9 m: one reflector can see every element.
+        assert len(small_grid.separated_elements(small_room.cone_radius)) == 1
+
+
 class TestProjectIntoMargin:
     def _room(self):
         return RoomModel(

@@ -249,6 +249,28 @@ class TestRandomFeasible:
             random_feasible(small_room, 3, 2, rng, small_grid)
         assert rng.bit_generator.state == state
 
+    def test_m_below_coverage_floor_fails_before_any_draw_or_repair(self, readme_l_room,
+                                                                     monkeypatch):
+        # Three README L-room elements lie pairwise more than 2 cone radii
+        # apart, so k_min=4 needs m >= 12.
+        grid = build_grid(readme_l_room)
+
+        def no_repair(*args, **kwargs):
+            raise AssertionError("repair called for a size below the coverage floor")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("reflectopt.repair.repair", no_repair)
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            with pytest.raises(RuntimeError, match="need at least 12 reflectors"):
+                random_feasible(readme_l_room, 11, 2, rng, grid)
+            assert rng.bit_generator.state == state
+        pl = random_feasible(readme_l_room, 12, 2, np.random.default_rng(0), grid)
+        masks = placement_masks(pl, grid, readme_l_room)
+        assert pl.m == 12
+        assert check_constraints(pl, readme_l_room, grid, masks, m_max=12, k_min=4,
+                                 d_min=0.5).feasible
+
     def test_restarts_run_out(self, small_room, small_grid):
         # d_min beyond the room diagonal: no placement of 4 can be spaced out.
         cfg = RepairConfig(d_min=10.0, max_iter=5, restarts=2)
