@@ -48,13 +48,13 @@ print(f"  unique {amb.n_unique}, locally ambiguous {amb.n_local}, "
       f"globally ambiguous {amb.n_global}")
 print("  (global = same fingerprint appears in disconnected room regions)")
 
-f2, gmap = gdop_objective(pl, room, grid, masks, sigma_r=room.r_res)
+f2, gdop_map = gdop_objective(pl, room, grid, masks, sigma_r=room.r_res)
 print(f"\nGDOP objective f2 = {f2:.4f} (sum over elements)")
-print(f"  per-element range: {gmap.values.min():.4f} .. {gmap.values.max():.4f}")
+print(f"  per-element range: {gdop_map.min():.4f} .. {gdop_map.max():.4f}")
 print("  (high values mean range errors blow up into position errors)")
 
 write_map_csv(OUT / "ambiguity_map.csv", grid, amb.classes, header="x,y,class")
 write_ambiguity_pgm(OUT / "ambiguity_map.pgm", grid, amb.classes)
-write_map_csv(OUT / "gdop_map.csv", grid, gmap.values)
-write_value_pgm(OUT / "gdop_map.pgm", grid, gmap.values)
+write_map_csv(OUT / "gdop_map.csv", grid, gdop_map)
+write_value_pgm(OUT / "gdop_map.pgm", grid, gdop_map)
 print(f"\nwrote maps to {OUT}/")

@@ -19,6 +19,9 @@ from .geom import Grid, RoomModel, build_grid
 from .objectives import distance_bins, nearest_visible
 from .placement import Placement, placement_masks
 
+_WEIGHT_FLOOR = 1e-12  # measurement weight in a coverage hole, and the least weight
+_MISMATCH_FACTOR = 1e-3  # weight factor per unmatched fingerprint entry
+
 
 class Pose(NamedTuple):
     x: float
@@ -56,9 +59,6 @@ class AmclConfig:
     sigma_r: float | None = None  # range likelihood std dev; None -> room.r_res
     sigma_d: float = 0.02  # odometry distance noise (m)
     sigma_theta: float = math.radians(5.0)  # odometry rotation noise (rad)
-    ess_fraction: float = 0.5  # resample when ESS < fraction * n
-    weight_floor: float = 1e-12  # particles in coverage holes
-    mismatch_factor: float = 1e-3  # per unmatched fingerprint entry
 
 
 def wrap_angle(theta):
@@ -186,14 +186,13 @@ def measurement_likelihood(
     if model is None:
         model = FingerprintModel(pl, masks, grid, room, config.n, config.sigma_r)
     cell = int(grid.nearest_element(np.array([[pose.x, pose.y]]))[0])
-    return _likelihood_at_cell(cell, meas, model, config)
+    return _likelihood_at_cell(cell, meas, model)
 
 
-def _likelihood_at_cell(cell: int, meas: Measurement, model: FingerprintModel,
-                        config: AmclConfig) -> float:
+def _likelihood_at_cell(cell: int, meas: Measurement, model: FingerprintModel) -> float:
     groups = model.expected_groups(cell)
     if groups is None:
-        return config.weight_floor
+        return _WEIGHT_FLOOR
     meas_groups = (
         tuple(sorted(b for b, t in meas.entries if t == 0)),
         tuple(sorted(b for b, t in meas.entries if t == 1)),
@@ -205,8 +204,8 @@ def _likelihood_at_cell(cell: int, meas: Measurement, model: FingerprintModel,
         sq_sum += s
         unmatched += u
     scale = (model.r_res / model.sigma_r) ** 2
-    weight = math.exp(-0.5 * scale * sq_sum) * config.mismatch_factor**unmatched
-    return max(weight, config.weight_floor)
+    weight = math.exp(-0.5 * scale * sq_sum) * _MISMATCH_FACTOR**unmatched
+    return max(weight, _WEIGHT_FLOOR)
 
 
 def resample(particles: ParticleSet, rng: np.random.Generator) -> ParticleSet:
@@ -254,12 +253,12 @@ def estimate(particles: ParticleSet) -> Pose:
     return Pose(float(x), float(y), float(wrap_angle(heading)))
 
 
-def _weight_update(particles: ParticleSet, meas: Measurement, model: FingerprintModel,
-                   config: AmclConfig) -> ParticleSet:
+def _weight_update(particles: ParticleSet, meas: Measurement,
+                   model: FingerprintModel) -> ParticleSet:
     cells = model.grid.nearest_element(particles.positions)
     unique_cells, inverse = np.unique(cells, return_inverse=True)
     like = np.array([
-        _likelihood_at_cell(int(c), meas, model, config) for c in unique_cells
+        _likelihood_at_cell(int(c), meas, model) for c in unique_cells
     ])
     weights = particles.weights * like[inverse]
     total = weights.sum()
@@ -295,11 +294,11 @@ def track(
 
     particles = init_particles(room, config.n_particles, rng)
     if initial_measurement is not None:
-        particles = _weight_update(particles, initial_measurement, model, config)
+        particles = _weight_update(particles, initial_measurement, model)
     estimates = [estimate(particles)]
     for odo, meas in scenario:
         particles = resample(particles, rng)
         particles = motion_update(particles, odo, noise, rng, room)
-        particles = _weight_update(particles, meas, model, config)
+        particles = _weight_update(particles, meas, model)
         estimates.append(estimate(particles))
     return estimates

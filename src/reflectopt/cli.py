@@ -102,10 +102,10 @@ def _cmd_optimize(args) -> int:
 def _cmd_evaluate(args) -> int:
     sections = files.load_config(args.config)
     room = files.room_from_config(sections)
+    cfg = files.eval_config_from_config(sections)
     pl, n_types = files.load_placement(args.placement)
     grid = build_grid(room)
     masks = placement_masks(pl, grid, room, strict=False)
-    cfg = EvalConfig()
     report = check_constraints(pl, room, grid, masks, m_max=cfg.m_max,
                                k_min=cfg.k_min, d_min=cfg.d_min)
     out = Path(args.out_dir)
@@ -128,7 +128,7 @@ def _cmd_evaluate(args) -> int:
     map_lines = ["maps skipped: coverage constraint violated"]
     if report.coverage_ok:
         f1_map, amb_map = ambiguity(pl, room, grid, masks, cfg.n, room.r_res)
-        f2_map, gmap = gdop_objective(pl, room, grid, masks, room.r_res)
+        f2_map, gdop_map = gdop_objective(pl, room, grid, masks, room.r_res)
         if report.feasible:  # the pair objectives.evaluate returns, read off the maps
             f1, f2 = f1_map, f2_map
         map_lines = [
@@ -139,8 +139,8 @@ def _cmd_evaluate(args) -> int:
         files.write_map_csv(out / "ambiguity_map.csv", grid, amb_map.classes,
                             header="x,y,class")
         files.write_ambiguity_pgm(out / "ambiguity_map.pgm", grid, amb_map.classes)
-        files.write_map_csv(out / "gdop_map.csv", grid, gmap.values)
-        files.write_value_pgm(out / "gdop_map.pgm", grid, gmap.values)
+        files.write_map_csv(out / "gdop_map.csv", grid, gdop_map)
+        files.write_value_pgm(out / "gdop_map.pgm", grid, gdop_map)
     lines += [f"f1 = {f1}", f"f2 = {f2!r}"] + map_lines
 
     text = "\n".join(lines) + "\n"

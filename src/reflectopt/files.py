@@ -8,16 +8,16 @@ byte-identical and seeded runs produce byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .amcl import AmclConfig
 from .geom import Grid, Polygon, RoomModel
-from .harness import ExperimentReport, NoiseConfig, PathConfig
+from .harness import BURN_IN, ExperimentReport, NoiseConfig, PathConfig
 from .mopso import IterationLog, ParetoArchive, PsoConfig
-from .objectives import GLOBAL, LOCAL, UNIQUE
+from .objectives import GLOBAL, LOCAL, UNIQUE, EvalConfig
 from .placement import Placement
 
 
@@ -74,6 +74,40 @@ def _get(section: dict, key: str, cast, default=None, required=False):
         raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
 
 
+def _radians(text: str) -> float:
+    return math.radians(float(text))
+
+
+# Config keys named differently from their dataclass field.
+_FIELDS = {"fingerprint_size": "n", "cone_half_angle_deg": "cone_half_angle",
+           "sigma_theta_deg": "sigma_theta"}
+_ROOM_KEYS = {"z_r": float, "z_l": float, "r_res": float, "cone_half_angle_deg": _radians,
+              "wall_margin": float}
+# Read from [pso] by both optimize and evaluate.
+_CONSTRAINT_KEYS = {"fingerprint_size": int, "k_min": int, "d_min": float, "m_max": int}
+_PSO_KEYS = {"swarm_size": int, "iterations": int, "n_types": int, "p_up": float,
+             "p_down": float, "archive_capacity": int, "v_max": float, "seed": int,
+             "snapshot_every": int}
+_NOISE_KEYS = {"sigma_meas": float, "sigma_d": float, "sigma_theta_deg": _radians}
+_AMCL_KEYS = {"n_particles": int, "fingerprint_size": int, "sigma_r": float}
+
+
+def _present(section: dict, casts: dict) -> dict:
+    """Dataclass keyword arguments for the keys of ``casts`` that ``section`` holds.
+
+    A key that is absent is left out, so the dataclass default applies.
+    """
+    return {_FIELDS.get(key, key): _get(section, key, cast) for key, cast in casts.items()
+            if key in section}
+
+
+def _build(cls, **kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def room_from_config(sections: dict[str, dict]) -> RoomModel:
     """Build the room from the [room] keys and [vertices] rows."""
     if "room" not in sections:
@@ -87,47 +121,24 @@ def room_from_config(sections: dict[str, dict]) -> RoomModel:
     area2 = np.sum(verts[:, 0] * np.roll(verts[:, 1], -1) - np.roll(verts[:, 0], -1) * verts[:, 1])
     if area2 < 0:  # accept clockwise input, normalize to counterclockwise
         verts = verts[::-1]
-    try:
-        boundary = Polygon(verts)
-        return RoomModel(
-            boundary=boundary,
-            grid_size=_get(room_sec, "grid_size", float, required=True),
-            z_r=_get(room_sec, "z_r", float, 0.5),
-            z_l=_get(room_sec, "z_l", float, 3.0),
-            r_res=_get(room_sec, "r_res", float, 0.075),
-            cone_half_angle=math.radians(_get(room_sec, "cone_half_angle_deg", float, 45.0)),
-            wall_margin=_get(room_sec, "wall_margin", float, 0.5),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    boundary = _build(Polygon, vertices=verts)
+    grid_size = _get(room_sec, "grid_size", float, required=True)
+    return _build(RoomModel, boundary=boundary, grid_size=grid_size,
+                  **_present(room_sec, _ROOM_KEYS))
+
+
+def eval_config_from_config(sections: dict[str, dict]) -> EvalConfig:
+    """Fingerprint size and constraints from [pso], shared by optimize and evaluate."""
+    return _build(EvalConfig, **_present(sections.get("pso", {}), _CONSTRAINT_KEYS))
 
 
 def pso_config_from_config(sections: dict[str, dict], **overrides) -> PsoConfig:
-    sec = sections.get("pso", {"rows": []})
-    kwargs = dict(
-        swarm_size=_get(sec, "swarm_size", int, 60),
-        iterations=_get(sec, "iterations", int, 60),
-        m_max=_get(sec, "m_max", int, 32),
-        m_init_range=(
-            _get(sec, "m_init_min", int, 27),
-            _get(sec, "m_init_max", int, 32),
-        ),
-        n_types=_get(sec, "n_types", int, 2),
-        n=_get(sec, "fingerprint_size", int, 4),
-        k_min=_get(sec, "k_min", int, 4),
-        d_min=_get(sec, "d_min", float, 0.5),
-        p_up=_get(sec, "p_up", float, 0.05),
-        p_down=_get(sec, "p_down", float, 0.05),
-        archive_capacity=_get(sec, "archive_capacity", int, 100),
-        v_max=_get(sec, "v_max", float, None),
-        seed=_get(sec, "seed", int, 0),
-        snapshot_every=_get(sec, "snapshot_every", int, 10),
-    )
+    sec = sections.get("pso", {})
+    kwargs = asdict(eval_config_from_config(sections)) | _present(sec, _PSO_KEYS)
+    lo, hi = PsoConfig.m_init_range
+    kwargs["m_init_range"] = (_get(sec, "m_init_min", int, lo), _get(sec, "m_init_max", int, hi))
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return PsoConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(PsoConfig, **kwargs)
 
 
 def sim_configs_from_config(
@@ -136,27 +147,18 @@ def sim_configs_from_config(
     """(path, noise, amcl, seeds, burn_in) from the [sim] and [path] sections."""
     if "path" not in sections or len(sections["path"]["rows"]) < 2:
         raise ConfigError("config needs a [path] section with at least 2 waypoints")
-    sec = sections.get("sim", {"rows": []})
+    sec = sections.get("sim", {})
     waypoints = tuple((float(x), float(y)) for x, y in sections["path"]["rows"])
-    path_cfg = PathConfig(waypoints=waypoints, step=_get(sec, "step", float, 0.2))
-    noise_cfg = NoiseConfig(
-        sigma_meas=_get(sec, "sigma_meas", float, None),
-        sigma_d=_get(sec, "sigma_d", float, 0.02),
-        sigma_theta=math.radians(_get(sec, "sigma_theta_deg", float, 5.0)),
-    )
-    amcl_cfg = AmclConfig(
-        n_particles=_get(sec, "n_particles", int, 2000),
-        n=_get(sec, "fingerprint_size", int, 4),
-        sigma_r=_get(sec, "sigma_r", float, None),
-        sigma_d=noise_cfg.sigma_d,
-        sigma_theta=noise_cfg.sigma_theta,
-    )
+    path_cfg = PathConfig(waypoints=waypoints, **_present(sec, {"step": float}))
+    noise_cfg = NoiseConfig(**_present(sec, _NOISE_KEYS))
+    amcl_cfg = AmclConfig(sigma_d=noise_cfg.sigma_d, sigma_theta=noise_cfg.sigma_theta,
+                          **_present(sec, _AMCL_KEYS))
     if seed is not None:
         seeds = [seed + i for i in range(_get(sec, "n_seeds", int, 1))]
     else:
         raw = sec.get("seeds", "0")
         seeds = [int(x) for x in str(raw).split()]
-    burn_in = _get(sec, "burn_in", int, 20)
+    burn_in = _get(sec, "burn_in", int, BURN_IN)
     return path_cfg, noise_cfg, amcl_cfg, seeds, burn_in
 
 

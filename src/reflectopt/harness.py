@@ -17,6 +17,8 @@ from .geom import Grid, RoomModel, build_grid
 from .objectives import distance_bins
 from .placement import Placement, placement_masks
 
+BURN_IN = 20  # estimates left out of rmse_after_burn_in while the filter converges
+
 
 @dataclass(frozen=True)
 class PathConfig:
@@ -172,7 +174,7 @@ def run_experiment(
     noise_config: NoiseConfig,
     seeds: list[int],
     amcl_config: AmclConfig | None = None,
-    burn_in: int = 20,
+    burn_in: int = BURN_IN,
     grid: Grid | None = None,
     masks: np.ndarray | None = None,
 ) -> ExperimentReport:

@@ -139,19 +139,19 @@ def _crowding_distances(objectives: list[Objectives]) -> list[float]:
 class PsoConfig:
     """All optimizer knobs, including the shared constraint parameters."""
 
-    swarm_size: int = 500
-    iterations: int = 500
+    swarm_size: int = 60
+    iterations: int = 60
     w_range: tuple[float, float] = (0.1, 0.5)
     c1_range: tuple[float, float] = (1.5, 2.0)
     c2_range: tuple[float, float] = (1.5, 2.0)
     p_up: float = 0.05
     p_down: float = 0.05
-    m_max: int = 32
+    m_max: int = EvalConfig.m_max
     m_init_range: tuple[int, int] = (27, 32)
     n_types: int = 2
-    n: int = 4  # fingerprint size
-    k_min: int = 4
-    d_min: float = 0.5
+    n: int = EvalConfig.n  # fingerprint size
+    k_min: int = EvalConfig.k_min
+    d_min: float = EvalConfig.d_min
     archive_capacity: int = 100
     v_max: float | None = None  # None: 2 * room bbox diagonal / iterations
     seed: int = 0
@@ -167,14 +167,13 @@ class PsoConfig:
             raise ValueError("m_init_range must lie within [1, m_max]")
         if self.n_types not in (1, 2):
             raise ValueError("n_types must be 1 or 2")
-        if self.n > self.k_min:
-            raise ValueError("fingerprint size n must not exceed k_min")
+        self.eval_config()  # checks n and k_min
 
     def eval_config(self) -> EvalConfig:
         return EvalConfig(n=self.n, k_min=self.k_min, d_min=self.d_min, m_max=self.m_max)
 
     def repair_config(self) -> RepairConfig:
-        return RepairConfig(k_min=self.k_min, d_min=self.d_min, gamma=0.2, step_cap=1.0)
+        return RepairConfig(k_min=self.k_min, d_min=self.d_min)
 
     def resolve_v_max(self, room: RoomModel) -> float:
         if self.v_max is not None:
@@ -271,11 +270,12 @@ def downmutate(
 
     The reflector removed is the one of the over-represented type closest to
     the centroid of the largest grid region with maximal visible-reflector
-    count; removing there avoids creating coverage holes.
+    count; removing there avoids creating coverage holes. A particle at the
+    coverage floor (see ``random_feasible``) is returned unchanged.
     """
     pl = particle.placement
-    if pl.m <= config.k_min:
-        return particle
+    if pl.m <= config.k_min * len(grid.separated_elements(room.cone_radius)):
+        return particle  # one fewer would lie below the coverage floor
     masks = placement_masks(pl, grid, room, strict=False)
     counts = masks.sum(axis=0)
     attain = counts == counts.max()

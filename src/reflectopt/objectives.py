@@ -45,6 +45,8 @@ class EvalConfig:
     m_max: int = 32  # maximum reflector count
 
     def __post_init__(self):
+        if self.k_min < 4:
+            raise ValueError("k_min must be at least 4: the GDOP needs 4 visible reflectors")
         if self.n > self.k_min:
             raise ValueError("fingerprint size n must not exceed k_min")
 
@@ -220,21 +222,16 @@ def gdop_values(pl: Placement, masks: np.ndarray, grid: Grid, sigma_r: float) ->
     return _gdop_from_eigvals(vals, sigma_r)
 
 
-@dataclass(frozen=True)
-class GdopMap:
-    values: np.ndarray  # per grid element
-
-
 def gdop_objective(
     pl: Placement,
     room: RoomModel,
     grid: Grid,
     masks: np.ndarray,
     sigma_r: float,
-) -> tuple[float, GdopMap]:
-    """Sum of the per-element GDOP plus the per-element map."""
+) -> tuple[float, np.ndarray]:
+    """Sum of the per-element GDOP plus the per-element values."""
     values = gdop_values(pl, masks, grid, sigma_r)
-    return float(values.sum()), GdopMap(values=values)
+    return float(values.sum()), values
 
 
 def penalty_pair(grid: Grid, sigma_r: float) -> tuple[int, float]:

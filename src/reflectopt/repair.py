@@ -29,14 +29,14 @@ from .placement import Placement, check_constraints, placement_masks, type_assig
 _PUSH_DELTA = 0.05
 # Repair iterations without fewer violations before a rescue jump.
 _STALL_LIMIT = 12
+_GAMMA = 0.2  # coverage attraction step, as a fraction of the distance to the hole
+_STEP_CAP = 1.0  # longest coverage attraction step (m)
 
 
 @dataclass(frozen=True)
 class RepairConfig:
     k_min: int = 4
     d_min: float = 0.5
-    gamma: float = 0.7  # attraction step factor (fraction of distance)
-    step_cap: float = 2.0  # max attraction move per iteration (m)
     max_iter: int = 200
     restarts: int = 10  # random_feasible re-initializations
 
@@ -115,16 +115,14 @@ def deficit_gravitation_step(
     grid: Grid,
     masks: np.ndarray,
     k_min: int,
-    gamma: float = 0.7,
-    step_cap: float = 2.0,
 ) -> Placement:
     """Selective gravitation: each hole recruits its missing reflectors.
 
     Every under-covered region pulls exactly (k_min - covered) reflectors
     toward its attractor element, preferring redundant reflectors (slack
     >= 1 on every element they serve), nearest first. Each reflector obeys
-    the gravitation law (gamma times distance, capped) and serves at most
-    one region per step.
+    the gravitation law (_GAMMA times distance, capped at _STEP_CAP) and
+    serves at most one region per step.
     """
     counts, regions = _coverage_regions(grid, masks, k_min)
     if not regions:
@@ -146,7 +144,7 @@ def deficit_gravitation_step(
             di = np.linalg.norm(pl.xy[i] - c_pt)
             if di < 1e-12:
                 continue
-            step = min(gamma * di, step_cap)
+            step = min(_GAMMA * di, _STEP_CAP)
             xy[i] += step * (c_pt - pl.xy[i]) / di
             claimed[i] = True
     return pl.with_xy(xy)
@@ -212,9 +210,7 @@ def repair(
                 current = _rescue_jump(current, grid, masks, config.k_min)
                 stall = 0
             else:
-                current = deficit_gravitation_step(
-                    current, grid, masks, config.k_min, config.gamma, config.step_cap
-                )
+                current = deficit_gravitation_step(current, grid, masks, config.k_min)
         if not report.spacing_ok:
             current = magnet_step(current, config.d_min, rng)
         current = _project_short_of_margin(current, room)

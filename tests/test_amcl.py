@@ -10,6 +10,7 @@ from reflectopt.amcl import (
     OdometryInput,
     ParticleSet,
     Pose,
+    _WEIGHT_FLOOR,
     _match_cost_sq,
     estimate,
     init_particles,
@@ -191,7 +192,7 @@ class TestMeasurementLikelihood:
         meas = Measurement(entries=((10, 0), (11, 0), (12, 0), (13, 0)))
         w = measurement_likelihood(Pose(2.0, 2.0, 0.0), meas, pl, masks,
                                    small_grid, cfg, small_room)
-        assert w == cfg.weight_floor
+        assert w == _WEIGHT_FLOOR
 
 
 class TestFingerprintModel:
@@ -304,7 +305,7 @@ class TestTrack:
         ps = init_particles(small_room, 300, rng)
         from reflectopt.objectives import fingerprint as fp_of
         fp = fp_of(small_grid.centers[10], pl, masks, small_grid, 4, small_room.r_res)
-        ps = _weight_update(ps, Measurement(entries=fp.entries), model, cfg)
+        ps = _weight_update(ps, Measurement(entries=fp.entries), model)
         assert ps.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(small_room.boundary.contains_points(ps.positions))
 

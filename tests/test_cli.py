@@ -1,11 +1,16 @@
+import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reflectopt import files
+from reflectopt.amcl import AmclConfig
 from reflectopt.cli import main
-from reflectopt.geom import build_grid
+from reflectopt.geom import RoomModel, build_grid
+from reflectopt.harness import BURN_IN, NoiseConfig, PathConfig
+from reflectopt.mopso import PsoConfig
 from reflectopt.objectives import EvalConfig, evaluate
 from reflectopt.placement import Placement, placement_masks
 from reflectopt.repair import random_feasible
@@ -123,6 +128,44 @@ class TestConfigParsing:
         assert room.boundary.area == pytest.approx(16.0)
 
 
+def _readme_config_block() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeConfig:
+    def test_documented_values_land_in_the_dataclasses(self):
+        sections = files.parse_sections(_readme_config_block())
+        room = files.room_from_config(sections)
+        assert room == RoomModel(boundary=room.boundary, grid_size=0.2, z_r=0.5, z_l=5.0,
+                                 r_res=0.075, cone_half_angle=math.radians(45.0),
+                                 wall_margin=0.5)
+        assert room.boundary.area == pytest.approx(60.0)
+        assert files.pso_config_from_config(sections) == PsoConfig(
+            swarm_size=60, iterations=60, m_max=16, m_init_range=(11, 14), n_types=2, seed=0)
+        assert files.eval_config_from_config(sections) == EvalConfig(m_max=16)
+        path, noise, amcl, seeds, burn_in = files.sim_configs_from_config(sections, room)
+        assert path == PathConfig(waypoints=((1.0, 1.0), (9.0, 1.0), (9.0, 7.0)), step=0.2)
+        assert noise == NoiseConfig(sigma_d=0.02, sigma_theta=math.radians(5.0))
+        assert amcl == AmclConfig(n_particles=2000, sigma_d=0.02,
+                                  sigma_theta=math.radians(5.0))
+        assert (seeds, burn_in) == ([0, 1, 2, 3], 20)
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        # the README block with every key but the required grid_size removed
+        kept = [line for line in _readme_config_block().splitlines()
+                if "=" not in line or line.startswith("grid_size")]
+        sections = files.parse_sections("\n".join(kept))
+        assert set(sections["pso"]) == set(sections["sim"]) == {"rows"}
+        room = files.room_from_config(sections)
+        assert room == RoomModel(boundary=room.boundary, grid_size=0.2)
+        assert files.pso_config_from_config(sections) == PsoConfig()
+        assert files.eval_config_from_config(sections) == EvalConfig()
+        path, noise, amcl, seeds, burn_in = files.sim_configs_from_config(sections, room)
+        assert path == PathConfig(waypoints=((1.0, 1.0), (9.0, 1.0), (9.0, 7.0)))
+        assert (noise, amcl, seeds, burn_in) == (NoiseConfig(), AmclConfig(), [0], BURN_IN)
+
+
 class TestPlacementFile:
     def test_round_trip_byte_identical(self, tmp_path, small_room, small_grid):
         pl = random_feasible(small_room, 8, 2, np.random.default_rng(3), small_grid)
@@ -203,6 +246,22 @@ class TestOptimizeCommand:
         cfg.write_text(ROOM_SECTION + "\n" + PSO_SECTION + "fingerprint_size = 5\nk_min = 4\n")
         assert main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "evaluate"])
+    def test_k_min_below_four_exit_2(self, feasible_placement_file, tmp_path, capsys, command):
+        # the GDOP needs 4 visible reflectors at every element
+        cfg = tmp_path / "l_room.cfg"
+        cfg.write_text(L_ROOM_SECTION + "\n" + PSO_SECTION.replace(
+            "m_max = 10", "m_max = 12").replace("m_init_max = 9", "m_init_max = 12")
+            + "k_min = 3\nfingerprint_size = 3\n")
+        argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+        if command == "optimize":
+            argv += ["--particles", "4", "--iterations", "1"]
+        else:
+            argv += ["--placement", str(feasible_placement_file)]
+        assert main(argv) == 2
+        assert "error: k_min must be at least 4" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_init_failure_exit_3(self, tmp_path):
@@ -291,6 +350,27 @@ class TestEvaluateCommand:
             got_f1, got_f2 = evaluate(pl, room, grid, masks, EvalConfig())
             assert float(got_f1) == float(f1)
             assert got_f2 == pytest.approx(float(f2), rel=1e-12)
+
+    def test_evaluate_rescores_front_with_pso_constraints(self, tmp_path):
+        # fingerprint_size and d_min away from the library defaults: evaluate
+        # must score with the same [pso] settings that optimize used
+        cfg = tmp_path / "l_room.cfg"
+        cfg.write_text(L_ROOM_SECTION + "\n" + PSO_SECTION.replace(
+            "m_max = 10", "m_max = 16").replace("m_init_min = 8", "m_init_min = 12").replace(
+            "m_init_max = 9", "m_init_max = 14") + "fingerprint_size = 3\nd_min = 1.5\n")
+        out = tmp_path / "opt"
+        assert main(["optimize", "--config", str(cfg), "--out-dir", str(out),
+                     "--particles", "4", "--iterations", "2", "--seed", "0"]) == 0
+        rows = [r.split(",") for r in (out / "front.csv").read_text().splitlines()[1:]]
+        assert rows
+        for pid, m, f1, f2 in rows:
+            ev = tmp_path / f"ev{pid}"
+            assert main(["evaluate", "--config", str(cfg), "--out-dir", str(ev),
+                         "--placement", str(out / f"placement_{int(pid):03d}.txt")]) == 0
+            metrics = dict(line.split(" = ", 1) for line in
+                           (ev / "metrics.txt").read_text().splitlines())
+            assert (metrics["m"], metrics["feasible"]) == (m, "true")
+            assert (float(metrics["f1"]), float(metrics["f2"])) == (float(f1), float(f2))
 
 
 class TestSimulateCommand:

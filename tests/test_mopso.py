@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from reflectopt import mopso
 from reflectopt.geom import build_grid
 from reflectopt.mopso import (
     ParetoArchive,
@@ -16,7 +17,7 @@ from reflectopt.mopso import (
     velocity_update,
 )
 from reflectopt.placement import Placement, placement_masks, type_assignment
-from reflectopt.repair import random_feasible
+from reflectopt.repair import random_feasible, sample_in_margin
 
 
 class TestDominates:
@@ -240,6 +241,27 @@ class TestMutations:
         out = downmutate(p, small_room, small_grid, cfg, np.random.default_rng(0))
         assert out is p
 
+    def test_downmutate_never_repairs_below_coverage_floor(self, readme_l_room, monkeypatch):
+        # README L room: coverage floor 12, so 12 -> 11 is skipped without a
+        # repair, while 13 -> 12 still repairs
+        grid = build_grid(readme_l_room)
+        repaired_sizes = []
+
+        def failing_repair(pl, *args, **kwargs):
+            repaired_sizes.append(pl.m)
+            return pl, False, 0
+
+        monkeypatch.setattr(mopso, "repair", failing_repair)
+        cfg = PsoConfig(m_max=16, m_init_range=(12, 14))
+        rng = np.random.default_rng(0)
+        for m in (12, 13):
+            pl = Placement(xy=sample_in_margin(readme_l_room, m, rng),
+                           types=type_assignment(m, 2), z=readme_l_room.z_l)
+            p = SwarmParticle(placement=pl, velocity=np.zeros((m, 2)), objectives=(1.0, 1.0),
+                              pbest=pl, pbest_objectives=(1.0, 1.0))
+            assert downmutate(p, readme_l_room, grid, cfg, rng) is p
+        assert repaired_sizes == [12]
+
     def test_downmutate_uniform_visibility_targets_grid_centroid(self, small_room, small_grid):
         # wide cone: every reflector sees every element, the max-count
         # component is the whole grid, so removal is nearest the grid centroid
@@ -308,24 +330,24 @@ class TestRun:
         )
 
     def test_seeded_l_room_run_is_unchanged(self, readme_l_room):
-        # Recorded before the occluder-edge visibility kernel and repair's
-        # incremental masks: a concave room, with up- and down-mutations.
+        # A concave room (coverage floor 12), with up- and down-mutations.
         cfg = PsoConfig(swarm_size=4, iterations=3, m_max=16, m_init_range=(12, 14),
                         p_up=0.2, p_down=0.2, seed=3)
         archive, log = run(readme_l_room, cfg)
         assert [(r.iteration, r.best_f1, r.best_f2, r.archive_size, r.evaluations)
                 for r in log] == [
             (0, 252, 87.228023947478, 3, 4), (1, 252, 80.35419125766451, 5, 8),
-            (2, 252, 61.49376362336709, 8, 12), (3, 252, 60.600261770964266, 5, 16),
+            (2, 252, 63.99718295841169, 7, 12), (3, 252, 56.88570690701063, 7, 16),
         ]
         assert [(e.placement.m, e.f1, e.f2) for e in archive.entries] == [
-            (12, 252, 142.10581784166743), (12, 345, 106.08403956307971),
-            (13, 311, 120.1380936673716), (15, 475, 60.600261770964266),
-            (14, 356, 77.14563846797361),
+            (14, 432, 87.228023947478), (12, 252, 142.10581784166743),
+            (15, 452, 80.35419125766451), (15, 515, 63.99718295841169),
+            (15, 509, 68.13960963696198), (16, 523, 56.88570690701063),
+            (13, 329, 94.33170751432104),
         ]
         xy_bytes = b"".join(e.placement.xy.tobytes() for e in archive.entries)
         assert hashlib.sha256(xy_bytes).hexdigest() == (
-            "7ec90434e1c1e465482627cedbc2e11815fdbb1e3be69f0df41aa397429cb8cd")
+            "c0b5391419d4a32f877e2a4246d084c986efbc17925b41a29928f43779fe5abc")
 
     def test_snapshot_callback_invoked(self, small_room):
         seen = []

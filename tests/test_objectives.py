@@ -342,8 +342,8 @@ class TestGdopObjective:
         pl = Placement(xy=[[0.3, 0.3], [0.7, 0.3], [0.3, 0.7], [0.7, 0.7]],
                        types=[0, 1, 0, 1], z=room.z_l)
         masks = placement_masks(pl, grid, room)
-        f2, gmap = gdop_objective(pl, room, grid, masks, sigma_r=room.r_res)
-        assert f2 == pytest.approx(gmap.values[0])
+        f2, values = gdop_objective(pl, room, grid, masks, sigma_r=room.r_res)
+        assert f2 == pytest.approx(values[0])
 
     def test_sum_matches_loop_oracle(self, small_room, small_grid):
         rng = np.random.default_rng(31)
