@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geom import Grid, RoomModel, build_grid
-from .objectives import distance_bins, nearest_visible
+from .objectives import EvalConfig, distance_bins, nearest_visible
 from .placement import Placement, placement_masks
 
 _WEIGHT_FLOOR = 1e-12  # measurement weight in a coverage hole, and the least weight
@@ -55,7 +55,7 @@ class ParticleSet:
 @dataclass(frozen=True)
 class AmclConfig:
     n_particles: int = 2000
-    n: int = 4  # fingerprint size
+    n: int = EvalConfig.n  # fingerprint size
     sigma_r: float | None = None  # range likelihood std dev; None -> room.r_res
     sigma_d: float = 0.02  # odometry distance noise (m)
     sigma_theta: float = math.radians(5.0)  # odometry rotation noise (rad)

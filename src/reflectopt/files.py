@@ -78,6 +78,13 @@ def _radians(text: str) -> float:
     return math.radians(float(text))
 
 
+def _seed_list(text: str) -> list[int]:
+    seeds = [int(x) for x in text.split()]
+    if not seeds:
+        raise ValueError("no seeds")
+    return seeds
+
+
 # Config keys named differently from their dataclass field.
 _FIELDS = {"fingerprint_size": "n", "cone_half_angle_deg": "cone_half_angle",
            "sigma_theta_deg": "sigma_theta"}
@@ -148,7 +155,10 @@ def sim_configs_from_config(
     if "path" not in sections or len(sections["path"]["rows"]) < 2:
         raise ConfigError("config needs a [path] section with at least 2 waypoints")
     sec = sections.get("sim", {})
-    waypoints = tuple((float(x), float(y)) for x, y in sections["path"]["rows"])
+    rows = sections["path"]["rows"]
+    if any(len(row) != 2 or not all(map(math.isfinite, row)) for row in rows):
+        raise ConfigError("[path] rows must hold finite x y pairs")
+    waypoints = tuple((x, y) for x, y in rows)
     path_cfg = PathConfig(waypoints=waypoints, **_present(sec, {"step": float}))
     noise_cfg = NoiseConfig(**_present(sec, _NOISE_KEYS))
     amcl_cfg = AmclConfig(sigma_d=noise_cfg.sigma_d, sigma_theta=noise_cfg.sigma_theta,
@@ -156,8 +166,7 @@ def sim_configs_from_config(
     if seed is not None:
         seeds = [seed + i for i in range(_get(sec, "n_seeds", int, 1))]
     else:
-        raw = sec.get("seeds", "0")
-        seeds = [int(x) for x in str(raw).split()]
+        seeds = _get(sec, "seeds", _seed_list, [0])
     burn_in = _get(sec, "burn_in", int, BURN_IN)
     return path_cfg, noise_cfg, amcl_cfg, seeds, burn_in
 
@@ -243,11 +252,22 @@ def write_log(path, log: list[IterationLog]):
 
 
 def write_map_csv(path, grid: Grid, values, header="x,y,value"):
-    lines = [header]
-    vals = np.asarray(values)
-    for i in range(len(grid)):
-        lines.append(f"{float(grid.xy[i, 0])!r},{float(grid.xy[i, 1])!r},{_num(vals[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    vals = np.asarray(values).tolist()
+    rows = (xy + _num(v) for xy, v in zip(_xy_columns(grid), vals, strict=True))
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
+
+
+# The last grid written and its columns. Grid arrays are read-only and the
+# reference keeps the grid alive, so a match by identity is never stale.
+_xy_columns_of: tuple[Grid, list[str]] | None = None
+
+
+def _xy_columns(grid: Grid) -> list[str]:
+    """The ``x,y,`` text of every grid element, formatted once per grid."""
+    global _xy_columns_of
+    if _xy_columns_of is None or _xy_columns_of[0] is not grid:
+        _xy_columns_of = (grid, [f"{x!r},{y!r}," for x, y in grid.xy.tolist()])
+    return _xy_columns_of[1]
 
 
 _AMBIGUITY_GRAY = {UNIQUE: 255, LOCAL: 170, GLOBAL: 85}

@@ -14,7 +14,7 @@ import numpy as np
 
 from .amcl import AmclConfig, Measurement, OdometryInput, Pose, track, wrap_angle
 from .geom import Grid, RoomModel, build_grid
-from .objectives import distance_bins
+from .objectives import EvalConfig, distance_bins
 from .placement import Placement, placement_masks
 
 BURN_IN = 20  # estimates left out of rmse_after_burn_in while the filter converges
@@ -29,8 +29,8 @@ class PathConfig:
 @dataclass(frozen=True)
 class NoiseConfig:
     sigma_meas: float | None = None  # range noise std dev; None -> room.r_res
-    sigma_d: float = 0.02
-    sigma_theta: float = math.radians(5.0)
+    sigma_d: float = AmclConfig.sigma_d
+    sigma_theta: float = AmclConfig.sigma_theta
 
 
 def gen_path(waypoints, step: float, room: RoomModel | None = None) -> list[tuple[Pose, OdometryInput]]:
@@ -89,7 +89,7 @@ def simulate_measurement(
     grid: Grid,
     room: RoomModel,
     rng: np.random.Generator,
-    n: int = 4,
+    n: int = EvalConfig.n,
     sigma: float | None = None,
 ) -> Measurement:
     """Noisy fingerprint at the grid cell nearest to the truth pose.
@@ -114,8 +114,8 @@ def simulate_measurement(
 def simulate_odometry(
     truth_step: OdometryInput,
     rng: np.random.Generator,
-    sigma_d: float = 0.02,
-    sigma_theta: float = math.radians(5.0),
+    sigma_d: float = NoiseConfig.sigma_d,
+    sigma_theta: float = NoiseConfig.sigma_theta,
 ) -> OdometryInput:
     """Add zero-mean Gaussian noise to the true odometry."""
     return OdometryInput(

@@ -150,8 +150,7 @@ def ambiguity(
     local; one spanning several unconnected regions is global.
     """
     codes = fingerprint_table(pl, masks, grid, n, r_res)
-    _, inv, counts = np.unique(codes, axis=0, return_inverse=True, return_counts=True)
-    inv = inv.ravel()
+    inv, counts = _unique_rows(codes)
     ambiguous = counts[inv] >= 2
     f1 = int(ambiguous.sum())
     if not with_map:
@@ -159,13 +158,32 @@ def ambiguity(
 
     comp = _same_value_components(grid, inv)
     # number of distinct connected regions per fingerprint group
-    pairs = np.unique(np.column_stack([inv, comp]), axis=0)
-    regions_per_group = np.bincount(pairs[:, 0], minlength=len(counts))
+    pairs = np.unique(inv * len(grid) + comp)
+    regions_per_group = np.bincount(pairs // len(grid), minlength=len(counts))
     classes = np.full(len(grid), UNIQUE, dtype=np.int8)
     group_global = regions_per_group > 1
     classes[ambiguous & group_global[inv]] = GLOBAL
     classes[ambiguous & ~group_global[inv]] = LOCAL
     return f1, AmbiguityMap(classes=classes, group_ids=inv.astype(np.int64))
+
+
+def _unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse indices and counts of the distinct rows of non-negative codes.
+
+    Rows are numbered in lexicographic order, as ``np.unique(axis=0)`` does.
+    Each row is packed into one int64 key, each code taking as many bits as
+    the largest one needs, so the keys sort as the rows do; rows too wide
+    for 63 bits are compared whole.
+    """
+    bits = int(codes.max(initial=0)).bit_length()
+    if codes.shape[1] * bits > 63:
+        _, inv, counts = np.unique(codes, axis=0, return_inverse=True, return_counts=True)
+        return inv.ravel(), counts
+    keys = np.zeros(len(codes), dtype=np.int64)
+    for col in codes.T:
+        keys = (keys << bits) | col
+    _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return inv, counts
 
 
 def _same_value_components(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -209,17 +227,41 @@ def _gdop_from_eigvals(vals: np.ndarray, sigma_r: float) -> np.ndarray:
 
 
 def gdop_values(pl: Placement, masks: np.ndarray, grid: Grid, sigma_r: float) -> np.ndarray:
-    """Per-element GDOP over the whole grid (vectorized)."""
+    """Per-element GDOP over the whole grid (vectorized).
+
+    The trace of the inverse information matrix comes in closed form, as the
+    sum of its principal 2x2 minors over its determinant. A positive definite
+    3x3 matrix has cond <= trace**3 / det, so rows within that bound are never
+    penalised. Only the others build the matrix from unit vectors and go
+    through ``eigvalsh`` and the exact penalty rule of ``_gdop_from_eigvals``.
+    """
     counts = masks.sum(axis=0)
     if counts.min() < 4:
         raise ValueError("GDOP needs at least 4 visible reflectors at every element")
-    diff = grid.centers[:, None, :] - pl.positions3d[None, :, :]
-    d = np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))
-    u = diff / d[:, :, None]
-    u = u * masks.T[:, :, None]
-    j = np.einsum("nmi,nmj->nij", u, u)
-    vals = np.linalg.eigvalsh(j)
-    return _gdop_from_eigvals(vals, sigma_r)
+    c, p = grid.centers, pl.positions3d
+    dx, dy, dz = (c[:, k, None] - p[None, :, k] for k in range(3))
+    w = masks.T / (dx * dx + dy * dy + dz * dz)
+    wx, wy, wz = w * dx, w * dy, w * dz
+    sxx, sxy, sxz = (np.einsum("nm,nm->n", wx, v) for v in (dx, dy, dz))
+    syy, syz = (np.einsum("nm,nm->n", wy, v) for v in (dy, dz))
+    szz = np.einsum("nm,nm->n", wz, dz)
+    minor_x = syy * szz - syz * syz
+    minor_y = sxx * szz - sxz * sxz
+    minor_z = sxx * syy - sxy * sxy
+    det = sxx * minor_x - sxy * (sxy * szz - syz * sxz) + sxz * (sxy * syz - syy * sxz)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        trace_inv = (minor_x + minor_y + minor_z) / det
+        cond_bound = (sxx + syy + szz) ** 3 / det
+        within_bound = (det > 0) & np.isfinite(trace_inv) & (cond_bound <= _COND_LIMIT)
+    values = trace_inv * sigma_r**2
+    rest = np.flatnonzero(~within_bound)
+    if len(rest):
+        diff = c[rest, None, :] - p[None, :, :]
+        u = diff / np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))[:, :, None]
+        u = u * masks.T[rest, :, None]
+        j = np.einsum("nmi,nmj->nij", u, u)
+        values[rest] = _gdop_from_eigvals(np.linalg.eigvalsh(j), sigma_r)
+    return values
 
 
 def gdop_objective(

@@ -22,6 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .geom import Grid, RoomModel, boundary_distances, build_grid, project_into_margin
+from .objectives import EvalConfig
 from .placement import Placement, check_constraints, placement_masks, type_assignment
 
 # Relative overshoot past d_min when separating a violating pair, so the
@@ -35,8 +36,8 @@ _STEP_CAP = 1.0  # longest coverage attraction step (m)
 
 @dataclass(frozen=True)
 class RepairConfig:
-    k_min: int = 4
-    d_min: float = 0.5
+    k_min: int = EvalConfig.k_min
+    d_min: float = EvalConfig.d_min
     max_iter: int = 200
     restarts: int = 10  # random_feasible re-initializations
 

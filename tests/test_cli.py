@@ -191,6 +191,45 @@ class TestPlacementFile:
             files.load_placement(f)
 
 
+def per_element_map_csv(grid, values, header="x,y,value"):
+    """The map CSV built one element at a time: the reference text of ``write_map_csv``."""
+
+    def num(x):
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        f = float(x)
+        return str(int(f)) if f.is_integer() else repr(f)
+
+    lines = [header]
+    vals = np.asarray(values)
+    for i in range(len(grid)):
+        lines.append(f"{float(grid.xy[i, 0])!r},{float(grid.xy[i, 1])!r},{num(vals[i])}")
+    return "\n".join(lines) + "\n"
+
+
+class TestMapCsv:
+    def test_matches_per_element_reference(self, tmp_path, small_grid, readme_l_room):
+        l_grid = build_grid(readme_l_room)
+        rng = np.random.default_rng(5)
+        cases = []
+        for grid in (small_grid, l_grid):
+            n = len(grid)
+            special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 3.0, -2.0, 1e300, 5e-324])
+            floats = rng.uniform(-2.0, 50.0, n)
+            floats[rng.choice(n, len(special), replace=False)] = special
+            cases += [
+                (grid, rng.integers(0, 3, n).astype(np.int8), "x,y,class"),
+                (grid, floats, "x,y,value"),
+                (grid, np.round(rng.uniform(0.0, 20.0, n)), "x,y,value"),
+                (grid, rng.uniform(0.0, 1.0, n) < 0.5, "x,y,value"),
+            ]
+        # alternate grids, so a column text formatted for one grid is never reused for another
+        for grid, values, header in cases + cases[::-1]:
+            path = tmp_path / "map.csv"
+            files.write_map_csv(path, grid, values, header=header)
+            assert path.read_text() == per_element_map_csv(grid, values, header)
+
+
 class TestOptimizeCommand:
     def test_smoke_run_produces_front(self, cfg_file, tmp_path):
         out = tmp_path / "out"
@@ -403,6 +442,27 @@ class TestSimulateCommand:
                      "--placement", str(tmp_path / "nope.txt"),
                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
+
+    def test_malformed_seed_list_exit_2(self, cfg_file, feasible_placement_file, tmp_path,
+                                        capsys):
+        cfg = tmp_path / "seeds.cfg"
+        cfg.write_text(cfg_file.read_text().replace("seeds = 1 2", "seeds = 0 x"))
+        code = main(["simulate", "--config", str(cfg),
+                     "--placement", str(feasible_placement_file),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: bad value for 'seeds'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["3.0 3.0 1.0", "3.0 nan"])
+    def test_malformed_path_row_exit_2(self, cfg_file, feasible_placement_file, tmp_path,
+                                       capsys, row):
+        cfg = tmp_path / "path.cfg"
+        cfg.write_text(cfg_file.read_text().replace("3.0 3.0\n", f"{row}\n"))
+        code = main(["simulate", "--config", str(cfg),
+                     "--placement", str(feasible_placement_file),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: [path] rows must hold finite x y pairs" in capsys.readouterr().err
 
     def test_fingerprint_size_beyond_k_min(self, cfg_file, feasible_placement_file, tmp_path):
         # simulate checks feasibility with the default constraints; the tracker's

@@ -336,14 +336,14 @@ class TestRun:
         archive, log = run(readme_l_room, cfg)
         assert [(r.iteration, r.best_f1, r.best_f2, r.archive_size, r.evaluations)
                 for r in log] == [
-            (0, 252, 87.228023947478, 3, 4), (1, 252, 80.35419125766451, 5, 8),
-            (2, 252, 63.99718295841169, 7, 12), (3, 252, 56.88570690701063, 7, 16),
+            (0, 252, 87.228023947478, 3, 4), (1, 252, 80.3541912576645, 5, 8),
+            (2, 252, 63.997182958411706, 7, 12), (3, 252, 56.885706907010615, 7, 16),
         ]
         assert [(e.placement.m, e.f1, e.f2) for e in archive.entries] == [
-            (14, 432, 87.228023947478), (12, 252, 142.10581784166743),
-            (15, 452, 80.35419125766451), (15, 515, 63.99718295841169),
-            (15, 509, 68.13960963696198), (16, 523, 56.88570690701063),
-            (13, 329, 94.33170751432104),
+            (14, 432, 87.228023947478), (12, 252, 142.10581784166786),
+            (15, 452, 80.3541912576645), (15, 515, 63.997182958411706),
+            (15, 509, 68.13960963696196), (16, 523, 56.885706907010615),
+            (13, 329, 94.33170751431813),
         ]
         xy_bytes = b"".join(e.placement.xy.tobytes() for e in archive.entries)
         assert hashlib.sha256(xy_bytes).hexdigest() == (

@@ -11,6 +11,9 @@ from reflectopt.objectives import (
     AmbiguityMap,
     CoverageError,
     EvalConfig,
+    _gdop_from_eigvals,
+    _same_value_components,
+    _unique_rows,
     ambiguity,
     distance_bins,
     evaluate,
@@ -23,6 +26,7 @@ from reflectopt.objectives import (
     penalty_pair,
 )
 from reflectopt.placement import Placement, placement_masks, type_assignment, visible_reflectors
+from reflectopt.repair import random_feasible
 
 
 def trace_inverse_3x3(j):
@@ -374,6 +378,126 @@ class TestGdopObjective:
             keep = masks_x[m]  # elements where the new reflector is visible
             assert np.all(v1[keep] <= v0[keep] + 1e-9)
             assert v1.sum() <= v0.sum() + 1e-9
+
+
+def eigen_gdop_values(pl, masks, grid, sigma_r):
+    """Reference GDOP and condition number per element, from unit vectors through eigvalsh."""
+    diff = grid.centers[:, None, :] - pl.positions3d[None, :, :]
+    u = diff / np.linalg.norm(diff, axis=2)[:, :, None] * masks.T[:, :, None]
+    vals = np.linalg.eigvalsh(np.einsum("nmi,nmj->nij", u, u))
+    with np.errstate(divide="ignore"):
+        return _gdop_from_eigvals(vals, sigma_r), vals[:, -1] / vals[:, 0]
+
+
+def row_unique_ambiguity(pl, grid, masks, n, r_res):
+    """Reference ambiguity: f1, group ids and classes from np.unique over whole rows."""
+    codes = fingerprint_table(pl, masks, grid, n, r_res)
+    _, inv, counts = np.unique(codes, axis=0, return_inverse=True, return_counts=True)
+    inv = inv.ravel()
+    ambiguous = counts[inv] >= 2
+    comp = _same_value_components(grid, inv)
+    pairs = np.unique(np.column_stack([inv, comp]), axis=0)
+    group_global = np.bincount(pairs[:, 0], minlength=len(counts)) > 1
+    classes = np.full(len(grid), UNIQUE, dtype=np.int8)
+    classes[ambiguous & group_global[inv]] = GLOBAL
+    classes[ambiguous & ~group_global[inv]] = LOCAL
+    return int(ambiguous.sum()), inv, classes
+
+
+def _random_cases(small_room, small_grid, readme_l_room):
+    """(placement, masks, grid, room): open-room draws and repaired L-room placements."""
+    rng = np.random.default_rng(61)
+    for _ in range(8):
+        m = int(rng.integers(5, 12))
+        pl = Placement(xy=rng.uniform(0.6, 3.4, size=(m, 2)),
+                       types=type_assignment(m, int(rng.integers(1, 3))), z=small_room.z_l)
+        yield pl, placement_masks(pl, small_grid, small_room), small_grid, small_room
+    l_grid = build_grid(readme_l_room)
+    for m in (13, 16):
+        pl = random_feasible(readme_l_room, m, 2, rng, l_grid)
+        yield pl, placement_masks(pl, l_grid, readme_l_room), l_grid, readme_l_room
+
+
+class TestEvaluationKernels:
+    def test_closed_form_gdop_matches_eigvalsh_and_scalar(self, small_room, small_grid,
+                                                           readme_l_room):
+        for pl, masks, grid, room in _random_cases(small_room, small_grid, readme_l_room):
+            values = gdop_values(pl, masks, grid, room.r_res)
+            expect, _ = eigen_gdop_values(pl, masks, grid, room.r_res)
+            np.testing.assert_allclose(values, expect, rtol=1e-12, atol=0.0)
+            for idx in range(0, len(grid), 97):
+                vis = visible_reflectors(grid.centers[idx], pl, masks, grid)
+                assert values[idx] == pytest.approx(gdop(grid.centers[idx], vis, room.r_res),
+                                                    rel=1e-12, abs=0.0)
+
+    def test_collinear_rows_keep_the_penalty_set(self, small_room, small_grid):
+        # Four reflectors on one line, two off it; half the elements see only the line.
+        xy = [[0.8, 2.0], [1.6, 2.0], [2.4, 2.0], [3.2, 2.0], [1.0, 1.0], [3.0, 3.0]]
+        pl = Placement(xy=xy, types=type_assignment(6, 1), z=small_room.z_l)
+        masks = np.ones((6, len(small_grid)), dtype=bool)
+        masks[4:, ::2] = False
+        values = gdop_values(pl, masks, small_grid, small_room.r_res)
+        expect, _ = eigen_gdop_values(pl, masks, small_grid, small_room.r_res)
+        penalty = 1e6 * small_room.r_res**2
+        assert np.array_equal(values == penalty, expect == penalty)
+        assert np.array_equal(values == penalty, ~masks[4])
+        np.testing.assert_allclose(values, expect, rtol=1e-12, atol=0.0)
+
+    def test_reflector_above_element_keeps_the_penalty_set(self, small_room, small_grid):
+        # One reflector directly above an element and three on a line through it,
+        # one of them moved off the line: the smaller the offset, the closer to
+        # singular, and offsets near 1e-5 m put rows on both sides of the limit.
+        cx, cy = small_grid.xy[len(small_grid) // 2]
+        penalty = 1e6 * small_room.r_res**2
+        masks = np.ones((4, len(small_grid)), dtype=bool)
+        penalised = []
+        for offset in [0.0, *np.logspace(-7, -3, 41)]:
+            xy = [[cx, cy], [cx - 1.0, cy], [cx + 1.0, cy], [cx + 0.5, cy + offset]]
+            pl = Placement(xy=xy, types=type_assignment(4, 1), z=small_room.z_l)
+            values = gdop_values(pl, masks, small_grid, small_room.r_res)
+            expect, cond = eigen_gdop_values(pl, masks, small_grid, small_room.r_res)
+            assert np.array_equal(values == penalty, expect == penalty)
+            kept = expect != penalty
+            # both forms lose about cond * machine epsilon of relative precision
+            err = np.abs(values[kept] - expect[kept]) / expect[kept]
+            assert np.all(err <= 1e-14 * cond[kept])
+            penalised.append(int((values == penalty).sum()))
+        assert penalised[0] == len(small_grid) and penalised[-1] == 0
+        assert any(0 < k < len(small_grid) for k in penalised)
+
+    def test_packed_keys_match_row_unique(self, small_room, small_grid, readme_l_room):
+        for pl, masks, grid, room in _random_cases(small_room, small_grid, readme_l_room):
+            f1, amb = ambiguity(pl, room, grid, masks, 4, room.r_res)
+            ref_f1, ref_ids, ref_classes = row_unique_ambiguity(pl, grid, masks, 4, room.r_res)
+            assert f1 == ref_f1
+            assert np.array_equal(amb.group_ids, ref_ids)
+            assert np.array_equal(amb.classes, ref_classes)
+
+    def test_wide_codes_fall_back_to_row_unique(self, small_room, small_grid):
+        rng = np.random.default_rng(62)
+        xy = rng.uniform(0.8, 3.2, size=(8, 2))
+        pl = Placement(xy=xy, types=type_assignment(8, 2), z=small_room.z_l)
+        masks = placement_masks(pl, small_grid, small_room)
+        r_res = 1e-6
+        codes = fingerprint_table(pl, masks, small_grid, 4, r_res)
+        assert 4 * int(codes.max()).bit_length() > 63
+        f1, amb = ambiguity(pl, small_room, small_grid, masks, 4, r_res)
+        ref_f1, ref_ids, ref_classes = row_unique_ambiguity(pl, small_grid, masks, 4, r_res)
+        assert f1 == ref_f1
+        assert np.array_equal(amb.group_ids, ref_ids)
+        assert np.array_equal(amb.classes, ref_classes)
+
+    @pytest.mark.parametrize("bits", [1, 5, 15, 16, 21, 31])
+    @pytest.mark.parametrize("width", [1, 3, 4])
+    def test_unique_rows_matches_numpy(self, bits, width):
+        rng = np.random.default_rng(bits * 10 + width)
+        codes = rng.integers(0, 2**bits, size=(300, width))
+        codes[100:200] = codes[:100]  # repeated rows
+        codes.sort(axis=1)
+        _, inv, counts = np.unique(codes, axis=0, return_inverse=True, return_counts=True)
+        got_inv, got_counts = _unique_rows(codes)
+        assert np.array_equal(got_inv, inv.ravel())
+        assert np.array_equal(got_counts, counts)
 
 
 class TestEvaluate:
