@@ -15,7 +15,7 @@ import numpy as np
 
 from .amcl import AmclConfig
 from .geom import Grid, Polygon, RoomModel
-from .harness import BURN_IN, ExperimentReport, NoiseConfig, PathConfig
+from .harness import BURN_IN, ExperimentReport, NoiseConfig, PathConfig, gen_path
 from .mopso import IterationLog, ParetoArchive, PsoConfig
 from .objectives import GLOBAL, LOCAL, UNIQUE, EvalConfig
 from .placement import Placement
@@ -151,7 +151,7 @@ def pso_config_from_config(sections: dict[str, dict], **overrides) -> PsoConfig:
 def sim_configs_from_config(
     sections: dict[str, dict], room: RoomModel, seed: int | None = None
 ) -> tuple[PathConfig, NoiseConfig, AmclConfig, list[int], int]:
-    """(path, noise, amcl, seeds, burn_in) from the [sim] and [path] sections."""
+    """(path, noise, amcl, seeds, burn_in) from [sim] and [path]; the path must fit the room."""
     if "path" not in sections or len(sections["path"]["rows"]) < 2:
         raise ConfigError("config needs a [path] section with at least 2 waypoints")
     sec = sections.get("sim", {})
@@ -160,6 +160,7 @@ def sim_configs_from_config(
         raise ConfigError("[path] rows must hold finite x y pairs")
     waypoints = tuple((x, y) for x, y in rows)
     path_cfg = PathConfig(waypoints=waypoints, **_present(sec, {"step": float}))
+    _build(gen_path, waypoints=waypoints, step=path_cfg.step, room=room)
     noise_cfg = NoiseConfig(**_present(sec, _NOISE_KEYS))
     amcl_cfg = AmclConfig(sigma_d=noise_cfg.sigma_d, sigma_theta=noise_cfg.sigma_theta,
                           **_present(sec, _AMCL_KEYS))

@@ -25,6 +25,9 @@ from scipy.spatial import cKDTree
 _EDGE_TOL = 1e-9
 # Angular offset of the auxiliary rays cast on both sides of every vertex ray.
 _RAY_EPS = 1e-4
+# The margin projection lands within _PROJECT_TOL (m) of the margin contour.
+_PROJECT_TOL = 1e-6
+_PROJECT_MAX_ITER = 50
 
 
 def _as_points(arr) -> np.ndarray:
@@ -107,7 +110,8 @@ class Polygon:
         pts = _as_points(points)
         return self._nearest_edge_info(pts)[1]
 
-    def _nearest_edge_info(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _nearest_edge_info(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(squared distance, closest boundary point, edge index) of each point's nearest edge."""
         a, b = self._edges
         e = b - a
         elen2 = np.maximum(np.einsum("ij,ij->i", e, e), 1e-300)
@@ -118,7 +122,7 @@ class Polygon:
         dist2 = np.einsum("nvi,nvi->nv", diff, diff)
         idx = np.argmin(dist2, axis=1)
         rows = np.arange(len(pts))
-        return dist2[rows, idx], proj[rows, idx]
+        return dist2[rows, idx], proj[rows, idx], idx
 
 
 def _shoelace2(verts: np.ndarray) -> float:
@@ -478,59 +482,63 @@ def _contains_points_raw(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.nd
     return inside | np.any(on_line & within, axis=1)
 
 
-def project_into_margin(p, room: RoomModel, tol: float = 1e-6, max_iter: int = 50) -> np.ndarray:
-    """Move p to the nearest point at least wall_margin inside the room.
+def in_margin(points, room: RoomModel) -> np.ndarray:
+    """The wall-margin rule: inside the room and at least wall_margin - _EDGE_TOL from every wall."""
+    return _margin_info(_as_points(points), room)[0]
 
-    Points already satisfying the margin are returned unchanged. Otherwise a
-    nearest-boundary-point step is taken toward the margin contour and
-    re-checked, halving the step on overshoot (handles concave corners).
-    """
+
+def _margin_info(pts: np.ndarray, room: RoomModel) -> tuple[np.ndarray, ...]:
+    """(in_margin verdict, signed boundary distance, nearest boundary point, its edge index)."""
     poly = room.boundary
+    inside = poly.contains_points(pts)
+    dist2, near, edge = poly._nearest_edge_info(pts)
+    dist = np.sqrt(dist2)
+    ok = inside & (dist >= room.wall_margin - _EDGE_TOL)
+    return ok, np.where(inside, dist, -dist), near, edge
+
+
+def project_into_margin(points, room: RoomModel) -> np.ndarray:
+    """Move each point that fails ``in_margin`` onto the wall-margin contour.
+
+    Takes a point of shape (2,) or an (n, 2) array and returns the same
+    shape; points passing the rule come back unchanged. The others step along
+    the gradient of the signed boundary distance toward a target half of
+    _PROJECT_TOL past the margin, halving a step that lands farther from it
+    (concave corners), until they pass the rule within _PROJECT_TOL of it.
+    """
+    shape = np.shape(points)
+    q = _as_points(points).copy()
+    a, b = room.boundary._edges
     margin = room.wall_margin
-    p = np.asarray(p, dtype=float).reshape(2)
-    d = boundary_distance(p, poly)
-    if d >= margin:
-        return p.copy()
-
-    target = margin + 0.5 * tol
-    q = p.copy()
-    scale = 1.0
-    for _ in range(max_iter):
-        d = boundary_distance(q, poly)
-        if abs(d - margin) <= tol and d >= margin - tol:
-            return q
-        grad = _distance_gradient(q, poly, d)
-        step = (target - d) * grad * scale
-        q_new = q + step
-        d_new = boundary_distance(q_new, poly)
+    target = margin + 0.5 * _PROJECT_TOL
+    ok, d, near, edge = _margin_info(q, room)
+    active = ~ok
+    scale = np.ones(len(q))
+    for _ in range(_PROJECT_MAX_ITER):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        qa, da = q[rows], d[rows]
+        # Ascent direction of the signed distance; on the boundary itself the
+        # inward normal of the nearest edge.
+        grad = np.where((da > 0)[:, None], qa - near[rows], near[rows] - qa)
+        # Row by row: np.linalg.norm is a BLAS dot, which batched norms round differently.
+        norm = np.array([np.linalg.norm(g) for g in grad])
+        wall = norm < 1e-12
+        e = b[edge[rows[wall]]] - a[edge[rows[wall]]]
+        grad[wall] = np.column_stack([-e[:, 1], e[:, 0]])
+        norm[wall] = [np.linalg.norm(g) for g in grad[wall]]
+        q_new = qa + (target - da)[:, None] * (grad / norm[:, None]) * scale[rows, None]
+        ok_new, d_new, near_new, edge_new = _margin_info(q_new, room)
         # Equality acceptance lets corner cases switch their nearest edge.
-        if abs(d_new - target) <= abs(d - target):
-            q = q_new
-            scale = 1.0
-        else:
-            scale *= 0.5
-            if scale < 1e-9:
-                scale = 1.0
-    d = boundary_distance(q, poly)
-    if abs(d - margin) <= tol and d >= margin - tol:
-        return q
-    raise ValueError("no point satisfying the wall margin found (room too thin?)")
-
-
-def _distance_gradient(q: np.ndarray, poly: Polygon, d: float) -> np.ndarray:
-    """Unit direction of steepest increase of the signed boundary distance."""
-    b = poly.nearest_boundary_points(q.reshape(1, 2))[0]
-    u = q - b
-    norm = np.linalg.norm(u)
-    if norm < 1e-12:
-        # On the boundary: step along the inward normal of the nearest edge.
-        a, bb = poly._edges
-        e = bb - a
-        elen2 = np.maximum(np.einsum("ij,ij->i", e, e), 1e-300)
-        dvec = q[None, :] - a
-        t = np.clip(np.einsum("ij,ij->i", dvec, e) / elen2, 0.0, 1.0)
-        proj = a + t[:, None] * e
-        i = int(np.argmin(np.einsum("ij,ij->i", q[None, :] - proj, q[None, :] - proj)))
-        n = np.array([-e[i, 1], e[i, 0]])
-        return n / np.linalg.norm(n)
-    return u / norm if d > 0 else -u / norm
+        better = np.abs(d_new - target) <= np.abs(da - target)
+        moved, stuck = rows[better], rows[~better]
+        q[moved], d[moved] = q_new[better], d_new[better]
+        near[moved], edge[moved] = near_new[better], edge_new[better]
+        active[moved] = ~(ok_new[better] & (np.abs(d_new[better] - margin) <= _PROJECT_TOL))
+        scale[moved] = 1.0
+        scale[stuck] *= 0.5
+        scale[stuck[scale[stuck] < 1e-9]] = 1.0
+    if active.any():
+        raise ValueError("no point satisfying the wall margin found (room too thin?)")
+    return q.reshape(shape)

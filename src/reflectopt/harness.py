@@ -39,11 +39,14 @@ def gen_path(waypoints, step: float, room: RoomModel | None = None) -> list[tupl
     Returns one (truth pose, odometry) pair per step; the start pose is the
     first waypoint with the heading of the first segment and is not part of
     the returned list. Odometry rotation is the heading change of the step.
-    A final partial step shorter than ``step`` is dropped.
+    A final partial step shorter than ``step`` is dropped. Raises ValueError
+    for a path that leaves the room or is shorter than one step.
     """
     wp = np.asarray(waypoints, dtype=float)
     if len(wp) < 2:
         raise ValueError("need at least two waypoints")
+    if not step > 0:
+        raise ValueError("path step must be positive")
     if room is not None:
         _check_path_inside(wp, room)
 
@@ -54,6 +57,8 @@ def gen_path(waypoints, step: float, room: RoomModel | None = None) -> list[tupl
     seg_heading = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
     total = seg_len.sum()
     n_steps = int(math.floor(total / step + 1e-9))
+    if n_steps < 1:
+        raise ValueError("path too short for the step size")
 
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     out = []
@@ -192,8 +197,6 @@ def run_experiment(
     if amcl_config is None:
         amcl_config = AmclConfig()
     steps = gen_path(path_config.waypoints, path_config.step, room)
-    if not steps:
-        raise ValueError("path too short for the step size")
     sigma_meas = noise_config.sigma_meas if noise_config.sigma_meas is not None else room.r_res
     start = Pose(*path_config.waypoints[0], steps[0][0].heading)
     truth_poses = [start] + [pose for pose, _ in steps]

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Grid, RoomModel, visibility_masks
+from .geom import Grid, RoomModel, in_margin, visibility_masks
 
 
 class Reflector(NamedTuple):
@@ -115,8 +115,9 @@ def check_constraints(
     grid: Grid,
     masks: np.ndarray,
     m_max: int,
-    k_min: int = 4,
-    d_min: float = 0.5,
+    *,
+    k_min: int,
+    d_min: float,
 ) -> ConstraintReport:
     """Evaluate reflector count, coverage, pairwise spacing and wall margin."""
     if masks.shape != (pl.m, len(grid)):
@@ -135,10 +136,7 @@ def check_constraints(
     spacing_violations = [(int(i), int(j)) for i, j in zip(iu[0][close], iu[1][close])]
     spacing_ok = not spacing_violations
 
-    inside = room.boundary.contains_points(pl.xy)
-    edge_d = room.boundary.edge_distances(pl.xy)
-    margin_bad = ~inside | (edge_d < room.wall_margin - 1e-9)
-    margin_violations = np.flatnonzero(margin_bad)
+    margin_violations = np.flatnonzero(~in_margin(pl.xy, room))
     margin_ok = margin_violations.size == 0
 
     return ConstraintReport(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .geom import Grid, RoomModel, boundary_distances, build_grid, project_into_margin
+from .geom import Grid, RoomModel, build_grid, in_margin, project_into_margin
 from .objectives import EvalConfig
 from .placement import Placement, check_constraints, placement_masks, type_assignment
 
@@ -189,13 +189,13 @@ def repair(
     masks_xy = current.xy
     best_violations = np.inf
     stall = 0
-    for iteration in range(config.max_iter):
+    for iteration in range(config.max_iter + 1):
         masks, masks_xy = _refresh_masks(masks, masks_xy, current, grid, room)
         report = check_constraints(
             current, room, grid, masks, m_max=m_max, k_min=config.k_min, d_min=config.d_min
         )
-        if report.feasible:
-            return current, True, iteration
+        if report.feasible or iteration == config.max_iter:
+            return current, report.feasible, iteration
         n_violations = (
             len(report.coverage_violations)
             + len(report.spacing_violations)
@@ -214,12 +214,7 @@ def repair(
                 current = deficit_gravitation_step(current, grid, masks, config.k_min)
         if not report.spacing_ok:
             current = magnet_step(current, config.d_min, rng)
-        current = _project_short_of_margin(current, room)
-    masks, _ = _refresh_masks(masks, masks_xy, current, grid, room)
-    report = check_constraints(
-        current, room, grid, masks, m_max=m_max, k_min=config.k_min, d_min=config.d_min
-    )
-    return current, report.feasible, config.max_iter
+        current = current.with_xy(project_into_margin(current.xy, room))
 
 
 def _refresh_masks(masks: np.ndarray, masks_xy: np.ndarray, pl: Placement, grid: Grid,
@@ -232,17 +227,6 @@ def _refresh_masks(masks: np.ndarray, masks_xy: np.ndarray, pl: Placement, grid:
     return masks, pl.xy
 
 
-def _project_short_of_margin(pl: Placement, room: RoomModel) -> Placement:
-    """Project the reflectors closer than wall_margin to the walls onto the margin."""
-    short = np.flatnonzero(~(boundary_distances(pl.xy, room.boundary) >= room.wall_margin))
-    if short.size == 0:
-        return pl
-    xy = pl.xy.copy()
-    for i in short:
-        xy[i] = project_into_margin(xy[i], room)
-    return pl.with_xy(xy)
-
-
 def sample_in_margin(room: RoomModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points over the wall-margin interior of the room (rejection)."""
     xmin, ymin, xmax, ymax = room.boundary.bounds
@@ -251,9 +235,7 @@ def sample_in_margin(room: RoomModel, n: int, rng: np.random.Generator) -> np.nd
     for _ in range(10_000):
         batch = max(4 * (n - filled), 16)
         cand = rng.uniform([xmin, ymin], [xmax, ymax], size=(batch, 2))
-        inside = room.boundary.contains_points(cand)
-        deep = room.boundary.edge_distances(cand) >= room.wall_margin
-        cand = cand[inside & deep]
+        cand = cand[in_margin(cand, room)]
         take = min(len(cand), n - filled)
         out[filled : filled + take] = cand[:take]
         filled += take

@@ -4,6 +4,34 @@ import pytest
 from reflectopt.geom import Polygon, RoomModel, build_grid
 
 
+# A feasible 22-reflector placement of the README L room at z_l = 5.0 (k_min 4,
+# d_min 0.5, types alternating from 0).
+L_ROOM_PLACEMENT_XY = (
+    (1.6667320581479317, 1.126714132080122),
+    (2.9391011208308964, 1.4143028006877758),
+    (4.139353586000666, 1.0060528703560194),
+    (6.354125151609401, 1.1973907531134993),
+    (7.893062898538003, 1.2008025136781455),
+    (8.748788766827671, 1.0638977409836203),
+    (1.6039331741397334, 2.41149756615342),
+    (3.12750674577835, 2.9574874243125935),
+    (4.1074944504416395, 2.4709732882217845),
+    (5.166386743048153, 2.5008580379897527),
+    (6.325316521321116, 2.2833531306505392),
+    (8.068464152209174, 2.108527889272016),
+    (9.055684730369338, 2.848672174350384),
+    (6.142292250714647, 4.226734730755472),
+    (8.062758103147521, 3.8671247893018683),
+    (9.47943025314282, 3.682568609385252),
+    (6.444901419148138, 5.2870226470338215),
+    (8.254865873939583, 4.6445810556362),
+    (8.608962727473111, 5.410725580038778),
+    (6.618937393314491, 6.140355367185201),
+    (8.19200075472616, 5.855376881379405),
+    (9.025024080411635, 6.550997042110559),
+)
+
+
 @pytest.fixture(scope="session")
 def unit_square():
     return Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])

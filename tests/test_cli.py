@@ -12,8 +12,9 @@ from reflectopt.geom import RoomModel, build_grid
 from reflectopt.harness import BURN_IN, NoiseConfig, PathConfig
 from reflectopt.mopso import PsoConfig
 from reflectopt.objectives import EvalConfig, evaluate
-from reflectopt.placement import Placement, placement_masks
+from reflectopt.placement import Placement, placement_masks, type_assignment
 from reflectopt.repair import random_feasible
+from conftest import L_ROOM_PLACEMENT_XY
 
 ROOM_SECTION = """\
 [room]
@@ -463,6 +464,23 @@ class TestSimulateCommand:
                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "error: [path] rows must hold finite x y pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("3.0 3.0\n", "3.0 7.0\n", "waypoint outside the room"),
+        ("step = 0.2", "step = 50.0", "path too short for the step size"),
+        ("step = 0.2", "step = 0.0", "path step must be positive"),
+    ], ids=["outside", "too_short", "zero_step"])
+    def test_bad_path_exit_2(self, tmp_path, capsys, old, new, message):
+        # A feasible placement in the README L room, so only the path is wrong.
+        pfile = tmp_path / "l_room.txt"
+        files.write_placement(pfile, Placement(xy=L_ROOM_PLACEMENT_XY,
+                                               types=type_assignment(22, 2), z=5.0), 2)
+        cfg = tmp_path / "path.cfg"
+        cfg.write_text(L_ROOM_SECTION + "\n" + SIM_SECTION.replace(old, new))
+        code = main(["simulate", "--config", str(cfg), "--placement", str(pfile),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_fingerprint_size_beyond_k_min(self, cfg_file, feasible_placement_file, tmp_path):
         # simulate checks feasibility with the default constraints; the tracker's

@@ -11,13 +11,14 @@ from reflectopt.geom import (
     boundary_distances,
     build_grid,
     cone_mask,
+    in_margin,
     point_in_polygon,
     project_into_margin,
     visibility_mask,
     visibility_masks,
     visibility_polygon,
 )
-from reflectopt.placement import Placement, placement_masks
+from reflectopt.placement import Placement, check_constraints, placement_masks
 from conftest import mc_visibility_area, segment_visible
 
 
@@ -389,9 +390,109 @@ class TestProjectIntoMargin:
         for _ in range(50):
             p = rng.uniform([-1, -1], [11, 9])
             q = project_into_margin(p, room)
-            assert boundary_distance(q, l_room_poly) >= room.wall_margin - 1e-6
+            assert in_margin(q, room)[0]
             q2 = project_into_margin(q, room)
-            assert np.linalg.norm(q2 - q) <= 1e-6
+            assert np.array_equal(q2, q)
+
+    @pytest.mark.parametrize("p", [(-0.0017, -0.8566), (10.8512, -0.002), (3.8876, 8.0022)])
+    def test_lands_where_the_constraint_check_accepts(self, readme_l_room, p):
+        # These points once came back up to 8.8e-7 m short of the margin,
+        # inside the old stop window but failing the constraint check, and a
+        # second projection left them there.
+        q = project_into_margin(p, readme_l_room)
+        assert _inline_margin_ok(q[None], readme_l_room)[0]
+        assert np.array_equal(project_into_margin(q, readme_l_room), q)
+
+    @pytest.mark.parametrize("room_name", ["square", "L", "U"])
+    def test_batch_matches_points_and_scalar_reference(self, room_name, readme_l_room):
+        room = {"square": _test_room([(0, 0), (4, 0), (4, 4), (0, 4)]),
+                "L": readme_l_room,
+                "U": _test_room(_U_ROOM, grid_size=0.2, z_l=5.0)}[room_name]
+        xmin, ymin, xmax, ymax = room.boundary.bounds
+        pts = np.random.default_rng(17).uniform([xmin - 1, ymin - 1], [xmax + 1, ymax + 1],
+                                                size=(6000, 2))
+        batch = project_into_margin(pts, room)
+        assert batch.shape == pts.shape
+        assert np.array_equal(batch, np.array([project_into_margin(p, room) for p in pts]))
+        assert _inline_margin_ok(batch, room).all()
+        ref = np.array([_scalar_projection(p, room) for p in pts])
+        ref_ok = _inline_margin_ok(ref, room)
+        assert np.array_equal(batch[ref_ok], ref[ref_ok])
+        assert ref_ok.mean() > 0.999
+
+    def test_margin_violations_match_the_inline_rule(self, small_room, small_grid):
+        # Points from 2e-6 m short of the margin to 1e-6 m past it, along a
+        # wall, into a corner and outside; the constraint check used to
+        # compute this verdict inline.
+        short = [0.0, 1e-10, 5e-10, 1e-9, 1.5e-9, 1e-8, 1e-7, 5e-7, 1e-6, 2e-6, -1e-6]
+        xy = ([(0.5 - s, 2.0) for s in short] + [(2.0, 3.5 + s) for s in short]
+              + [(0.5 - s, 0.5 - s) for s in short] + [(-0.1, 2.0), (2.0, 2.0), (4.0, 2.0)])
+        pl = Placement(xy=xy, types=np.zeros(len(xy), int), z=small_room.z_l)
+        masks = placement_masks(pl, small_grid, small_room, strict=False)
+        report = check_constraints(pl, small_room, small_grid, masks, m_max=len(xy),
+                                   k_min=4, d_min=0.0)
+        expected = np.flatnonzero(~_inline_margin_ok(pl.xy, small_room))
+        assert np.array_equal(report.margin_violations, expected)
+        assert np.array_equal(in_margin(pl.xy, small_room), _inline_margin_ok(pl.xy, small_room))
+        assert 0 < len(expected) < len(xy)
+
+
+_U_ROOM = [(0, 0), (10, 0), (10, 8), (7, 8), (7, 3), (3, 3), (3, 8), (0, 8)]
+
+
+def _inline_margin_ok(xy, room):
+    """The wall-margin verdict as check_constraints wrote it inline."""
+    inside = room.boundary.contains_points(xy)
+    return ~(~inside | (room.boundary.edge_distances(xy) < room.wall_margin - 1e-9))
+
+
+def _scalar_projection(p, room, tol=1e-6, max_iter=50):
+    """Reference: the one-point projection that the batched one replaced."""
+    poly = room.boundary
+    margin = room.wall_margin
+    p = np.asarray(p, dtype=float).reshape(2)
+    d = boundary_distance(p, poly)
+    if d >= margin:
+        return p.copy()
+    target = margin + 0.5 * tol
+    q = p.copy()
+    scale = 1.0
+    for _ in range(max_iter):
+        d = boundary_distance(q, poly)
+        if abs(d - margin) <= tol and d >= margin - tol:
+            return q
+        grad = _scalar_gradient(q, poly, d)
+        step = (target - d) * grad * scale
+        q_new = q + step
+        d_new = boundary_distance(q_new, poly)
+        if abs(d_new - target) <= abs(d - target):
+            q = q_new
+            scale = 1.0
+        else:
+            scale *= 0.5
+            if scale < 1e-9:
+                scale = 1.0
+    d = boundary_distance(q, poly)
+    if abs(d - margin) <= tol and d >= margin - tol:
+        return q
+    raise ValueError("no point satisfying the wall margin found")
+
+
+def _scalar_gradient(q, poly, d):
+    b = poly.nearest_boundary_points(q.reshape(1, 2))[0]
+    u = q - b
+    norm = np.linalg.norm(u)
+    if norm < 1e-12:
+        a, bb = poly._edges
+        e = bb - a
+        elen2 = np.maximum(np.einsum("ij,ij->i", e, e), 1e-300)
+        dvec = q[None, :] - a
+        t = np.clip(np.einsum("ij,ij->i", dvec, e) / elen2, 0.0, 1.0)
+        proj = a + t[:, None] * e
+        i = int(np.argmin(np.einsum("ij,ij->i", q[None, :] - proj, q[None, :] - proj)))
+        n = np.array([-e[i, 1], e[i, 0]])
+        return n / np.linalg.norm(n)
+    return u / norm if d > 0 else -u / norm
 
 
 class TestVisibilityMonteCarloSuite:

@@ -41,7 +41,7 @@ class TestCheckConstraints:
     def test_single_reflector_fails_coverage(self, small_room, small_grid):
         pl = Placement(xy=[[2.0, 2.0]], types=[0], z=small_room.z_l)
         masks = placement_masks(pl, small_grid, small_room)
-        rep = check_constraints(pl, small_room, small_grid, masks, m_max=32)
+        rep = check_constraints(pl, small_room, small_grid, masks, m_max=32, k_min=4, d_min=0.5)
         assert not rep.coverage_ok
         assert len(rep.coverage_violations) == len(small_grid)
         assert not rep.feasible
@@ -49,14 +49,14 @@ class TestCheckConstraints:
     def test_close_pair_fails_spacing(self, small_room, small_grid):
         pl = Placement(xy=[[2.0, 2.0], [2.3, 2.0]], types=[0, 1], z=small_room.z_l)
         masks = placement_masks(pl, small_grid, small_room)
-        rep = check_constraints(pl, small_room, small_grid, masks, m_max=32, d_min=0.5)
+        rep = check_constraints(pl, small_room, small_grid, masks, m_max=32, k_min=4, d_min=0.5)
         assert not rep.spacing_ok
         assert rep.spacing_violations == [(0, 1)]
 
     def test_margin_violation_indices(self, small_room, small_grid):
         pl = Placement(xy=[[0.2, 2.0], [2.0, 2.0]], types=[0, 1], z=small_room.z_l)
         masks = placement_masks(pl, small_grid, small_room, strict=False)
-        rep = check_constraints(pl, small_room, small_grid, masks, m_max=32)
+        rep = check_constraints(pl, small_room, small_grid, masks, m_max=32, k_min=4, d_min=0.5)
         assert not rep.margin_ok
         assert rep.margin_violations.tolist() == [0]
 
@@ -64,7 +64,7 @@ class TestCheckConstraints:
         # 8 reflectors on a ring, wide cone: brute-force recount per element.
         pl = _ring_placement(small_room)
         masks = placement_masks(pl, small_grid, small_room)
-        rep = check_constraints(pl, small_room, small_grid, masks, m_max=32)
+        rep = check_constraints(pl, small_room, small_grid, masks, m_max=32, k_min=4, d_min=0.5)
         assert rep.feasible
         # independent recount: visible reflectors per element via mask oracle
         p3 = pl.positions3d
@@ -80,7 +80,8 @@ class TestCheckConstraints:
     def test_mask_mismatch_raises(self, small_room, small_grid):
         pl = _ring_placement(small_room)
         with pytest.raises(ValueError):
-            check_constraints(pl, small_room, small_grid, np.ones((1, 3), bool), m_max=32)
+            check_constraints(pl, small_room, small_grid, np.ones((1, 3), bool), m_max=32,
+                              k_min=4, d_min=0.5)
 
 
 class TestVisibleReflectors:

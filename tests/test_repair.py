@@ -14,6 +14,7 @@ from reflectopt.repair import (
     repair,
     sample_in_margin,
 )
+from conftest import L_ROOM_PLACEMENT_XY
 
 
 def _pl(xy, z=3.0):
@@ -161,7 +162,7 @@ class TestRepair:
         out, feasible, iters = repair(pl, small_room, small_grid, rng=rng)
         assert feasible
         masks = placement_masks(out, small_grid, small_room)
-        rep = check_constraints(out, small_room, small_grid, masks, m_max=8)
+        rep = check_constraints(out, small_room, small_grid, masks, m_max=8, k_min=4, d_min=0.5)
         assert rep.feasible
 
     def test_impossible_coverage_flagged(self, small_room, small_grid):
@@ -197,6 +198,18 @@ class TestRepair:
             [7.588238974078328, 3.592187936222669], [8.256962927509846, 3.5883512356455642],
             [5.5000005, 4.034218660768971], [3.2773048045400035, 2.182464244907617],
         ]
+
+    def test_reflector_beyond_a_corner_repairs(self, readme_l_room):
+        # Reflector 0 of a feasible placement moved out past the corner (0, 0).
+        # Its projection used to stop 4.8e-7 m short of the margin, so every
+        # one of the 200 iterations failed the constraint check.
+        xy = np.array(L_ROOM_PLACEMENT_XY)
+        xy[0] = (-0.0017, -0.8566)
+        pl = Placement(xy=xy, types=type_assignment(len(xy), 2), z=readme_l_room.z_l)
+        out, feasible, iters = repair(pl, readme_l_room, build_grid(readme_l_room),
+                                      rng=np.random.default_rng(0))
+        assert (feasible, iters) == (True, 1)
+        assert np.array_equal(out.xy[1:], xy[1:])
 
     def test_recomputes_only_moved_rows(self, small_room, small_grid, monkeypatch):
         import reflectopt.repair as repair_module
