@@ -14,7 +14,8 @@ import numpy as np
 
 from reflectopt.geom import Polygon, RoomModel, build_grid
 from reflectopt.placement import Placement, check_constraints, placement_masks, type_assignment
-from reflectopt.repair import RepairConfig, repair
+from reflectopt.objectives import EvalConfig
+from reflectopt.repair import repair
 
 room = RoomModel(
     boundary=Polygon([(0, 0), (10, 0), (10, 8), (5, 8), (5, 4), (0, 4)]),
@@ -25,7 +26,7 @@ room = RoomModel(
     wall_margin=0.5,
 )
 grid = build_grid(room)
-cfg = RepairConfig()
+cfg = EvalConfig()
 rng = np.random.default_rng(2)
 
 m = 16
@@ -36,7 +37,7 @@ print(f"{m} reflectors clustered near (7.5, 2.0); grid has {len(grid)} elements\
 
 def show(label, pl):
     masks = placement_masks(pl, grid, room, strict=False)
-    report = check_constraints(pl, room, grid, masks, m_max=m,
+    report = check_constraints(pl, room, grid, masks, m_max=cfg.m_max,
                                k_min=cfg.k_min, d_min=cfg.d_min)
     print(f"{label}: under-covered elements {len(report.coverage_violations):4d}, "
           f"spacing violations {len(report.spacing_violations):3d}, "

@@ -15,7 +15,7 @@ import numpy as np
 from . import files
 from .geom import build_grid
 from .mopso import run as run_pso
-from .objectives import EvalConfig, ambiguity, gdop_objective, penalty_pair
+from .objectives import ambiguity, gdop_objective, penalty_pair
 from .placement import check_constraints, placement_masks
 from .harness import run_experiment
 
@@ -103,7 +103,7 @@ def _cmd_evaluate(args) -> int:
     sections = files.load_config(args.config)
     room = files.room_from_config(sections)
     cfg = files.eval_config_from_config(sections)
-    pl, n_types = files.load_placement(args.placement)
+    pl, n_types = files.load_placement(args.placement, room)
     grid = build_grid(room)
     masks = placement_masks(pl, grid, room, strict=False)
     report = check_constraints(pl, room, grid, masks, m_max=cfg.m_max,
@@ -152,20 +152,19 @@ def _cmd_evaluate(args) -> int:
 def _cmd_simulate(args) -> int:
     sections = files.load_config(args.config)
     room = files.room_from_config(sections)
-    pl, _ = files.load_placement(args.placement)
+    cfg = files.eval_config_from_config(sections)
+    pl, _ = files.load_placement(args.placement, room)
     grid = build_grid(room)
     path_cfg, noise_cfg, amcl_cfg, seeds, burn_in = files.sim_configs_from_config(
         sections, room, seed=args.seed
     )
+    placements = [("placement", pl, Path(args.placement))]
+    if args.compare:
+        pl2, _ = files.load_placement(args.compare, room)
+        placements.append(("compare", pl2, Path(args.compare)))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    placements = [("placement", pl, Path(args.placement))]
-    if args.compare:
-        pl2, _ = files.load_placement(args.compare)
-        placements.append(("compare", pl2, Path(args.compare)))
-
-    cfg = EvalConfig()
     reports = {}
     for label, placement, src in placements:
         masks = placement_masks(placement, grid, room, strict=False)

@@ -90,7 +90,7 @@ _FIELDS = {"fingerprint_size": "n", "cone_half_angle_deg": "cone_half_angle",
            "sigma_theta_deg": "sigma_theta"}
 _ROOM_KEYS = {"z_r": float, "z_l": float, "r_res": float, "cone_half_angle_deg": _radians,
               "wall_margin": float}
-# Read from [pso] by both optimize and evaluate.
+# Read from [pso] by all three commands.
 _CONSTRAINT_KEYS = {"fingerprint_size": int, "k_min": int, "d_min": float, "m_max": int}
 _PSO_KEYS = {"swarm_size": int, "iterations": int, "n_types": int, "p_up": float,
              "p_down": float, "archive_capacity": int, "v_max": float, "seed": int,
@@ -135,7 +135,7 @@ def room_from_config(sections: dict[str, dict]) -> RoomModel:
 
 
 def eval_config_from_config(sections: dict[str, dict]) -> EvalConfig:
-    """Fingerprint size and constraints from [pso], shared by optimize and evaluate."""
+    """Fingerprint size and constraints from [pso], shared by all three commands."""
     return _build(EvalConfig, **_present(sections.get("pso", {}), _CONSTRAINT_KEYS))
 
 
@@ -188,7 +188,8 @@ def write_placement(path, pl: Placement, n_types: int):
     Path(path).write_text(format_placement(pl, n_types))
 
 
-def load_placement(path) -> tuple[Placement, int]:
+def load_placement(path, room: RoomModel | None = None) -> tuple[Placement, int]:
+    """Placement and type count from a file; with a room, its z_l must be the room's."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -213,6 +214,9 @@ def load_placement(path) -> tuple[Placement, int]:
         z_l = float(header["z_l"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"placement header incomplete: {exc}") from exc
+    if room is not None and z_l != room.z_l:
+        raise ConfigError(f"{path}: placement z_l = {z_l!r} differs from the room's z_l = "
+                          f"{room.z_l!r}")
     if len(rows) != m:
         raise ConfigError(f"placement declares m={m} but has {len(rows)} rows")
     order = sorted(range(m), key=lambda k: int(rows[k][0]))

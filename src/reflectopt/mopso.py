@@ -18,8 +18,8 @@ from scipy import ndimage
 from .assign import align_leader
 from .geom import Grid, RoomModel, build_grid
 from .objectives import EvalConfig, evaluate
-from .placement import Placement, placement_masks
-from .repair import RepairConfig, random_feasible, repair, sample_in_margin
+from .placement import Placement, coverage_floor, placement_masks
+from .repair import random_feasible, repair, sample_in_margin
 
 Objectives = tuple[float, float]
 
@@ -159,21 +159,20 @@ class PsoConfig:
 
     def __post_init__(self):
         for lo, hi in (self.w_range, self.c1_range, self.c2_range):
-            if hi < lo:
-                raise ValueError("parameter ranges must be non-empty")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError("parameter ranges must be finite and non-empty")
+        if self.v_max is not None and not (math.isfinite(self.v_max) and self.v_max > 0):
+            raise ValueError("v_max must be finite and positive")
         if not (0 <= self.p_up <= 1 and 0 <= self.p_down <= 1 and self.p_up + self.p_down <= 1):
             raise ValueError("mutation probabilities must lie in [0, 1] and sum to <= 1")
         if self.m_init_range[0] < 1 or self.m_init_range[1] > self.m_max:
             raise ValueError("m_init_range must lie within [1, m_max]")
         if self.n_types not in (1, 2):
             raise ValueError("n_types must be 1 or 2")
-        self.eval_config()  # checks n and k_min
+        self.eval_config()  # checks n, k_min and d_min
 
     def eval_config(self) -> EvalConfig:
         return EvalConfig(n=self.n, k_min=self.k_min, d_min=self.d_min, m_max=self.m_max)
-
-    def repair_config(self) -> RepairConfig:
-        return RepairConfig(k_min=self.k_min, d_min=self.d_min)
 
     def resolve_v_max(self, room: RoomModel) -> float:
         if self.v_max is not None:
@@ -211,13 +210,12 @@ def position_update(
     particle: SwarmParticle,
     room: RoomModel,
     grid: Grid,
-    repair_cfg: RepairConfig,
+    config: EvalConfig,
     rng: np.random.Generator,
-    m_max: int,
 ) -> Placement:
     """Add the velocity to the placement coordinates, then repair."""
     moved = particle.placement.with_xy(particle.placement.xy + particle.velocity)
-    repaired, _, _ = repair(moved, room, grid, repair_cfg, rng, m_max=m_max)
+    repaired, _, _ = repair(moved, room, grid, config, rng)
     return repaired
 
 
@@ -271,10 +269,10 @@ def downmutate(
     The reflector removed is the one of the over-represented type closest to
     the centroid of the largest grid region with maximal visible-reflector
     count; removing there avoids creating coverage holes. A particle at the
-    coverage floor (see ``random_feasible``) is returned unchanged.
+    coverage floor (see ``coverage_floor``) is returned unchanged.
     """
     pl = particle.placement
-    if pl.m <= config.k_min * len(grid.separated_elements(room.cone_radius)):
+    if pl.m <= coverage_floor(grid, room, config.k_min):
         return particle  # one fewer would lie below the coverage floor
     masks = placement_masks(pl, grid, room, strict=False)
     counts = masks.sum(axis=0)
@@ -303,8 +301,7 @@ def downmutate(
     keep = np.ones(pl.m, dtype=bool)
     keep[remove] = False
     reduced = Placement(xy=pl.xy[keep], types=pl.types[keep], z=pl.z)
-    repaired, feasible, _ = repair(reduced, room, grid, config.repair_config(), rng,
-                                   m_max=config.m_max)
+    repaired, feasible, _ = repair(reduced, room, grid, config.eval_config(), rng)
     if not feasible:
         return particle
     return SwarmParticle(
@@ -341,7 +338,6 @@ def run(
     rng = np.random.default_rng(config.seed)
     grid = build_grid(room)
     eval_cfg = config.eval_config()
-    repair_cfg = config.repair_config()
     v_max = config.resolve_v_max(room)
 
     if initial_placements is None:
@@ -352,7 +348,7 @@ def run(
             for _ in range(redraws):
                 m = int(rng.integers(config.m_init_range[0], config.m_init_range[1] + 1))
                 try:
-                    placements.append(random_feasible(room, m, config.n_types, rng, grid, repair_cfg))
+                    placements.append(random_feasible(room, m, config.n_types, rng, grid, eval_cfg))
                     break
                 except RuntimeError as exc:
                     last_error = exc  # size infeasible for this room; redraw m
@@ -384,7 +380,7 @@ def run(
         for p in particles:
             leader = archive.select_leader(rng)
             p.velocity = velocity_update(p, leader, config, rng, v_max)
-            p.placement = position_update(p, room, grid, repair_cfg, rng, config.m_max)
+            p.placement = position_update(p, room, grid, eval_cfg, rng)
             u = rng.random()
             if u < config.p_up:
                 mutated = upmutate(p, room, config, rng, v_max)

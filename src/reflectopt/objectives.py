@@ -49,6 +49,8 @@ class EvalConfig:
             raise ValueError("k_min must be at least 4: the GDOP needs 4 visible reflectors")
         if self.n > self.k_min:
             raise ValueError("fingerprint size n must not exceed k_min")
+        if not np.isfinite(self.d_min):
+            raise ValueError("d_min must be finite")
 
 
 def distance_bins(distances: np.ndarray, r_res: float) -> np.ndarray:

@@ -16,14 +16,13 @@ already covered, so on tight configurations the holes only move around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
-from .geom import Grid, RoomModel, build_grid, in_margin, project_into_margin
+from .geom import Grid, RoomModel, in_margin, project_into_margin
 from .objectives import EvalConfig
-from .placement import Placement, check_constraints, placement_masks, type_assignment
+from .placement import (Placement, check_constraints, coverage_floor, placement_masks,
+                        type_assignment)
 
 # Relative overshoot past d_min when separating a violating pair, so the
 # pair does not land exactly on the constraint boundary and oscillate.
@@ -32,14 +31,8 @@ _PUSH_DELTA = 0.05
 _STALL_LIMIT = 12
 _GAMMA = 0.2  # coverage attraction step, as a fraction of the distance to the hole
 _STEP_CAP = 1.0  # longest coverage attraction step (m)
-
-
-@dataclass(frozen=True)
-class RepairConfig:
-    k_min: int = EvalConfig.k_min
-    d_min: float = EvalConfig.d_min
-    max_iter: int = 200
-    restarts: int = 10  # random_feasible re-initializations
+_MAX_ITER = 200  # repair iterations before giving up
+_RESTARTS = 10  # random_feasible re-initializations
 
 
 def magnet_step(pl: Placement, d_min: float, rng: np.random.Generator | None = None) -> Placement:
@@ -171,30 +164,28 @@ def repair(
     pl: Placement,
     room: RoomModel,
     grid: Grid,
-    config: RepairConfig = RepairConfig(),
+    config: EvalConfig = EvalConfig(),
     rng: np.random.Generator | None = None,
-    m_max: int | None = None,
 ) -> tuple[Placement, bool, int]:
     """Iterate coverage attraction, magnet and margin projection until feasible.
 
-    Returns (placement, feasible, iterations). An already feasible placement
-    is returned unchanged with 0 iterations; otherwise the loop runs until
-    the constraints hold or config.max_iter is exhausted. The mask matrix is
-    kept across iterations; only the rows of reflectors that moved are
-    recomputed.
+    Returns (placement, feasible, iterations). A feasible placement, or one
+    whose count lies outside (0, config.m_max], which no step changes, comes
+    back unchanged after 0 iterations; otherwise the loop runs until the
+    constraints hold or _MAX_ITER is exhausted. The mask matrix is kept
+    across iterations; only the rows of reflectors that moved are recomputed.
     """
-    m_max = pl.m if m_max is None else m_max
     current = pl
     masks = placement_masks(current, grid, room, strict=False)
     masks_xy = current.xy
     best_violations = np.inf
     stall = 0
-    for iteration in range(config.max_iter + 1):
+    for iteration in range(_MAX_ITER + 1):
         masks, masks_xy = _refresh_masks(masks, masks_xy, current, grid, room)
         report = check_constraints(
-            current, room, grid, masks, m_max=m_max, k_min=config.k_min, d_min=config.d_min
+            current, room, grid, masks, m_max=config.m_max, k_min=config.k_min, d_min=config.d_min
         )
-        if report.feasible or iteration == config.max_iter:
+        if report.feasible or not report.m_ok or iteration == _MAX_ITER:
             return current, report.feasible, iteration
         n_violations = (
             len(report.coverage_violations)
@@ -249,31 +240,29 @@ def random_feasible(
     m: int,
     n_types: int,
     rng: np.random.Generator,
-    grid: Grid | None = None,
-    config: RepairConfig = RepairConfig(),
+    grid: Grid,
+    config: EvalConfig = EvalConfig(),
 ) -> Placement:
     """Random placement repaired into feasibility, with restarts.
 
-    Raises RuntimeError when no feasible placement is found after
-    config.restarts attempts, and at once, before any draw, when m lies below
-    the coverage floor k_min * |S|: S holds grid elements pairwise more than
-    two cone radii apart (``Grid.separated_elements``), no reflector sees two
-    of them, and each must see k_min reflectors. The floor is at least k_min.
+    Raises RuntimeError when no feasible placement is found after _RESTARTS
+    attempts, and at once, before any draw, when m lies above config.m_max
+    or below ``coverage_floor``.
     """
-    if grid is None:
-        grid = build_grid(room)
-    spread = grid.separated_elements(room.cone_radius)
-    floor = config.k_min * len(spread)
+    if m > config.m_max:
+        raise RuntimeError(f"no feasible placement with {m} reflectors: m_max={config.m_max}")
+    floor = coverage_floor(grid, room, config.k_min)
     if m < floor:
-        who = (f"{len(spread)} grid elements lie pairwise more than 2 cone radii apart and each"
-               if len(spread) > 1 else "every grid element")
+        n_spread = floor // config.k_min
+        who = (f"{n_spread} grid elements lie pairwise more than 2 cone radii apart and each"
+               if n_spread > 1 else "every grid element")
         raise RuntimeError(f"no feasible placement with {m} reflectors: need at least {floor} "
                            f"reflectors: {who} must see k_min={config.k_min} of them")
     types = type_assignment(m, n_types)
-    for _ in range(config.restarts):
+    for _ in range(_RESTARTS):
         xy = sample_in_margin(room, m, rng)
         pl = Placement(xy=xy, types=types, z=room.z_l)
         repaired, feasible, _ = repair(pl, room, grid, config, rng)
         if feasible:
             return repaired
-    raise RuntimeError(f"no feasible placement with {m} reflectors after {config.restarts} restarts")
+    raise RuntimeError(f"no feasible placement with {m} reflectors after {_RESTARTS} restarts")

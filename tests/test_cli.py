@@ -288,20 +288,31 @@ class TestOptimizeCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["optimize", "evaluate"])
-    def test_k_min_below_four_exit_2(self, feasible_placement_file, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, keys, message", [
+        ("optimize", "k_min = 3\nfingerprint_size = 3\n", "k_min must be at least 4"),
+        ("evaluate", "k_min = 3\nfingerprint_size = 3\n", "k_min must be at least 4"),
+        # a NaN d_min would switch the spacing check off; a NaN v_max would
+        # reach the margin projection
+        ("optimize", "d_min = nan\n", "d_min must be finite"),
+        ("evaluate", "d_min = nan\n", "d_min must be finite"),
+        ("optimize", "v_max = nan\n", "v_max must be finite and positive"),
+        # a negative v_max would clip every velocity coordinate to v_max itself
+        ("optimize", "v_max = -1.0\n", "v_max must be finite and positive"),
+    ], ids=["optimize", "evaluate", "d_min_nan-optimize", "d_min_nan-evaluate",
+            "v_max_nan-optimize", "v_max_negative-optimize"])
+    def test_k_min_below_four_exit_2(self, feasible_placement_file, tmp_path, capsys, command,
+                                     keys, message):
         # the GDOP needs 4 visible reflectors at every element
         cfg = tmp_path / "l_room.cfg"
         cfg.write_text(L_ROOM_SECTION + "\n" + PSO_SECTION.replace(
-            "m_max = 10", "m_max = 12").replace("m_init_max = 9", "m_init_max = 12")
-            + "k_min = 3\nfingerprint_size = 3\n")
+            "m_max = 10", "m_max = 12").replace("m_init_max = 9", "m_init_max = 12") + keys)
         argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
         if command == "optimize":
             argv += ["--particles", "4", "--iterations", "1"]
         else:
             argv += ["--placement", str(feasible_placement_file)]
         assert main(argv) == 2
-        assert "error: k_min must be at least 4" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_init_failure_exit_3(self, tmp_path):
@@ -360,6 +371,19 @@ class TestEvaluateCommand:
                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_placement_height_differs_from_room_exit_2(self, tmp_path, capsys):
+        # the README L room mounts reflectors at 5.0 m; the file says 3.0 m
+        cfg = tmp_path / "l_room.cfg"
+        cfg.write_text(L_ROOM_SECTION)
+        pfile = tmp_path / "low.txt"
+        files.write_placement(pfile, Placement(xy=L_ROOM_PLACEMENT_XY,
+                                               types=type_assignment(22, 2), z=3.0), 2)
+        code = main(["evaluate", "--config", str(cfg), "--placement", str(pfile),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "placement z_l = 3.0 differs from the room's z_l = 5.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_spacing_violation_reported(self, cfg_file, tmp_path, small_room, small_grid):
         pl = random_feasible(small_room, 8, 2, np.random.default_rng(11), small_grid)
@@ -482,8 +506,49 @@ class TestSimulateCommand:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys", ["m_max = 40\n", "d_min = 0.3\n"],
+                             ids=["m_max", "d_min"])
+    def test_looser_pso_constraints_accepted(self, tmp_path, readme_l_room, keys):
+        # m = 34 lies above the default m_max of 32; reflectors 0 and 6, 0.4 m
+        # apart, lie closer than the default d_min of 0.5 m
+        if keys.startswith("m_max"):
+            pl = random_feasible(readme_l_room, 34, 2, np.random.default_rng(0),
+                                 build_grid(readme_l_room), EvalConfig(m_max=40))
+        else:
+            xy = np.array(L_ROOM_PLACEMENT_XY)
+            xy[0] = xy[6] + [0.4, 0.0]
+            pl = Placement(xy=xy, types=type_assignment(22, 2), z=5.0)
+        pfile = tmp_path / "pl.txt"
+        files.write_placement(pfile, pl, 2)
+        cfg = tmp_path / "l_room.cfg"
+        cfg.write_text(L_ROOM_SECTION + "\n[pso]\n" + keys + "\n" + SIM_SECTION)
+        assert main(["evaluate", "--config", str(cfg), "--placement", str(pfile),
+                     "--out-dir", str(tmp_path / "ev")]) == 0
+        assert "feasible = true" in (tmp_path / "ev" / "metrics.txt").read_text()
+        assert main(["simulate", "--config", str(cfg), "--placement", str(pfile),
+                     "--out-dir", str(tmp_path / "sim")]) == 0
+
+    @pytest.mark.parametrize("low", ["placement", "compare"])
+    def test_placement_height_differs_from_room_exit_2(self, tmp_path, capsys, low):
+        # the README L room mounts reflectors at 5.0 m; one file says 3.0 m
+        cfg = tmp_path / "l_room.cfg"
+        cfg.write_text(L_ROOM_SECTION + "\n" + SIM_SECTION)
+        paths = {}
+        for label in ("placement", "compare"):
+            paths[label] = tmp_path / f"{label}.txt"
+            files.write_placement(paths[label], Placement(
+                xy=L_ROOM_PLACEMENT_XY, types=type_assignment(22, 2),
+                z=3.0 if label == low else 5.0), 2)
+        code = main(["simulate", "--config", str(cfg), "--placement", str(paths["placement"]),
+                     "--compare", str(paths["compare"]), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[low]}: placement z_l = 3.0 differs from the "
+                              "room's z_l = 5.0")
+        assert not (tmp_path / "o").exists()
+
     def test_fingerprint_size_beyond_k_min(self, cfg_file, feasible_placement_file, tmp_path):
-        # simulate checks feasibility with the default constraints; the tracker's
+        # simulate checks feasibility with the [pso] constraints; the tracker's
         # fingerprint size is its own setting and may exceed k_min
         cfg = tmp_path / "n5.cfg"
         cfg.write_text(cfg_file.read_text().replace("[sim]\n", "[sim]\nfingerprint_size = 5\n"))

@@ -178,8 +178,8 @@ class TestPositionUpdate:
     def test_zero_velocity_feasible_unchanged(self, small_room, small_grid):
         p = _particle(small_room, small_grid)
         cfg = _desk_config()
-        out = position_update(p, small_room, small_grid, cfg.repair_config(),
-                              np.random.default_rng(0), cfg.m_max)
+        out = position_update(p, small_room, small_grid, cfg.eval_config(),
+                              np.random.default_rng(0))
         assert np.allclose(out.xy, p.placement.xy)
 
     def test_margin_restored(self, small_room, small_grid):
@@ -187,8 +187,8 @@ class TestPositionUpdate:
         p.velocity = np.zeros((p.placement.m, 2))
         p.velocity[0] = [-10.0, 0.0]  # shove reflector 0 out of the room
         cfg = _desk_config()
-        out = position_update(p, small_room, small_grid, cfg.repair_config(),
-                              np.random.default_rng(0), cfg.m_max)
+        out = position_update(p, small_room, small_grid, cfg.eval_config(),
+                              np.random.default_rng(0))
         assert np.all(in_margin(out.xy, small_room))
 
     def test_spacing_restored(self, small_room, small_grid):
@@ -196,8 +196,8 @@ class TestPositionUpdate:
         p.velocity = np.zeros((p.placement.m, 2))
         p.velocity[0] = p.placement.xy[1] - p.placement.xy[0]  # collapse onto #1
         cfg = _desk_config()
-        out = position_update(p, small_room, small_grid, cfg.repair_config(),
-                              np.random.default_rng(0), cfg.m_max)
+        out = position_update(p, small_room, small_grid, cfg.eval_config(),
+                              np.random.default_rng(0))
         diff = out.xy[:, None, :] - out.xy[None, :, :]
         dist = np.sqrt((diff ** 2).sum(-1))
         iu = np.triu_indices(out.m, 1)

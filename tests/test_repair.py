@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from reflectopt import repair as repair_module
 from reflectopt.geom import Polygon, RoomModel, build_grid
 from reflectopt.mopso import PsoConfig
+from reflectopt.objectives import EvalConfig
 from reflectopt.placement import Placement, check_constraints, placement_masks, type_assignment
 from reflectopt.repair import (
-    RepairConfig,
     _coverage_regions,
     _rescue_jump,
     deficit_gravitation_step,
@@ -165,13 +166,20 @@ class TestRepair:
         rep = check_constraints(out, small_room, small_grid, masks, m_max=8, k_min=4, d_min=0.5)
         assert rep.feasible
 
-    def test_impossible_coverage_flagged(self, small_room, small_grid):
+    def test_impossible_coverage_flagged(self, small_room, small_grid, monkeypatch):
+        monkeypatch.setattr(repair_module, "_MAX_ITER", 20)
         pl = _pl([[2.0, 2.0]], z=small_room.z_l)  # one reflector, K_min=4
-        cfg = RepairConfig(max_iter=20)
-        out, feasible, iters = repair(pl, small_room, small_grid, cfg,
+        out, feasible, iters = repair(pl, small_room, small_grid,
                                       rng=np.random.default_rng(0))
         assert not feasible
-        assert iters == cfg.max_iter
+        assert iters == 20
+
+    def test_count_above_m_max_returned_at_once(self, small_room, small_grid):
+        # a clustered start that repair would fix, but 8 reflectors exceed m_max=7
+        rng = np.random.default_rng(1)
+        pl = _pl(rng.uniform(1.8, 2.2, size=(8, 2)), z=small_room.z_l)
+        out, feasible, iters = repair(pl, small_room, small_grid, EvalConfig(m_max=7), rng)
+        assert (out, feasible, iters) == (pl, False, 0)
 
     def test_deterministic_given_seed(self, small_room, small_grid):
         xy = np.full((6, 2), 2.0) + np.linspace(0, 0.01, 12).reshape(6, 2)
@@ -188,7 +196,7 @@ class TestRepair:
         xy = rng.uniform([6.0, 0.6], [9.4, 2.5], size=(12, 2))
         pl = Placement(xy=xy, types=type_assignment(12, 2), z=readme_l_room.z_l)
         out, feasible, iters = repair(pl, readme_l_room, build_grid(readme_l_room),
-                                      PsoConfig().repair_config(), rng)
+                                      PsoConfig().eval_config(), rng)
         assert (feasible, iters) == (True, 35)
         assert out.xy.tolist() == [
             [5.5, 7.4999995], [7.909191484749368, 4.007656931328147],
@@ -250,10 +258,11 @@ class TestRandomFeasible:
         b = random_feasible(small_room, 8, 2, np.random.default_rng(42), small_grid)
         assert a == b
 
-    def test_impossible_m_fails(self, small_room, small_grid):
-        cfg = RepairConfig(max_iter=15, restarts=2)
+    def test_impossible_m_fails(self, small_room, small_grid, monkeypatch):
+        monkeypatch.setattr(repair_module, "_MAX_ITER", 15)
+        monkeypatch.setattr(repair_module, "_RESTARTS", 2)
         with pytest.raises(RuntimeError):
-            random_feasible(small_room, 1, 1, np.random.default_rng(0), small_grid, cfg)
+            random_feasible(small_room, 1, 1, np.random.default_rng(0), small_grid)
 
     def test_m_below_k_min_fails_before_any_draw(self, small_room, small_grid):
         rng = np.random.default_rng(0)
@@ -284,11 +293,25 @@ class TestRandomFeasible:
         assert check_constraints(pl, readme_l_room, grid, masks, m_max=12, k_min=4,
                                  d_min=0.5).feasible
 
-    def test_restarts_run_out(self, small_room, small_grid):
+    def test_m_above_m_max_fails_before_any_draw_or_repair(self, small_room, small_grid,
+                                                           monkeypatch):
+        def no_repair(*args, **kwargs):
+            raise AssertionError("repair called for a size above m_max")
+
+        monkeypatch.setattr(repair_module, "repair", no_repair)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="9 reflectors: m_max=8"):
+            random_feasible(small_room, 9, 2, rng, small_grid, EvalConfig(m_max=8))
+        assert rng.bit_generator.state == state
+
+    def test_restarts_run_out(self, small_room, small_grid, monkeypatch):
         # d_min beyond the room diagonal: no placement of 4 can be spaced out.
-        cfg = RepairConfig(d_min=10.0, max_iter=5, restarts=2)
+        monkeypatch.setattr(repair_module, "_MAX_ITER", 5)
+        monkeypatch.setattr(repair_module, "_RESTARTS", 2)
         with pytest.raises(RuntimeError, match="after 2 restarts"):
-            random_feasible(small_room, 4, 2, np.random.default_rng(0), small_grid, cfg)
+            random_feasible(small_room, 4, 2, np.random.default_rng(0), small_grid,
+                            EvalConfig(d_min=10.0))
 
     def test_types_follow_equal_split(self, small_room, small_grid):
         pl = random_feasible(small_room, 7, 2, np.random.default_rng(5), small_grid)
