@@ -112,7 +112,13 @@ def motion_update(
 
 
 class FingerprintModel:
-    """Expected fingerprints per grid cell, grouped by type for matching."""
+    """Expected fingerprints per grid cell, as arrays for matching by type.
+
+    ``bins`` (n_elements, n) holds each cell's expected distance bins sorted
+    by (type, bin), so its first ``n_type0`` entries are the type-0 group and
+    the rest the type-1 group. ``valid`` is false in coverage holes, where
+    fewer than n reflectors are visible.
+    """
 
     def __init__(self, pl: Placement, masks: np.ndarray, grid: Grid, room: RoomModel,
                  n: int, sigma_r: float | None = None):
@@ -122,23 +128,10 @@ class FingerprintModel:
         self.sigma_r = room.r_res if sigma_r is None else sigma_r
         order, dsel = nearest_visible(pl, masks, grid, n)
         self.valid = np.all(np.isfinite(dsel), axis=1)
-        bins = np.where(np.isfinite(dsel), dsel, 0.0)
-        bins = distance_bins(bins, room.r_res)
+        bins = distance_bins(np.where(np.isfinite(dsel), dsel, 0.0), room.r_res)
         types = pl.types[order]
-        # per cell: sorted bins of each type
-        self._groups: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = []
-        for i in range(len(grid)):
-            if not self.valid[i]:
-                self._groups.append(None)
-                continue
-            b, t = bins[i], types[i]
-            self._groups.append((
-                tuple(sorted(int(x) for x in b[t == 0])),
-                tuple(sorted(int(x) for x in b[t == 1])),
-            ))
-
-    def expected_groups(self, cell: int):
-        return self._groups[cell]
+        self.bins = np.take_along_axis(bins, np.lexsort((bins, types), axis=1), axis=1)
+        self.n_type0 = np.sum(types == 0, axis=1)
 
 
 def _match_cost_sq(meas: tuple[int, ...], expect: tuple[int, ...]) -> tuple[float, int]:
@@ -185,27 +178,64 @@ def measurement_likelihood(
     """
     if model is None:
         model = FingerprintModel(pl, masks, grid, room, config.n, config.sigma_r)
-    cell = int(grid.nearest_element(np.array([[pose.x, pose.y]]))[0])
-    return _likelihood_at_cell(cell, meas, model)
+    cell = grid.nearest_element(np.array([[pose.x, pose.y]]))
+    return float(_cell_likelihoods(cell, meas, model)[0])
 
 
-def _likelihood_at_cell(cell: int, meas: Measurement, model: FingerprintModel) -> float:
-    groups = model.expected_groups(cell)
-    if groups is None:
-        return _WEIGHT_FLOOR
+def _match_cost_sq_rows(meas: tuple[int, ...], expect: np.ndarray) -> tuple[np.ndarray, int]:
+    """``_match_cost_sq`` of one sorted bin tuple against every row of ``expect``.
+
+    ``expect`` is (K, e) with sorted rows. Runs the same lexicographic
+    (sum |d|, sum d^2) monotone-matching recursion on int64 columns and
+    returns (sum of squared matched differences per row, unmatched count).
+    """
+    meas_rows = np.broadcast_to(np.array(meas, dtype=np.int64), (len(expect), len(meas)))
+    a, b = (meas_rows, expect) if len(meas) <= expect.shape[1] else (expect, meas_rows)
+    p, q = a.shape[1], b.shape[1]
+    zero = np.zeros(len(expect), dtype=np.int64)
+    prev = [(zero, zero)] * (q + 1)  # zero a-entries matched
+    for i in range(1, p + 1):
+        cur = [None] * (q + 1)
+        for j in range(i, q + 1):
+            d = np.abs(a[:, i - 1] - b[:, j - 1])
+            take_abs, take_sq = prev[j - 1][0] + d, prev[j - 1][1] + d * d
+            if j > i:
+                skip_abs, skip_sq = cur[j - 1]
+                take = (take_abs < skip_abs) | ((take_abs == skip_abs) & (take_sq < skip_sq))
+                take_abs = np.where(take, take_abs, skip_abs)
+                take_sq = np.where(take, take_sq, skip_sq)
+            cur[j] = (take_abs, take_sq)
+        prev = cur
+    return prev[q][1], q - p
+
+
+def _cell_likelihoods(cells: np.ndarray, meas: Measurement,
+                      model: FingerprintModel) -> np.ndarray:
+    """Measurement weight at each of the given grid cells.
+
+    Cells are matched in groups of equal type-0 count, so that every group
+    shares its type-group sizes; the weight is computed once per distinct
+    squared total of a group.
+    """
     meas_groups = (
         tuple(sorted(b for b, t in meas.entries if t == 0)),
         tuple(sorted(b for b, t in meas.entries if t == 1)),
     )
-    sq_sum = 0.0
-    unmatched = 0
-    for mg, eg in zip(meas_groups, groups):
-        s, u = _match_cost_sq(mg, eg)
-        sq_sum += s
-        unmatched += u
     scale = (model.r_res / model.sigma_r) ** 2
-    weight = math.exp(-0.5 * scale * sq_sum) * _MISMATCH_FACTOR**unmatched
-    return max(weight, _WEIGHT_FLOOR)
+    like = np.full(len(cells), _WEIGHT_FLOOR)
+    rows = np.flatnonzero(model.valid[cells])
+    n_type0 = model.n_type0[cells[rows]]
+    for k in np.unique(n_type0):
+        group = rows[n_type0 == k]
+        expect = model.bins[cells[group]]
+        sq0, unmatched0 = _match_cost_sq_rows(meas_groups[0], expect[:, :k])
+        sq1, unmatched1 = _match_cost_sq_rows(meas_groups[1], expect[:, k:])
+        mismatch = _MISMATCH_FACTOR ** (unmatched0 + unmatched1)
+        sq_values, inverse = np.unique(sq0 + sq1, return_inverse=True)
+        weights = [max(math.exp(-0.5 * scale * float(sq)) * mismatch, _WEIGHT_FLOOR)
+                   for sq in sq_values]
+        like[group] = np.array(weights)[inverse]
+    return like
 
 
 def resample(particles: ParticleSet, rng: np.random.Generator) -> ParticleSet:
@@ -257,9 +287,7 @@ def _weight_update(particles: ParticleSet, meas: Measurement,
                    model: FingerprintModel) -> ParticleSet:
     cells = model.grid.nearest_element(particles.positions)
     unique_cells, inverse = np.unique(cells, return_inverse=True)
-    like = np.array([
-        _likelihood_at_cell(int(c), meas, model) for c in unique_cells
-    ])
+    like = _cell_likelihoods(unique_cells, meas, model)
     weights = particles.weights * like[inverse]
     total = weights.sum()
     if total <= 0:

@@ -219,9 +219,14 @@ def load_placement(path, room: RoomModel | None = None) -> tuple[Placement, int]
                           f"{room.z_l!r}")
     if len(rows) != m:
         raise ConfigError(f"placement declares m={m} but has {len(rows)} rows")
-    order = sorted(range(m), key=lambda k: int(rows[k][0]))
-    xy = np.array([[float(rows[k][1]), float(rows[k][2])] for k in order])
-    types = np.array([int(rows[k][3]) for k in order])
+    try:
+        order = sorted(range(m), key=lambda k: int(rows[k][0]))
+        xy = np.array([[float(rows[k][1]), float(rows[k][2])] for k in order])
+        types = np.array([int(rows[k][3]) for k in order])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad placement row: {exc}") from exc
+    if not np.all(np.isfinite(xy)):
+        raise ConfigError(f"{path}: placement x and y must be finite")
     try:
         return Placement(xy=xy, types=types, z=z_l), n_types
     except ValueError as exc:

@@ -23,6 +23,8 @@ from scipy.spatial import cKDTree
 
 # Perpendicular tolerance for "point on edge" tests (meters).
 _EDGE_TOL = 1e-9
+# Relative distance from a lattice cell edge within which nearest_element asks the KD-tree.
+_CELL_TOL = 1e-9
 # Angular offset of the auxiliary rays cast on both sides of every vertex ray.
 _RAY_EPS = 1e-4
 # The margin projection lands within _PROJECT_TOL (m) of the margin contour.
@@ -288,9 +290,34 @@ class Grid:
         return self._separated[radius]
 
     def nearest_element(self, points) -> np.ndarray:
-        """Index of the grid element whose center is closest to each point."""
+        """Index of the grid element whose center is closest to each point.
+
+        The lattice cells are the Voronoi cells of the lattice centers, and
+        the grid centers are a subset of those, so a point more than a
+        relative _CELL_TOL inside a cell that holds a grid element has that
+        element as its unique nearest center: a floor division finds it.
+        Every other point (on or near a cell edge, in a cell whose center
+        lies outside the room, off the lattice) goes to the KD-tree, which
+        then decides ties as it always does. A single point goes to the
+        KD-tree at once, which costs less than the arithmetic.
+        """
         pts = _as_points(points)
-        return self.kdtree().query(pts)[1]
+        if len(pts) == 1:
+            return self.kdtree().query(pts)[1]
+        ny, nx = self.cell_index.shape
+        x = (pts[:, 0] - self.x0) / self.size
+        y = (pts[:, 1] - self.y0) / self.size
+        # Clamped onto the lattice (fmax sends NaN to 0); a clamped point
+        # then lies outside its cell and fails the test below.
+        col = np.fmin(np.fmax(np.floor(x), 0.0), nx - 1)
+        row = np.fmin(np.fmax(np.floor(y), 0.0), ny - 1)
+        found = self.cell_index.ravel()[(row * nx + col).astype(np.intp)]
+        ok = ((found >= 0) & (np.abs(x - col - 0.5) < 0.5 - _CELL_TOL)
+              & (np.abs(y - row - 0.5) < 0.5 - _CELL_TOL))
+        if not ok.all():
+            rest = np.flatnonzero(~ok)
+            found[rest] = self.kdtree().query(pts[rest])[1]
+        return found
 
     def element_at(self, point) -> int:
         """Element index of the lattice cell containing ``point``, -1 if none."""
@@ -470,16 +497,19 @@ def _contains_points_raw(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.nd
     with np.errstate(divide="ignore", invalid="ignore"):
         x_int = ax + (py - ay) * (bx - ax) / (by - ay)
     inside = (np.sum(cond & (px < x_int), axis=1) % 2) == 1
-
-    ex, ey = bx - ax, by - ay
-    elen2 = ex * ex + ey * ey
-    dx = px - ax
-    dy = py - ay
-    cross = dx * ey - dy * ex
-    dot = dx * ex + dy * ey
-    on_line = np.abs(cross) <= _EDGE_TOL * np.maximum(np.sqrt(elen2), 1.0)
-    within = (dot >= -_EDGE_TOL) & (dot <= elen2 + _EDGE_TOL)
-    return inside | np.any(on_line & within, axis=1)
+    # The on-edge test only where the parity test says outside.
+    out = np.flatnonzero(~inside)
+    if out.size:
+        ex, ey = bx - ax, by - ay
+        elen2 = ex * ex + ey * ey
+        dx = px[out] - ax
+        dy = py[out] - ay
+        cross = dx * ey - dy * ex
+        dot = dx * ex + dy * ey
+        on_line = np.abs(cross) <= _EDGE_TOL * np.maximum(np.sqrt(elen2), 1.0)
+        within = (dot >= -_EDGE_TOL) & (dot <= elen2 + _EDGE_TOL)
+        inside[out] = np.any(on_line & within, axis=1)
+    return inside
 
 
 def in_margin(points, room: RoomModel) -> np.ndarray:

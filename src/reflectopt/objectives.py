@@ -49,8 +49,8 @@ class EvalConfig:
             raise ValueError("k_min must be at least 4: the GDOP needs 4 visible reflectors")
         if self.n > self.k_min:
             raise ValueError("fingerprint size n must not exceed k_min")
-        if not np.isfinite(self.d_min):
-            raise ValueError("d_min must be finite")
+        if not (np.isfinite(self.d_min) and self.d_min >= 0):
+            raise ValueError("d_min must be finite and non-negative")
 
 
 def distance_bins(distances: np.ndarray, r_res: float) -> np.ndarray:

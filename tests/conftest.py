@@ -31,6 +31,30 @@ L_ROOM_PLACEMENT_XY = (
     (9.025024080411635, 6.550997042110559),
 )
 
+# A second feasible placement of the README L room: 20 reflectors, same constraints.
+L_ROOM_PLACEMENT_B_XY = (
+    (1.2827492919224124, 1.191239870613936),
+    (2.276883907303944, 1.3941157147498715),
+    (3.0874525366501335, 0.9315958739797652),
+    (4.395278032771096, 1.5346012172853087),
+    (5.814960147058387, 1.528540904502933),
+    (7.212409110584854, 0.9927526036558694),
+    (8.821300530656396, 1.3984813972102235),
+    (0.6830952083513718, 2.374414035168215),
+    (3.271201708626215, 2.3006758533183165),
+    (5.289443324355969, 2.347900554249049),
+    (7.413303159538595, 2.512818700528264),
+    (9.415448654839768, 2.597548696530615),
+    (6.486893261363831, 3.746216018280772),
+    (7.902875281032264, 3.6187215454184174),
+    (8.75058490704643, 3.822749138204533),
+    (5.8263876670497545, 5.587255127763742),
+    (7.865610220256927, 4.845305434141546),
+    (9.27351881052856, 5.134931652330625),
+    (7.168638534983564, 6.08754935110839),
+    (9.394568288236265, 6.079713137028732),
+)
+
 
 @pytest.fixture(scope="session")
 def unit_square():
@@ -51,6 +75,15 @@ def readme_l_room(l_room_poly):
 
 
 @pytest.fixture(scope="session")
+def u_room():
+    # 10 x 8 rectangle minus a 4 x 5 slot from the top: three inner walls.
+    return RoomModel(boundary=Polygon([(0, 0), (10, 0), (10, 8), (7, 8), (7, 3), (3, 3),
+                                       (3, 8), (0, 8)]),
+                     grid_size=0.2, z_r=0.5, z_l=5.0, r_res=0.075,
+                     cone_half_angle=np.deg2rad(45.0), wall_margin=0.5)
+
+
+@pytest.fixture(scope="session")
 def small_room():
     # 4 x 4 m test room with a wide cone: radius (4.5-0.5)*tan(60 deg) ~ 6.9 m.
     return RoomModel(
@@ -67,6 +100,12 @@ def small_room():
 @pytest.fixture(scope="session")
 def small_grid(small_room):
     return build_grid(small_room)
+
+
+@pytest.fixture(params=["square", "L", "U"])
+def oracle_room(request, small_room, readme_l_room, u_room):
+    """The 4 x 4 room, the README L room and the U room, one per test run."""
+    return {"square": small_room, "L": readme_l_room, "U": u_room}[request.param]
 
 
 def segment_visible(q_xy, pts, poly) -> np.ndarray:

@@ -10,7 +10,9 @@ from reflectopt.amcl import (
     OdometryInput,
     ParticleSet,
     Pose,
+    _MISMATCH_FACTOR,
     _WEIGHT_FLOOR,
+    _cell_likelihoods,
     _match_cost_sq,
     estimate,
     init_particles,
@@ -20,9 +22,10 @@ from reflectopt.amcl import (
     track,
     wrap_angle,
 )
-from reflectopt.objectives import fingerprint
+from reflectopt.geom import build_grid
+from reflectopt.objectives import CoverageError, fingerprint
 from reflectopt.placement import Placement, placement_masks, type_assignment
-from reflectopt.repair import random_feasible
+from reflectopt.repair import random_feasible, sample_in_margin
 
 
 class TestWrapAngle:
@@ -193,6 +196,66 @@ class TestMeasurementLikelihood:
         w = measurement_likelihood(Pose(2.0, 2.0, 0.0), meas, pl, masks,
                                    small_grid, cfg, small_room)
         assert w == _WEIGHT_FLOOR
+
+
+def _pairwise_likelihood(meas, expected, scale):
+    """Weight of a measurement against one cell's expected entries (None: coverage hole)."""
+    if expected is None:
+        return _WEIGHT_FLOOR
+    sq_sum, unmatched = 0.0, 0
+    for t in (0, 1):
+        s, u = _match_cost_sq(tuple(sorted(b for b, ty in meas.entries if ty == t)),
+                              tuple(sorted(b for b, ty in expected if ty == t)))
+        sq_sum += s
+        unmatched += u
+    return max(math.exp(-0.5 * scale * sq_sum) * _MISMATCH_FACTOR**unmatched, _WEIGHT_FLOOR)
+
+
+class TestCellLikelihoods:
+    @pytest.mark.parametrize("sigma_factor", [1.0, 1.7])
+    def test_matches_pairwise_matching(self, oracle_room, sigma_factor):
+        room = oracle_room
+        grid = build_grid(room)
+        rng = np.random.default_rng(43)
+        m, n = 10, 4
+        xy = sample_in_margin(room, m, rng)
+        # type 0 on the left, type 1 on the right: cells near the side walls
+        # expect one type only
+        pl = Placement(xy=xy, types=xy[:, 0] > np.median(xy[:, 0]), z=room.z_l)
+        # knocked-out mask entries leave coverage holes in every room
+        masks = placement_masks(pl, grid, room) & (rng.random((m, len(grid))) < 0.7)
+        sigma_r = sigma_factor * room.r_res
+        model = FingerprintModel(pl, masks, grid, room, n, sigma_r)
+        expected = []
+        for c in grid.centers:
+            try:
+                expected.append(fingerprint(c, pl, masks, grid, n, room.r_res).entries)
+            except CoverageError:
+                expected.append(None)
+        assert np.array_equal(model.valid, [e is not None for e in expected])
+        assert 0 < model.valid.sum() < len(grid)
+        assert {0, n} <= set(model.n_type0[model.valid].tolist())  # empty type groups
+        cells = np.arange(len(grid))
+        valid_cells = np.flatnonzero(model.valid)
+        seen = set()
+        for trial in range(8):
+            size = [n, n, n, n, 2, 3, 5, 1][trial]
+            base = expected[int(rng.choice(valid_cells))]
+            bins = [b for b, _ in base] * 2
+            bins = np.array(bins[:size]) + rng.integers(-2, 3, size)
+            types = [rng.integers(0, 2, size), np.zeros(size, int), np.ones(size, int)][trial % 3]
+            meas = Measurement(entries=tuple(sorted(zip(bins.tolist(), types.tolist()))))
+            got = _cell_likelihoods(cells, meas, model)
+            want = [_pairwise_likelihood(meas, e, (1.0 / sigma_factor) ** 2) for e in expected]
+            assert got.tolist() == want
+            seen.update(want)
+            # the one-cell path of measurement_likelihood
+            for cell in rng.choice(cells, 5):
+                c = grid.centers[cell]
+                assert measurement_likelihood(
+                    Pose(c[0], c[1], 0.0), meas, pl, masks, grid, AmclConfig(n=n, sigma_r=sigma_r),
+                    room, model=model) == want[cell]
+        assert len(seen) > 20
 
 
 class TestFingerprintModel:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -14,7 +15,7 @@ from reflectopt.mopso import PsoConfig
 from reflectopt.objectives import EvalConfig, evaluate
 from reflectopt.placement import Placement, placement_masks, type_assignment
 from reflectopt.repair import random_feasible
-from conftest import L_ROOM_PLACEMENT_XY
+from conftest import L_ROOM_PLACEMENT_B_XY, L_ROOM_PLACEMENT_XY
 
 ROOM_SECTION = """\
 [room]
@@ -231,6 +232,27 @@ class TestMapCsv:
             assert path.read_text() == per_element_map_csv(grid, values, header)
 
 
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("row, message", [
+    ("0 nan 1.13 0", "placement x and y must be finite"),
+    ("0 abc 1.13 0", "bad placement row: could not convert string to float: 'abc'"),
+], ids=["nan", "not_a_number"])
+def test_bad_placement_coordinate_exit_2(tmp_path, capsys, command, row, message):
+    pfile = tmp_path / "bad.txt"
+    files.write_placement(pfile, Placement(xy=L_ROOM_PLACEMENT_XY,
+                                           types=type_assignment(22, 2), z=5.0), 2)
+    first = f"0 {L_ROOM_PLACEMENT_XY[0][0]!r} {L_ROOM_PLACEMENT_XY[0][1]!r} 0\n"
+    assert pfile.read_text().count(first) == 1
+    pfile.write_text(pfile.read_text().replace(first, row + "\n"))
+    cfg = tmp_path / "l_room.cfg"
+    cfg.write_text(L_ROOM_SECTION + "\n" + SIM_SECTION)
+    code = main([command, "--config", str(cfg), "--placement", str(pfile),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {pfile}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 class TestOptimizeCommand:
     def test_smoke_run_produces_front(self, cfg_file, tmp_path):
         out = tmp_path / "out"
@@ -291,15 +313,16 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("command, keys, message", [
         ("optimize", "k_min = 3\nfingerprint_size = 3\n", "k_min must be at least 4"),
         ("evaluate", "k_min = 3\nfingerprint_size = 3\n", "k_min must be at least 4"),
-        # a NaN d_min would switch the spacing check off; a NaN v_max would
-        # reach the margin projection
-        ("optimize", "d_min = nan\n", "d_min must be finite"),
-        ("evaluate", "d_min = nan\n", "d_min must be finite"),
+        # a NaN or negative d_min would switch the spacing check off; a NaN
+        # v_max would reach the margin projection
+        ("optimize", "d_min = nan\n", "d_min must be finite and non-negative"),
+        ("evaluate", "d_min = nan\n", "d_min must be finite and non-negative"),
+        ("optimize", "d_min = -1.0\n", "d_min must be finite and non-negative"),
         ("optimize", "v_max = nan\n", "v_max must be finite and positive"),
         # a negative v_max would clip every velocity coordinate to v_max itself
         ("optimize", "v_max = -1.0\n", "v_max must be finite and positive"),
     ], ids=["optimize", "evaluate", "d_min_nan-optimize", "d_min_nan-evaluate",
-            "v_max_nan-optimize", "v_max_negative-optimize"])
+            "d_min_negative-optimize", "v_max_nan-optimize", "v_max_negative-optimize"])
     def test_k_min_below_four_exit_2(self, feasible_placement_file, tmp_path, capsys, command,
                                      keys, message):
         # the GDOP needs 4 visible reflectors at every element
@@ -556,6 +579,40 @@ class TestSimulateCommand:
                      "--placement", str(feasible_placement_file),
                      "--out-dir", str(tmp_path / "o")])
         assert code == 0
+
+    def test_seeded_l_room_compare_is_unchanged(self, tmp_path):
+        # README L room and path, default 2000 particles, one noise seed; the
+        # compare track diverges, so the filter also weighs widely spread particles
+        for label, xy in (("a", L_ROOM_PLACEMENT_XY), ("b", L_ROOM_PLACEMENT_B_XY)):
+            files.write_placement(tmp_path / f"{label}.txt", Placement(
+                xy=xy, types=type_assignment(len(xy), 2), z=5.0), 2)
+        cfg = tmp_path / "l_room.cfg"
+        cfg.write_text(L_ROOM_SECTION + "\n[sim]\nseeds = 7\n\n[path]\n"
+                       "1.0 1.0\n9.0 1.0\n9.0 7.0\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--placement", str(tmp_path / "a.txt"),
+                     "--compare", str(tmp_path / "b.txt"), "--out-dir", str(out)]) == 0
+        report = (out / "report.txt").read_text().replace(str(tmp_path), "<dir>")
+        runs = ("runs = 1\nburn_in_steps = 20\nsteps_per_run = 71\n\n"
+                "seed rmse_full rmse_after_burn_in\n")
+        assert report == (
+            "tracking report: placement (<dir>/a.txt)\n" + runs
+            + "7 1.4351688004328471 1.6734227358641998\n\n"
+            "median_rmse = 1.6734227358641998\np25_rmse = 1.6734227358641998\n"
+            "p75_rmse = 1.6734227358641998\n\n"
+            "tracking report: compare (<dir>/b.txt)\n" + runs
+            + "7 5.116569848813102 5.056723129277624\n\n"
+            "median_rmse = 5.056723129277624\np25_rmse = 5.056723129277624\n"
+            "p75_rmse = 5.056723129277624\n\n"
+            "paired comparison (matched seeds)\n"
+            "median_rmse_placement = 1.6734227358641998\n"
+            "median_rmse_compare = 5.056723129277624\nwinner = placement\n")
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            if path.name != "report.txt":  # traces and histograms
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "46b9f342bc8f0d9dca36de8736d3e680038dcaa709294e726d1e18d657502100")
 
     def test_compare_mode(self, cfg_file, feasible_placement_file, tmp_path, small_room, small_grid):
         pl2 = random_feasible(small_room, 8, 2, np.random.default_rng(23), small_grid)

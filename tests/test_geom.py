@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from reflectopt.geom import (
+    _EDGE_TOL,
     Grid,
     Polygon,
     RoomModel,
@@ -107,6 +109,90 @@ class TestBuildGrid:
         raster = small_grid.rasterize(vals, fill=-1)
         back = raster[small_grid.ij[:, 1], small_grid.ij[:, 0]]
         assert np.array_equal(back, vals)
+
+
+def _two_term_contains(poly, pts):
+    """Parity test OR on-edge test, both over every point and edge."""
+    a = poly.vertices
+    b = np.roll(a, -1, axis=0)
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    px, py = pts[:, 0:1], pts[:, 1:2]
+    cond = (ay > py) != (by > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_int = ax + (py - ay) * (bx - ax) / (by - ay)
+    inside = (np.sum(cond & (px < x_int), axis=1) % 2) == 1
+    ex, ey = bx - ax, by - ay
+    elen2 = ex * ex + ey * ey
+    cross = (px - ax) * ey - (py - ay) * ex
+    dot = (px - ax) * ex + (py - ay) * ey
+    on_line = np.abs(cross) <= _EDGE_TOL * np.maximum(np.sqrt(elen2), 1.0)
+    within = (dot >= -_EDGE_TOL) & (dot <= elen2 + _EDGE_TOL)
+    return inside, np.any(on_line & within, axis=1)
+
+
+class TestContainsPoints:
+    def test_matches_two_term_formula(self, oracle_room):
+        poly = oracle_room.boundary
+        a = poly.vertices
+        e = np.roll(a, -1, axis=0) - a
+        normal = np.column_stack([-e[:, 1], e[:, 0]]) / np.linalg.norm(e, axis=1)[:, None]
+        t = np.linspace(0.0, 1.0, 41)
+        on_edges = a[:, None, :] + t[None, :, None] * e[:, None, :]
+        offsets = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * _EDGE_TOL
+        near = on_edges[:, :, None, :] + offsets[:, None] * normal[:, None, None, :]
+        xmin, ymin, xmax, ymax = poly.bounds
+        rand = np.random.default_rng(3).uniform([xmin - 1, ymin - 1], [xmax + 1, ymax + 1],
+                                                (2000, 2))
+        pts = np.concatenate([near.reshape(-1, 2), a, rand])
+        parity, on_edge = _two_term_contains(poly, pts)
+        assert np.array_equal(poly.contains_points(pts), parity | on_edge)
+        # both terms decide some points
+        assert (on_edge & ~parity).any() and (parity & ~on_edge).any()
+
+
+class TestNearestElement:
+    def test_matches_kdtree(self, oracle_room):
+        grid = build_grid(oracle_room)
+        ny, nx = grid.shape
+        g = grid.size
+        cols = grid.x0 + np.arange(-2, nx + 3) * g
+        rows = grid.y0 + np.arange(-2, ny + 3) * g
+        rng = np.random.default_rng(29)
+        n = 3000
+        lo = np.array([grid.x0, grid.y0]) - 2 * g
+        hi = np.array([grid.x0 + nx * g, grid.y0 + ny * g]) + 2 * g
+        rand = rng.uniform(lo, hi, (n, 2))
+        vertices = np.stack(np.meshgrid(cols, rows), axis=-1).reshape(-1, 2)
+        on_cols = np.column_stack([rng.choice(cols, n), rand[:, 1]])
+        on_rows = np.column_stack([rand[:, 0], rng.choice(rows, n)])
+        # within and just beyond the lattice tolerance of an edge
+        eps = rng.choice(np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * 1e-9 * g, n)
+        near_cols = on_cols + np.column_stack([eps, np.zeros(n)])
+        near_rows = on_rows + np.column_stack([np.zeros(n), eps])
+        # one ulp off an edge, where rounding decides the side
+        ulp_cols = np.column_stack([np.nextafter(on_cols[:, 0], rng.choice([-1e9, 1e9], n)),
+                                    rand[:, 1]])
+        ulp_rows = np.column_stack([rand[:, 0],
+                                    np.nextafter(on_rows[:, 1], rng.choice([-1e9, 1e9], n))])
+        walls = oracle_room.boundary.nearest_boundary_points(rand)
+        far = rng.uniform(lo - 10.0, hi + 10.0, (n, 2))
+        pts = np.concatenate([rand, vertices, on_cols, on_rows, near_cols, near_rows, ulp_cols,
+                              ulp_rows, walls, far])
+        expected = cKDTree(grid.xy).query(pts)[1]
+        assert np.array_equal(grid.nearest_element(pts), expected)
+        for i in range(0, len(pts), 101):
+            assert grid.nearest_element(pts[i]).tolist() == [expected[i]]
+
+    def test_cell_interiors_need_no_kdtree(self, oracle_room, monkeypatch):
+        grid = build_grid(oracle_room)
+        offsets = np.random.default_rng(5).uniform(-0.49, 0.49, (len(grid), 2)) * grid.size
+        expected = cKDTree(grid.xy).query(grid.xy + offsets)[1]
+
+        def no_kdtree(self):
+            raise AssertionError("KD-tree asked for a point inside a grid cell")
+
+        monkeypatch.setattr(Grid, "kdtree", no_kdtree)
+        assert np.array_equal(grid.nearest_element(grid.xy + offsets), expected)
 
 
 class TestVisibilityPolygon:

@@ -259,10 +259,24 @@ class TestRandomFeasible:
         assert a == b
 
     def test_impossible_m_fails(self, small_room, small_grid, monkeypatch):
+        # m = 4 meets the coverage floor of the 4 x 4 room, but no 4 points of
+        # its 3 x 3 m margin square lie pairwise 3.5 m apart: every repair
+        # runs out of iterations and every restart fails
         monkeypatch.setattr(repair_module, "_MAX_ITER", 15)
         monkeypatch.setattr(repair_module, "_RESTARTS", 2)
-        with pytest.raises(RuntimeError):
-            random_feasible(small_room, 1, 1, np.random.default_rng(0), small_grid)
+        outcomes = []
+        original = repair_module.repair
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            outcomes.append(result[1:])
+            return result
+
+        monkeypatch.setattr(repair_module, "repair", counted)
+        with pytest.raises(RuntimeError, match="after 2 restarts"):
+            random_feasible(small_room, 4, 2, np.random.default_rng(0), small_grid,
+                            EvalConfig(d_min=3.5))
+        assert outcomes == [(False, 15), (False, 15)]
 
     def test_m_below_k_min_fails_before_any_draw(self, small_room, small_grid):
         rng = np.random.default_rng(0)
