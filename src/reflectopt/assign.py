@@ -11,7 +11,6 @@ types are in use.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .placement import Placement
 
@@ -30,6 +29,8 @@ def hungarian(cost) -> np.ndarray:
         raise ValueError("cost matrix needs at least as many columns as rows")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
+    from scipy.optimize import linear_sum_assignment  # start-up cost that evaluate never pays
+
     return linear_sum_assignment(cost)[1]
 
 

@@ -165,9 +165,14 @@ def sim_configs_from_config(
     amcl_cfg = AmclConfig(sigma_d=noise_cfg.sigma_d, sigma_theta=noise_cfg.sigma_theta,
                           **_present(sec, _AMCL_KEYS))
     if seed is not None:
-        seeds = [seed + i for i in range(_get(sec, "n_seeds", int, 1))]
+        n_seeds = _get(sec, "n_seeds", int, 1)
+        if n_seeds < 1:
+            raise ConfigError("n_seeds must be at least 1")
+        seeds = [seed + i for i in range(n_seeds)]
     else:
         seeds = _get(sec, "seeds", _seed_list, [0])
+    if min(seeds) < 0:
+        raise ConfigError("seeds must be non-negative")
     burn_in = _get(sec, "burn_in", int, BURN_IN)
     return path_cfg, noise_cfg, amcl_cfg, seeds, burn_in
 

@@ -17,9 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Perpendicular tolerance for "point on edge" tests (meters).
 _EDGE_TOL = 1e-9
@@ -255,6 +258,8 @@ class Grid:
 
     def kdtree(self) -> cKDTree:
         if self._kdtree is None:
+            from scipy.spatial import cKDTree  # start-up cost that evaluate never pays
+
             object.__setattr__(self, "_kdtree", cKDTree(self.centers[:, :2]))
         return self._kdtree
 

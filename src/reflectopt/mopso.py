@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .assign import align_leader
 from .geom import Grid, RoomModel, build_grid
@@ -158,6 +157,12 @@ class PsoConfig:
     snapshot_every: int = 10
 
     def __post_init__(self):
+        if self.swarm_size < 1:
+            raise ValueError("swarm_size must be at least 1")
+        if self.iterations < 0:
+            raise ValueError("iterations must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for lo, hi in (self.w_range, self.c1_range, self.c2_range):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError("parameter ranges must be finite and non-empty")
@@ -277,6 +282,8 @@ def downmutate(
     masks = placement_masks(pl, grid, room, strict=False)
     counts = masks.sum(axis=0)
     attain = counts == counts.max()
+    from scipy import ndimage  # start-up cost that evaluate never pays
+
     raster = grid.rasterize(attain.astype(np.int8), fill=0)
     labels, n_regions = ndimage.label(raster)
     if n_regions == 0:

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .geom import Grid, RoomModel
 from .placement import Placement, check_constraints, visible_reflectors
@@ -189,17 +187,34 @@ def _unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _same_value_components(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """4-connected components of grid elements holding equal values."""
+    """4-connected components of grid elements holding equal values.
+
+    Returns each element's component root, the lowest element index in its
+    component. Hooking plus pointer jumping over the same-value lattice
+    edges: every root hooks onto the lowest root across its edges, then each
+    element follows its parent pointers to a root; the rounds repeat until
+    no edge joins two roots.
+    """
     raster = grid.rasterize(values.astype(np.int64) + 1, fill=0)  # 0 = no element
     idx = grid.cell_index
     same_h = (raster[:, :-1] == raster[:, 1:]) & (raster[:, :-1] > 0)
     same_v = (raster[:-1, :] == raster[1:, :]) & (raster[:-1, :] > 0)
-    row = np.concatenate([idx[:, :-1][same_h], idx[:-1, :][same_v]])
-    col = np.concatenate([idx[:, 1:][same_h], idx[1:, :][same_v]])
-    n = len(grid)
-    adj = coo_matrix((np.ones(len(row), dtype=np.int8), (row, col)), shape=(n, n))
-    _, labels = connected_components(adj, directed=False)
-    return labels
+    a = np.concatenate([idx[:, :-1][same_h], idx[:-1, :][same_v]])
+    b = np.concatenate([idx[:, 1:][same_h], idx[1:, :][same_v]])
+    parent = np.arange(len(grid))
+    while True:
+        ra, rb = parent[a], parent[b]
+        differ = ra != rb
+        if not differ.any():
+            return parent
+        # an edge within one tree stays there
+        a, b, ra, rb = a[differ], b[differ], ra[differ], rb[differ]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 def gdop(p_r, visible: list, sigma_r: float) -> float:

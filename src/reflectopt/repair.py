@@ -17,7 +17,6 @@ already covered, so on tight configurations the holes only move around.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .geom import Grid, RoomModel, in_margin, project_into_margin
 from .objectives import EvalConfig
@@ -82,6 +81,8 @@ def _coverage_regions(grid: Grid, masks: np.ndarray, k_min: int):
     violated = counts < k_min
     if not violated.any():
         return counts, []
+    from scipy import ndimage  # start-up cost that evaluate never pays
+
     raster = grid.rasterize(violated.astype(np.int8), fill=0)
     labels, n_regions = ndimage.label(raster)  # default structure = 4-connectivity
     element_labels = labels[grid.ij[:, 1], grid.ij[:, 0]]

@@ -1,11 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reflectopt
 from reflectopt import files
 from reflectopt.amcl import AmclConfig
 from reflectopt.cli import main
@@ -253,6 +257,36 @@ def test_bad_placement_coordinate_exit_2(tmp_path, capsys, command, row, message
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flags, old, new, message", [
+    ("optimize", ["--particles", "0"], None, None, "swarm_size must be at least 1"),
+    ("optimize", ["--particles", "-1"], None, None, "swarm_size must be at least 1"),
+    ("optimize", [], "swarm_size = 5", "swarm_size = 0", "swarm_size must be at least 1"),
+    ("optimize", ["--iterations", "-1"], None, None, "iterations must be non-negative"),
+    ("optimize", [], "iterations = 2", "iterations = -1", "iterations must be non-negative"),
+    ("optimize", ["--seed", "-1"], None, None, "seed must be non-negative"),
+    ("optimize", [], "seed = 12", "seed = -1", "seed must be non-negative"),
+    ("simulate", ["--seed", "-1"], None, None, "seeds must be non-negative"),
+    ("simulate", [], "seeds = 1 2", "seeds = 1 -2", "seeds must be non-negative"),
+    ("simulate", ["--seed", "3"], "seeds = 1 2", "n_seeds = 0", "n_seeds must be at least 1"),
+], ids=["particles_zero", "particles_negative", "swarm_size_key", "iterations_negative",
+        "iterations_key", "optimize_seed_negative", "optimize_seed_key",
+        "simulate_seed_negative", "simulate_seeds_key", "simulate_n_seeds_zero"])
+def test_bad_size_or_seed_exit_2(feasible_placement_file, tmp_path, capsys, command, flags,
+                                  old, new, message):
+    section = PSO_SECTION if command == "optimize" else SIM_SECTION
+    if old is not None:
+        assert section.count(old + "\n") == 1
+        section = section.replace(old + "\n", new + "\n")
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(ROOM_SECTION + "\n" + section)
+    argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")] + flags
+    if command == "simulate":
+        argv += ["--placement", str(feasible_placement_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 class TestOptimizeCommand:
     def test_smoke_run_produces_front(self, cfg_file, tmp_path):
         out = tmp_path / "out"
@@ -458,6 +492,61 @@ class TestEvaluateCommand:
                            (ev / "metrics.txt").read_text().splitlines())
             assert (metrics["m"], metrics["feasible"]) == (m, "true")
             assert (float(metrics["f1"]), float(metrics["f2"])) == (float(f1), float(f2))
+
+    def test_l_room_evaluate_is_unchanged(self, tmp_path):
+        # README L room: the walls between the bays split fingerprint groups
+        # into several regions, so the map holds local and global elements
+        pfile = tmp_path / "a.txt"
+        files.write_placement(pfile, Placement(xy=L_ROOM_PLACEMENT_XY,
+                                               types=type_assignment(22, 2), z=5.0), 2)
+        cfg = tmp_path / "l_room.cfg"
+        cfg.write_text(L_ROOM_SECTION)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(cfg), "--placement", str(pfile),
+                     "--out-dir", str(out)]) == 0
+        assert (out / "metrics.txt").read_text().replace(str(tmp_path), "<dir>") == (
+            "placement = <dir>/a.txt\nm = 22\nn_types = 2\nfeasible = true\nm_ok = true\n"
+            "coverage_ok = true (0 grid elements short)\n"
+            "spacing_ok = true (violating pairs: [])\n"
+            "margin_ok = true (violating reflectors: [])\n"
+            "f1 = 941\nf2 = 43.05428539602018\n"
+            "ambiguous_local = 127\nambiguous_global = 814\nunique = 559\n")
+        digest = hashlib.sha256()
+        for name in ("ambiguity_map.csv", "ambiguity_map.pgm", "gdop_map.csv", "gdop_map.pgm"):
+            digest.update(name.encode() + b"\0" + (out / name).read_bytes())
+        assert digest.hexdigest() == (
+            "a68eaee1e7810abff724df83c08422b47274e5eea90be48b6656dcd99f993519")
+
+
+# Imports the CLI, runs the arguments through it, and reports the scipy
+# modules loaded after the import and after the command.
+_SCIPY_PROBE = """
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import reflectopt.cli
+after_import = scipy_modules()
+code = reflectopt.cli.main(sys.argv[1:])
+print(repr((after_import, code, scipy_modules())), file=sys.stderr)
+"""
+
+
+def test_import_and_evaluate_load_no_scipy(tmp_path):
+    # a fresh process, so that no other test has loaded scipy already
+    pfile = tmp_path / "a.txt"
+    files.write_placement(pfile, Placement(xy=L_ROOM_PLACEMENT_XY,
+                                           types=type_assignment(22, 2), z=5.0), 2)
+    cfg = tmp_path / "l_room.cfg"
+    cfg.write_text(L_ROOM_SECTION)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(reflectopt.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, "evaluate", "--config", str(cfg),
+         "--placement", str(pfile), "--out-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr.splitlines()[-1] == repr(([], 0, [])), proc.stderr
+    assert "feasible = true" in (out / "metrics.txt").read_text()
+    assert (out / "ambiguity_map.pgm").exists()
 
 
 class TestSimulateCommand:

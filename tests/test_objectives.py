@@ -2,8 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from reflectopt.geom import Polygon, RoomModel, build_grid
+from reflectopt.geom import Grid, Polygon, RoomModel, build_grid
 from reflectopt.objectives import (
     GLOBAL,
     LOCAL,
@@ -192,18 +197,20 @@ class TestAmbiguity:
         ]
         assert f1 == sum(amb)
 
-    def test_local_vs_global_classification(self, small_room, small_grid):
-        rng = np.random.default_rng(40)
-        xy = rng.uniform(0.8, 3.2, size=(8, 2))
-        pl = Placement(xy=xy, types=type_assignment(8, 2), z=small_room.z_l)
-        masks = placement_masks(pl, small_grid, small_room)
-        _, amb_map = ambiguity(pl, small_room, small_grid, masks, n=4,
-                               r_res=small_room.r_res)
+    def test_local_vs_global_classification(self, oracle_room):
+        room = oracle_room
+        grid = build_grid(room)
+        # 8 reflectors cover the 4 x 4 room, 20 the 10 x 8 m L and U rooms
+        m = 8 if room.boundary.area < 20 else 20
+        pl = random_feasible(room, m, 2, np.random.default_rng(40), grid)
+        masks = placement_masks(pl, grid, room)
+        _, amb_map = ambiguity(pl, room, grid, masks, n=4, r_res=room.r_res)
+        assert {LOCAL, GLOBAL} <= set(amb_map.classes.tolist())
         # flood-fill oracle per group
         groups = {}
         for i, gid in enumerate(amb_map.group_ids):
             groups.setdefault(int(gid), []).append(i)
-        ij = {tuple(small_grid.ij[i]): i for i in range(len(small_grid))}
+        ij = {tuple(grid.ij[i]): i for i in range(len(grid))}
         for gid, members in groups.items():
             if len(members) == 1:
                 assert amb_map.classes[members[0]] == UNIQUE
@@ -219,7 +226,7 @@ class TestAmbiguity:
                 seen.add(start)
                 while stack:
                     cur = stack.pop()
-                    cx, cy = small_grid.ij[cur]
+                    cx, cy = grid.ij[cur]
                     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                         nb = ij.get((cx + dx, cy + dy))
                         if nb is not None and nb in member_set and nb not in seen:
@@ -228,6 +235,72 @@ class TestAmbiguity:
             expect = GLOBAL if regions > 1 else LOCAL
             for m in members:
                 assert amb_map.classes[m] == expect
+
+
+def raster_grid(raster: np.ndarray) -> tuple[Grid, np.ndarray]:
+    """Unit-cell grid over the cells of ``raster`` that are >= 0, plus their values."""
+    rows, cols = np.nonzero(raster >= 0)
+    cell_index = np.full(raster.shape, -1, dtype=np.int64)
+    cell_index[rows, cols] = np.arange(len(rows))
+    centers = np.column_stack([cols + 0.5, rows + 0.5, np.zeros(len(rows))])
+    grid = Grid(centers=centers, ij=np.column_stack([cols, rows]), cell_index=cell_index,
+                size=1.0, x0=0.0, y0=0.0)
+    return grid, raster[rows, cols]
+
+
+def csgraph_components(raster: np.ndarray) -> np.ndarray:
+    """Oracle labels: csgraph components over the same-value 4-neighbour edges."""
+    grid, _ = raster_grid(raster)
+    idx = grid.cell_index
+    edges = [(idx[r, c], idx[r + dr, c + dc])
+             for r, c in zip(*np.nonzero(raster >= 0)) for dr, dc in ((0, 1), (1, 0))
+             if r + dr < raster.shape[0] and c + dc < raster.shape[1]
+             and raster[r + dr, c + dc] == raster[r, c]]
+    row, col = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    n = len(grid)
+    adj = coo_matrix((np.ones(len(row), dtype=np.int8), (row, col)), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
+
+
+def snake(height: int, width: int) -> np.ndarray:
+    """One winding corridor (value 1) between walls (value 0) open at alternate ends."""
+    raster = np.ones((height, width), dtype=np.int64)
+    for r in range(1, height, 2):
+        raster[r] = 0
+        raster[r, width - 1 if r % 4 == 1 else 0] = 1
+    return raster
+
+
+class TestSameValueComponents:
+    def assert_matches_csgraph(self, raster):
+        grid, values = raster_grid(raster)
+        got = _same_value_components(grid, values)
+        want = csgraph_components(raster)
+        # the same partition: the (got, want) label pairs pair off one to one
+        pairs = np.unique(np.column_stack([got, want]), axis=0)
+        assert len(pairs) == len(np.unique(got)) == len(np.unique(want))
+        # each label is the lowest element index of its component
+        for label in np.unique(got):
+            assert label == np.flatnonzero(got == label).min()
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                  elements=st.integers(-1, 2)))
+    def test_random_rasters_with_holes_match_csgraph(self, raster):
+        # -1 marks a lattice cell without a grid element
+        if (raster >= 0).any():
+            self.assert_matches_csgraph(raster)
+
+    @pytest.mark.parametrize("raster", [snake(21, 17), snake(21, 17).T,
+                                        np.where(snake(21, 17) == 1, 1, -1)],
+                             ids=["rows", "columns", "hole_walls"])
+    def test_snake_is_one_corridor(self, raster):
+        # one corridor of about 200 elements: its lowest index has to reach
+        # the far end through parent pointers
+        got = self.assert_matches_csgraph(raster)
+        corridor = got[raster_grid(raster)[1] == 1]
+        assert len(np.unique(corridor)) == 1
 
 
 class TestGdop:
