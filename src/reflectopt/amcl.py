@@ -60,6 +60,22 @@ class AmclConfig:
     sigma_d: float = 0.02  # odometry distance noise (m)
     sigma_theta: float = math.radians(5.0)  # odometry rotation noise (rad)
 
+    def __post_init__(self):
+        if self.n_particles < 1:
+            raise ValueError("n_particles must be at least 1")
+        if self.n < 1:
+            raise ValueError("fingerprint size n must be at least 1")
+        if self.sigma_r is not None and not (math.isfinite(self.sigma_r) and self.sigma_r > 0):
+            raise ValueError("sigma_r must be finite and positive")
+        check_noise(sigma_d=self.sigma_d, sigma_theta=self.sigma_theta)
+
+
+def check_noise(**sigmas: float | None):
+    """Raise ValueError for a noise standard deviation that is negative or not finite."""
+    for name, sigma in sigmas.items():
+        if sigma is not None and not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"{name} must be finite and non-negative")
+
 
 def wrap_angle(theta):
     """Wrap radians into (-pi, pi]."""

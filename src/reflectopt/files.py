@@ -160,10 +160,10 @@ def sim_configs_from_config(
         raise ConfigError("[path] rows must hold finite x y pairs")
     waypoints = tuple((x, y) for x, y in rows)
     path_cfg = PathConfig(waypoints=waypoints, **_present(sec, {"step": float}))
-    _build(gen_path, waypoints=waypoints, step=path_cfg.step, room=room)
-    noise_cfg = NoiseConfig(**_present(sec, _NOISE_KEYS))
-    amcl_cfg = AmclConfig(sigma_d=noise_cfg.sigma_d, sigma_theta=noise_cfg.sigma_theta,
-                          **_present(sec, _AMCL_KEYS))
+    n_steps = len(_build(gen_path, waypoints=waypoints, step=path_cfg.step, room=room))
+    noise_cfg = _build(NoiseConfig, **_present(sec, _NOISE_KEYS))
+    amcl_cfg = _build(AmclConfig, sigma_d=noise_cfg.sigma_d, sigma_theta=noise_cfg.sigma_theta,
+                      **_present(sec, _AMCL_KEYS))
     if seed is not None:
         n_seeds = _get(sec, "n_seeds", int, 1)
         if n_seeds < 1:
@@ -174,6 +174,8 @@ def sim_configs_from_config(
     if min(seeds) < 0:
         raise ConfigError("seeds must be non-negative")
     burn_in = _get(sec, "burn_in", int, BURN_IN)
+    if not 0 <= burn_in <= n_steps:
+        raise ConfigError(f"burn_in must lie in [0, {n_steps}], the path's step count")
     return path_cfg, noise_cfg, amcl_cfg, seeds, burn_in
 
 

@@ -341,6 +341,38 @@ class Grid:
         out[valid] = np.asarray(values)[self.cell_index[valid]]
         return out
 
+    def components(self, values: np.ndarray) -> np.ndarray:
+        """Root of each element's 4-connected component of equal positive values.
+
+        The root is the component's lowest element index; an element whose
+        value is not positive gets -1. Elements are numbered in raster order,
+        so sorted roots list the components as a raster scan meets them.
+        Hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 3(1),
+        1982) over the same-value lattice edges.
+        """
+        raster = self.rasterize(values, fill=0)
+        idx = self.cell_index
+        same_h = (raster[:, :-1] == raster[:, 1:]) & (raster[:, :-1] > 0)
+        same_v = (raster[:-1, :] == raster[1:, :]) & (raster[:-1, :] > 0)
+        a = np.concatenate([idx[:, :-1][same_h], idx[:-1, :][same_v]])
+        b = np.concatenate([idx[:, 1:][same_h], idx[1:, :][same_v]])
+        parent = np.arange(len(self))
+        while True:
+            ra, rb = parent[a], parent[b]
+            differ = ra != rb
+            if not differ.any():
+                return np.where(values > 0, parent, -1)
+            # an edge within one tree stays there; every root across the
+            # other edges hooks onto the lowest root it meets, then each
+            # element follows its parent pointers to a root
+            a, b, ra, rb = a[differ], b[differ], ra[differ], rb[differ]
+            np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+
 
 def build_grid(room: RoomModel) -> Grid:
     """Lay a quadratic lattice over the room and keep centers inside it.

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amcl import AmclConfig, Measurement, OdometryInput, Pose, track, wrap_angle
+from .amcl import AmclConfig, Measurement, OdometryInput, Pose, check_noise, track, wrap_angle
 from .geom import Grid, RoomModel, build_grid
 from .objectives import EvalConfig, distance_bins
 from .placement import Placement, placement_masks
@@ -31,6 +31,10 @@ class NoiseConfig:
     sigma_meas: float | None = None  # range noise std dev; None -> room.r_res
     sigma_d: float = AmclConfig.sigma_d
     sigma_theta: float = AmclConfig.sigma_theta
+
+    def __post_init__(self):
+        check_noise(sigma_meas=self.sigma_meas, sigma_d=self.sigma_d,
+                    sigma_theta=self.sigma_theta)
 
 
 def gen_path(waypoints, step: float, room: RoomModel | None = None) -> list[tuple[Pose, OdometryInput]]:

@@ -174,6 +174,8 @@ class PsoConfig:
             raise ValueError("m_init_range must lie within [1, m_max]")
         if self.n_types not in (1, 2):
             raise ValueError("n_types must be 1 or 2")
+        if self.archive_capacity < 2:
+            raise ValueError("archive_capacity must be at least 2")
         self.eval_config()  # checks n, k_min and d_min
 
     def eval_config(self) -> EvalConfig:
@@ -273,8 +275,10 @@ def downmutate(
 
     The reflector removed is the one of the over-represented type closest to
     the centroid of the largest grid region with maximal visible-reflector
-    count; removing there avoids creating coverage holes. A particle at the
-    coverage floor (see ``coverage_floor``) is returned unchanged.
+    count (4-connected regions from ``Grid.components``; of equal sizes, the
+    one with the lowest element); removing there avoids creating coverage
+    holes. A particle at the coverage floor (see ``coverage_floor``) is
+    returned unchanged.
     """
     pl = particle.placement
     if pl.m <= coverage_floor(grid, room, config.k_min):
@@ -282,16 +286,9 @@ def downmutate(
     masks = placement_masks(pl, grid, room, strict=False)
     counts = masks.sum(axis=0)
     attain = counts == counts.max()
-    from scipy import ndimage  # start-up cost that evaluate never pays
-
-    raster = grid.rasterize(attain.astype(np.int8), fill=0)
-    labels, n_regions = ndimage.label(raster)
-    if n_regions == 0:
-        return particle
-    sizes = ndimage.sum_labels(np.ones_like(labels), labels, index=range(1, n_regions + 1))
-    largest = 1 + int(np.argmax(sizes))
-    element_labels = labels[grid.ij[:, 1], grid.ij[:, 0]]
-    centroid = grid.xy[element_labels == largest].mean(axis=0)
+    roots = grid.components(attain)
+    largest = np.argmax(np.bincount(roots[attain]))  # region sizes by root; ties: lowest root
+    centroid = grid.xy[roots == largest].mean(axis=0)
 
     if config.n_types == 1:
         removal_type = 0

@@ -156,15 +156,11 @@ def ambiguity(
     if not with_map:
         return f1, None
 
-    comp = _same_value_components(grid, inv)
-    # number of distinct connected regions per fingerprint group
-    pairs = np.unique(inv * len(grid) + comp)
-    regions_per_group = np.bincount(pairs // len(grid), minlength=len(counts))
-    classes = np.full(len(grid), UNIQUE, dtype=np.int8)
-    group_global = regions_per_group > 1
-    classes[ambiguous & group_global[inv]] = GLOBAL
-    classes[ambiguous & ~group_global[inv]] = LOCAL
-    return f1, AmbiguityMap(classes=classes, group_ids=inv.astype(np.int64))
+    # each connected region of a fingerprint group holds one element that is its own root
+    is_root = grid.components(inv + 1) == np.arange(len(grid))
+    group_global = np.bincount(inv[is_root], minlength=len(counts)) > 1
+    classes = np.where(ambiguous, np.where(group_global[inv], GLOBAL, LOCAL), UNIQUE)
+    return f1, AmbiguityMap(classes=classes.astype(np.int8), group_ids=inv.astype(np.int64))
 
 
 def _unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,37 +180,6 @@ def _unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys = (keys << bits) | col
     _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
     return inv, counts
-
-
-def _same_value_components(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """4-connected components of grid elements holding equal values.
-
-    Returns each element's component root, the lowest element index in its
-    component. Hooking plus pointer jumping over the same-value lattice
-    edges: every root hooks onto the lowest root across its edges, then each
-    element follows its parent pointers to a root; the rounds repeat until
-    no edge joins two roots.
-    """
-    raster = grid.rasterize(values.astype(np.int64) + 1, fill=0)  # 0 = no element
-    idx = grid.cell_index
-    same_h = (raster[:, :-1] == raster[:, 1:]) & (raster[:, :-1] > 0)
-    same_v = (raster[:-1, :] == raster[1:, :]) & (raster[:-1, :] > 0)
-    a = np.concatenate([idx[:, :-1][same_h], idx[:-1, :][same_v]])
-    b = np.concatenate([idx[:, 1:][same_h], idx[1:, :][same_v]])
-    parent = np.arange(len(grid))
-    while True:
-        ra, rb = parent[a], parent[b]
-        differ = ra != rb
-        if not differ.any():
-            return parent
-        # an edge within one tree stays there
-        a, b, ra, rb = a[differ], b[differ], ra[differ], rb[differ]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
 
 
 def gdop(p_r, visible: list, sigma_r: float) -> float:

@@ -74,35 +74,29 @@ def magnet_step(pl: Placement, d_min: float, rng: np.random.Generator | None = N
 def _coverage_regions(grid: Grid, masks: np.ndarray, k_min: int):
     """4-connected under-covered regions: (counts, [(member elements, attractor)]).
 
-    The attractor is the region element closest to the region centroid; it
-    always lies inside the room, unlike the raw centroid of a concave region.
+    ``Grid.components`` labels the regions; they come in order of their
+    lowest element. The attractor is the region element closest to the
+    region centroid; it always lies inside the room, unlike the raw centroid
+    of a concave region.
     """
     counts = masks.sum(axis=0)
     violated = counts < k_min
     if not violated.any():
         return counts, []
-    from scipy import ndimage  # start-up cost that evaluate never pays
-
-    raster = grid.rasterize(violated.astype(np.int8), fill=0)
-    labels, n_regions = ndimage.label(raster)  # default structure = 4-connectivity
-    element_labels = labels[grid.ij[:, 1], grid.ij[:, 0]]
+    roots = grid.components(violated)
+    # the stable sort keeps each region's elements ascending; roots of -1 come first
+    members = np.argsort(roots, kind="stable")[np.count_nonzero(~violated):]
     regions = []
-    for region in range(1, n_regions + 1):
-        members = np.flatnonzero(element_labels == region)
-        centroid = grid.xy[members].mean(axis=0)
-        att = members[np.argmin(np.linalg.norm(grid.xy[members] - centroid, axis=1))]
-        regions.append((members, int(att)))
+    for region in np.split(members, np.flatnonzero(np.diff(roots[members])) + 1):
+        centroid = grid.xy[region].mean(axis=0)
+        att = region[np.argmin(np.linalg.norm(grid.xy[region] - centroid, axis=1))]
+        regions.append((region, int(att)))
     return counts, regions
 
 
-def _coverage_slack(pl: Placement, masks: np.ndarray, counts: np.ndarray, k_min: int) -> np.ndarray:
+def _coverage_slack(masks: np.ndarray, counts: np.ndarray, k_min: int) -> np.ndarray:
     """Per reflector: spare coverage of its worst-covered element (inf if none)."""
-    slack = np.full(pl.m, np.inf)
-    for i in range(pl.m):
-        cov = masks[i]
-        if cov.any():
-            slack[i] = counts[cov].min() - k_min
-    return slack
+    return np.where(masks, counts, np.inf).min(axis=1) - k_min
 
 
 def deficit_gravitation_step(
@@ -122,7 +116,7 @@ def deficit_gravitation_step(
     counts, regions = _coverage_regions(grid, masks, k_min)
     if not regions:
         return pl
-    slack = _coverage_slack(pl, masks, counts, k_min)
+    slack = _coverage_slack(masks, counts, k_min)
     xy = pl.xy.copy()
     claimed = np.zeros(pl.m, dtype=bool)
     for _, att in regions:
@@ -150,7 +144,7 @@ def _rescue_jump(pl: Placement, grid: Grid, masks: np.ndarray, k_min: int) -> Pl
     counts, regions = _coverage_regions(grid, masks, k_min)
     if not regions:
         return pl
-    slack = _coverage_slack(pl, masks, counts, k_min)
+    slack = _coverage_slack(masks, counts, k_min)
     members, att = max(regions, key=lambda r: len(r[0]))
     cand = np.flatnonzero(~masks[:, att])
     if cand.size == 0:

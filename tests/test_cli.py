@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import os
@@ -268,9 +269,28 @@ def test_bad_placement_coordinate_exit_2(tmp_path, capsys, command, row, message
     ("simulate", ["--seed", "-1"], None, None, "seeds must be non-negative"),
     ("simulate", [], "seeds = 1 2", "seeds = 1 -2", "seeds must be non-negative"),
     ("simulate", ["--seed", "3"], "seeds = 1 2", "n_seeds = 0", "n_seeds must be at least 1"),
+    ("optimize", [], "seed = 12", "seed = 12\narchive_capacity = 1",
+     "archive_capacity must be at least 2"),
+    ("simulate", [], "n_particles = 250", "n_particles = 0", "n_particles must be at least 1"),
+    ("simulate", [], "n_particles = 250", "n_particles = 250\nfingerprint_size = 0",
+     "fingerprint size n must be at least 1"),
+    ("simulate", [], "n_particles = 250", "n_particles = 250\nsigma_r = 0",
+     "sigma_r must be finite and positive"),
+    ("simulate", [], "sigma_d = 0.02", "sigma_d = -1", "sigma_d must be finite and non-negative"),
+    ("simulate", [], "sigma_theta_deg = 5.0", "sigma_theta_deg = inf",
+     "sigma_theta must be finite and non-negative"),
+    ("simulate", [], "sigma_d = 0.02", "sigma_d = 0.02\nsigma_meas = -0.1",
+     "sigma_meas must be finite and non-negative"),
+    ("simulate", [], "burn_in = 10", "burn_in = -3",
+     "burn_in must lie in [0, 40], the path's step count"),
+    ("simulate", [], "burn_in = 10", "burn_in = 1000",
+     "burn_in must lie in [0, 40], the path's step count"),
 ], ids=["particles_zero", "particles_negative", "swarm_size_key", "iterations_negative",
         "iterations_key", "optimize_seed_negative", "optimize_seed_key",
-        "simulate_seed_negative", "simulate_seeds_key", "simulate_n_seeds_zero"])
+        "simulate_seed_negative", "simulate_seeds_key", "simulate_n_seeds_zero",
+        "archive_capacity_one", "sim_particles_zero", "sim_fingerprint_size_zero",
+        "sigma_r_zero", "sigma_d_negative", "sigma_theta_infinite", "sigma_meas_negative",
+        "burn_in_negative", "burn_in_beyond_path"])
 def test_bad_size_or_seed_exit_2(feasible_placement_file, tmp_path, capsys, command, flags,
                                   old, new, message):
     section = PSO_SECTION if command == "optimize" else SIM_SECTION
@@ -531,22 +551,42 @@ print(repr((after_import, code, scipy_modules())), file=sys.stderr)
 """
 
 
+def run_scipy_probe(argv: list[str]) -> tuple[list[str], int, list[str]]:
+    """(scipy modules after the import, exit code, scipy modules after the command).
+
+    Runs in a fresh process, so that no other test has loaded scipy already.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(reflectopt.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return ast.literal_eval(proc.stderr.splitlines()[-1])
+
+
 def test_import_and_evaluate_load_no_scipy(tmp_path):
-    # a fresh process, so that no other test has loaded scipy already
     pfile = tmp_path / "a.txt"
     files.write_placement(pfile, Placement(xy=L_ROOM_PLACEMENT_XY,
                                            types=type_assignment(22, 2), z=5.0), 2)
     cfg = tmp_path / "l_room.cfg"
     cfg.write_text(L_ROOM_SECTION)
     out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(reflectopt.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, "evaluate", "--config", str(cfg),
-         "--placement", str(pfile), "--out-dir", str(out)],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.stderr.splitlines()[-1] == repr(([], 0, [])), proc.stderr
+    assert run_scipy_probe(["evaluate", "--config", str(cfg), "--placement", str(pfile),
+                            "--out-dir", str(out)]) == ([], 0, [])
     assert "feasible = true" in (out / "metrics.txt").read_text()
     assert (out / "ambiguity_map.pgm").exists()
+
+
+def test_optimize_loads_no_ndimage(tmp_path):
+    # region labels in repair and mutation come from Grid.components
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(_readme_config_block())
+    out = tmp_path / "out"
+    after_import, code, after = run_scipy_probe(
+        ["optimize", "--config", str(cfg), "--out-dir", str(out), "--particles", "2",
+         "--iterations", "1"])
+    assert (after_import, code) == ([], 0)
+    assert "scipy.optimize" in after
+    assert not [m for m in after if m.startswith("scipy.ndimage")]
+    assert (out / "front.csv").exists()
 
 
 class TestSimulateCommand:
@@ -668,6 +708,19 @@ class TestSimulateCommand:
                      "--placement", str(feasible_placement_file),
                      "--out-dir", str(tmp_path / "o")])
         assert code == 0
+
+    @pytest.mark.parametrize("burn_in", [0, 40])
+    def test_burn_in_may_span_the_path(self, cfg_file, feasible_placement_file, tmp_path,
+                                       burn_in):
+        # the 8 m path at 0.2 m steps has 40 steps; 41 estimates with the start
+        cfg = tmp_path / "burn_in.cfg"
+        cfg.write_text(cfg_file.read_text().replace("burn_in = 10", f"burn_in = {burn_in}"))
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(cfg),
+                     "--placement", str(feasible_placement_file), "--out-dir", str(out)])
+        assert code == 0
+        report = (out / "report.txt").read_text()
+        assert f"burn_in_steps = {burn_in}\nsteps_per_run = 41\n" in report
 
     def test_seeded_l_room_compare_is_unchanged(self, tmp_path):
         # README L room and path, default 2000 particles, one noise seed; the

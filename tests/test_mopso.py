@@ -277,6 +277,33 @@ class TestMutations:
         kept = {tuple(r) for r in np.round(out.placement.xy, 12)}
         assert tuple(np.round(pl.xy[expect], 12)) not in kept
 
+    @pytest.mark.parametrize("types, removed", [
+        ([0, 0, 0, 0, 0, 0], 0),  # one type: the reflector nearest the lower block
+        ([1, 0, 1, 0, 0, 1], 3),  # 3 + 3: a type-0 reflector goes, the nearest is (2.0, 1.0)
+    ], ids=["size_tie", "type_tie"])
+    def test_downmutate_ties(self, small_room, small_grid, monkeypatch, types, removed):
+        # two 2 x 2 blocks share the top count 2; the one with the lowest
+        # element index (lower left, centroid (0.25, 0.25)) counts as the largest
+        xy = np.array([[0.6, 0.6], [3.4, 3.4], [2.0, 2.5], [2.0, 1.0], [1.2, 2.2], [3.0, 2.0]])
+        row, col = small_grid.ij[:, 1], small_grid.ij[:, 0]
+        masks = np.zeros((6, len(small_grid)), dtype=bool)
+        masks[0] = True
+        masks[1] = ((row < 2) & (col < 2)) | ((row >= 14) & (col >= 14))
+        monkeypatch.setattr(mopso, "placement_masks", lambda *args, **kwargs: masks.copy())
+        reduced = []
+
+        def failing_repair(pl, *args, **kwargs):
+            reduced.append(pl)
+            return pl, False, 0
+
+        monkeypatch.setattr(mopso, "repair", failing_repair)
+        pl = Placement(xy=xy, types=types, z=small_room.z_l)
+        p = SwarmParticle(placement=pl, velocity=np.zeros((6, 2)), objectives=(1.0, 1.0),
+                          pbest=pl, pbest_objectives=(1.0, 1.0))
+        cfg = _desk_config(m_max=12, n_types=1 + max(types))
+        assert downmutate(p, small_room, small_grid, cfg, np.random.default_rng(0)) is p
+        assert np.array_equal(reduced[0].xy, np.delete(xy, removed, axis=0))
+
 
 class TestRun:
     def test_zero_iterations_archive_is_initial_front(self, small_room):

@@ -17,7 +17,6 @@ from reflectopt.objectives import (
     CoverageError,
     EvalConfig,
     _gdop_from_eigvals,
-    _same_value_components,
     _unique_rows,
     ambiguity,
     distance_bins,
@@ -274,7 +273,7 @@ def snake(height: int, width: int) -> np.ndarray:
 class TestSameValueComponents:
     def assert_matches_csgraph(self, raster):
         grid, values = raster_grid(raster)
-        got = _same_value_components(grid, values)
+        got = grid.components(values + 1)
         want = csgraph_components(raster)
         # the same partition: the (got, want) label pairs pair off one to one
         pairs = np.unique(np.column_stack([got, want]), axis=0)
@@ -301,6 +300,16 @@ class TestSameValueComponents:
         got = self.assert_matches_csgraph(raster)
         corridor = got[raster_grid(raster)[1] == 1]
         assert len(np.unique(corridor)) == 1
+
+
+    def test_zero_values_are_in_no_component(self):
+        # a zero splits the ones into two components and gets root -1
+        grid, _ = raster_grid(np.zeros((3, 5), dtype=np.int64))
+        values = np.array([[1, 1, 0, 1, 2], [1, 0, 0, 1, 2], [1, 0, 1, 1, 2]]).ravel()
+        got = grid.components(values)
+        np.testing.assert_array_equal(got, [0, 0, -1, 3, 4, 0, -1, -1, 3, 4, 0, -1, 3, 3, 4])
+        # as booleans, the twos join the ones on their left
+        np.testing.assert_array_equal(grid.components(values > 0)[values == 2], [3, 3, 3])
 
 
 class TestGdop:
@@ -468,7 +477,7 @@ def row_unique_ambiguity(pl, grid, masks, n, r_res):
     _, inv, counts = np.unique(codes, axis=0, return_inverse=True, return_counts=True)
     inv = inv.ravel()
     ambiguous = counts[inv] >= 2
-    comp = _same_value_components(grid, inv)
+    comp = grid.components(inv + 1)
     pairs = np.unique(np.column_stack([inv, comp]), axis=0)
     group_global = np.bincount(pairs[:, 0], minlength=len(counts)) > 1
     classes = np.full(len(grid), UNIQUE, dtype=np.int8)

@@ -110,6 +110,44 @@ class TestCoverageCentroids:
             assert np.linalg.norm(small_grid.xy[att] - centroid) == dist.min()
 
 
+def ndimage_coverage_regions(grid, masks, k_min):
+    """Reference regions: scipy.ndimage.label over the rasterized under-covered elements."""
+    from scipy import ndimage
+
+    violated = masks.sum(axis=0) < k_min
+    labels, n_regions = ndimage.label(grid.rasterize(violated.astype(np.int8), fill=0))
+    element_labels = labels[grid.ij[:, 1], grid.ij[:, 0]]
+    regions = []
+    for region in range(1, n_regions + 1):
+        members = np.flatnonzero(element_labels == region)
+        centroid = grid.xy[members].mean(axis=0)
+        att = members[np.argmin(np.linalg.norm(grid.xy[members] - centroid, axis=1))]
+        regions.append((members, int(att)))
+    return regions
+
+
+@pytest.mark.parametrize("room_name", ["readme_l_room", "u_room"])
+def test_coverage_regions_match_ndimage_label(request, room_name):
+    # scattered holes (independent masks) and blob-shaped holes (disk masks
+    # around random reflector positions), from tiny to room-spanning
+    room = request.getfixturevalue(room_name)
+    grid = build_grid(room)
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        if trial % 2:
+            masks = rng.random((4, len(grid))) < rng.uniform(0.6, 1.0)
+        else:
+            centers = rng.uniform(0.0, 10.0, size=(int(rng.integers(6, 20)), 2))
+            radius = rng.uniform(2.0, 4.5)
+            masks = np.linalg.norm(grid.xy[None] - centers[:, None], axis=2) < radius
+        _, got = _coverage_regions(grid, masks, k_min=4)
+        want = ndimage_coverage_regions(grid, masks, k_min=4)
+        assert len(got) == len(want)
+        for (members, att), (want_members, want_att) in zip(got, want):
+            assert np.array_equal(members, want_members)
+            assert att == want_att
+
+
 class TestDeficitGravitation:
     def test_no_violation_identity(self, small_room, small_grid):
         pl = _pl([[x, y] for x in (1.0, 2.0, 3.0) for y in (1.0, 2.0, 3.0)],
