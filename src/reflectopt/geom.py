@@ -512,16 +512,26 @@ def visibility_masks(xy, z: float, grid: Grid, room: RoomModel, strict: bool = T
     qx, qy = xy[:, 0:1], xy[:, 1:2]
     out = np.hypot(gx - qx, gy - qy) <= radius
     out &= inside[:, None]
-    # Strict crossing of segment q->p with edge a->b: q and p strictly on
-    # opposite sides of the edge line, a and b strictly on opposite sides of
-    # the segment line.
+    out &= sight_lines_clear(qx, qy, gx, gy, room)
+    return out
+
+
+def sight_lines_clear(qx, qy, px, py, room: RoomModel) -> np.ndarray:
+    """True where the segment q->p strictly crosses no occluder edge of the room.
+
+    The four coordinate arrays broadcast against each other. A strict
+    crossing of edge a->b has q and p strictly on opposite sides of the edge
+    line and a and b strictly on opposite sides of the segment line, so a
+    segment that only touches a wall or grazes a vertex stays clear.
+    """
+    clear = np.ones(np.broadcast(qx, qy, px, py).shape, dtype=bool)
     for (ax, ay), (bx, by) in zip(*room.boundary.occluder_edges):
         d1 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
-        d2 = (bx - ax) * (gy - ay) - (by - ay) * (gx - ax)
-        d3 = (gx - qx) * (ay - qy) - (gy - qy) * (ax - qx)
-        d4 = (gx - qx) * (by - qy) - (gy - qy) * (bx - qx)
-        out &= ~(((d1 * d2) < -1e-12) & ((d3 * d4) < -1e-12))
-    return out
+        d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        d3 = (px - qx) * (ay - qy) - (py - qy) * (ax - qx)
+        d4 = (px - qx) * (by - qy) - (py - qy) * (bx - qx)
+        clear &= ~(((d1 * d2) < -1e-12) & ((d3 * d4) < -1e-12))
+    return clear
 
 
 def _contains_points_raw(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amcl import AmclConfig, Measurement, OdometryInput, Pose, check_noise, track, wrap_angle
-from .geom import Grid, RoomModel, build_grid
+from .geom import Grid, RoomModel, build_grid, sight_lines_clear
 from .objectives import EvalConfig, distance_bins
 from .placement import Placement, placement_masks
 
@@ -81,13 +81,24 @@ def gen_path(waypoints, step: float, room: RoomModel | None = None) -> list[tupl
 
 
 def _check_path_inside(wp: np.ndarray, room: RoomModel):
-    if not np.all(room.boundary.contains_points(wp)):
+    """Raise unless the waypoint polyline lies in the room (boundary included).
+
+    A segment whose waypoints see each other crosses no wall, so it can only
+    leave the room through room vertices on it, as along a wall line across
+    a notch; cut at the projections of all vertices, each piece is wholly in
+    or out, and its middle decides.
+    """
+    poly = room.boundary
+    if not np.all(poly.contains_points(wp)):
         raise ValueError("waypoint outside the room")
+    if not sight_lines_clear(wp[:-1, 0], wp[:-1, 1], wp[1:, 0], wp[1:, 1], room).all():
+        raise ValueError("path segment leaves the room")
     for a, b in zip(wp[:-1], wp[1:]):
-        n = max(2, int(np.linalg.norm(b - a) / (room.grid_size / 2)) + 1)
-        ts = np.linspace(0.0, 1.0, n)
-        pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-        if not np.all(room.boundary.contains_points(pts)):
+        d = b - a
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero-length: gen_path rejects it
+            t = (poly.vertices - a) @ d / (d @ d)
+        cuts = np.sort(np.concatenate([[0.0, 1.0], t[(t > 0) & (t < 1)]]))
+        if not np.all(poly.contains_points(a + 0.5 * (cuts[:-1] + cuts[1:])[:, None] * d)):
             raise ValueError("path segment leaves the room")
 
 

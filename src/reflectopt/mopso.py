@@ -22,6 +22,12 @@ from .repair import random_feasible, repair, sample_in_margin
 
 Objectives = tuple[float, float]
 
+# OMOPSO's ranges for the inertia weight W and the cognitive and social
+# coefficients C1 and C2, each drawn anew for every velocity update.
+_W_RANGE = (0.1, 0.5)
+_C1_RANGE = (1.5, 2.0)
+_C2_RANGE = (1.5, 2.0)
+
 
 def dominates(a: Objectives, b: Objectives) -> bool:
     """Pareto dominance: no worse in both objectives, strictly better in one."""
@@ -32,7 +38,6 @@ def dominates(a: Objectives, b: Objectives) -> bool:
 class SwarmParticle:
     placement: Placement
     velocity: np.ndarray  # (M, 2) m/iteration
-    objectives: Objectives
     pbest: Placement
     pbest_objectives: Objectives
 
@@ -46,7 +51,6 @@ class ArchiveEntry:
     placement: Placement
     f1: float
     f2: float
-    crowding: float = math.inf
 
     @property
     def objectives(self) -> Objectives:
@@ -54,14 +58,13 @@ class ArchiveEntry:
 
 
 class ParetoArchive:
-    """Bounded set of mutually non-dominated placements with crowding data."""
+    """Bounded set of mutually non-dominated placements, truncated by crowding distance."""
 
-    def __init__(self, capacity: int = 100):
+    def __init__(self, capacity: int):
         if capacity < 2:
             raise ValueError("archive capacity must be at least 2")
         self.capacity = capacity
         self.entries: list[ArchiveEntry] = []
-        self._crowding_dirty = True
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -74,64 +77,49 @@ class ParetoArchive:
                 return False
         self.entries = [e for e in self.entries if not dominates(cand, e.objectives)]
         self.entries.append(ArchiveEntry(placement=placement, f1=f1, f2=f2))
-        self._crowding_dirty = True
-        if len(self.entries) > self.capacity:
-            self._truncate()
-        return True
-
-    def refresh_crowding(self):
-        if not self._crowding_dirty:
-            return
-        crowd = _crowding_distances([e.objectives for e in self.entries])
-        self.entries = [replace(e, crowding=c) for e, c in zip(self.entries, crowd)]
-        self._crowding_dirty = False
-
-    def _truncate(self):
-        while len(self.entries) > self.capacity:
-            self._crowding_dirty = True
-            self.refresh_crowding()
-            objs = np.array([[e.f1, e.f2] for e in self.entries])
+        if len(self.entries) > self.capacity:  # drop the most crowded, never a best f1 or f2
+            objs = np.array([e.objectives for e in self.entries], dtype=float)
+            crowd = _crowding_distances(objs)
             protected = {int(np.argmin(objs[:, 0])), int(np.argmin(objs[:, 1]))}
             order = [i for i in range(len(self.entries)) if i not in protected]
-            drop = min(order, key=lambda i: (self.entries[i].crowding, i))
-            del self.entries[drop]
-        self._crowding_dirty = True
+            del self.entries[min(order, key=lambda i: (crowd[i], i))]
+        return True
 
     def select_leader(self, rng: np.random.Generator) -> Placement:
         """Binary tournament on crowding distance (ties broken randomly)."""
         if not self.entries:
             raise ValueError("cannot select a leader from an empty archive")
-        self.refresh_crowding()
+        crowd = _crowding_distances([e.objectives for e in self.entries])
         i = int(rng.integers(len(self.entries)))
         j = int(rng.integers(len(self.entries)))
-        a, b = self.entries[i], self.entries[j]
-        if a.crowding > b.crowding:
-            return a.placement
-        if b.crowding > a.crowding:
-            return b.placement
-        return a.placement if rng.random() < 0.5 else b.placement
+        if crowd[i] > crowd[j]:
+            return self.entries[i].placement
+        if crowd[j] > crowd[i]:
+            return self.entries[j].placement
+        return self.entries[i].placement if rng.random() < 0.5 else self.entries[j].placement
 
 
-def _crowding_distances(objectives: list[Objectives]) -> list[float]:
-    n = len(objectives)
-    if n == 0:
-        return []
-    if n <= 2:
-        return [math.inf] * n
+def _crowding_distances(objectives) -> np.ndarray:
+    """NSGA-II crowding distance per row of an (n, k) objective array.
+
+    Both ends of each objective's stable sort get inf; the other points add
+    the gap between their sorted neighbours over the span (none if zero).
+    """
     objs = np.asarray(objectives, dtype=float)
-    crowd = np.zeros(n)
-    for k in range(objs.shape[1]):
-        order = np.argsort(objs[:, k], kind="stable")
-        vals = objs[order, k]
-        span = vals[-1] - vals[0]
-        crowd[order[0]] = math.inf
-        crowd[order[-1]] = math.inf
-        if span > 0:
-            gaps = (vals[2:] - vals[:-2]) / span
-            for pos in range(1, n - 1):
-                if math.isfinite(crowd[order[pos]]):
-                    crowd[order[pos]] += gaps[pos - 1]
-    return crowd.tolist()
+    n = len(objs)
+    if n <= 2:
+        return np.full(n, math.inf)
+    cols = np.arange(objs.shape[1])
+    order = np.argsort(objs, axis=0, kind="stable")
+    vals = objs[order, cols]
+    span = vals[-1] - vals[0]
+    gaps = np.zeros((n - 2, len(cols)))
+    np.divide(vals[2:] - vals[:-2], span, out=gaps, where=span > 0)
+    contrib = np.zeros_like(objs)
+    contrib[order[1:-1], cols] = gaps
+    crowd = contrib.sum(axis=1)
+    crowd[order[[0, -1]]] = math.inf
+    return crowd
 
 
 @dataclass(frozen=True)
@@ -140,9 +128,6 @@ class PsoConfig:
 
     swarm_size: int = 60
     iterations: int = 60
-    w_range: tuple[float, float] = (0.1, 0.5)
-    c1_range: tuple[float, float] = (1.5, 2.0)
-    c2_range: tuple[float, float] = (1.5, 2.0)
     p_up: float = 0.05
     p_down: float = 0.05
     m_max: int = EvalConfig.m_max
@@ -163,9 +148,6 @@ class PsoConfig:
             raise ValueError("iterations must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for lo, hi in (self.w_range, self.c1_range, self.c2_range):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValueError("parameter ranges must be finite and non-empty")
         if self.v_max is not None and not (math.isfinite(self.v_max) and self.v_max > 0):
             raise ValueError("v_max must be finite and positive")
         if not (0 <= self.p_up <= 1 and 0 <= self.p_down <= 1 and self.p_up + self.p_down <= 1):
@@ -201,9 +183,9 @@ def velocity_update(
     W, C1, C2 and the scalar random factors r1, r2 are drawn fresh for every
     update; each velocity coordinate is clamped to +-v_max.
     """
-    w = rng.uniform(*config.w_range)
-    c1 = rng.uniform(*config.c1_range)
-    c2 = rng.uniform(*config.c2_range)
+    w = rng.uniform(*_W_RANGE)
+    c1 = rng.uniform(*_C1_RANGE)
+    c2 = rng.uniform(*_C2_RANGE)
     r1 = rng.random()
     r2 = rng.random()
     constrained = config.n_types == 2
@@ -254,14 +236,8 @@ def upmutate(
         types=np.append(pl.types, new_type),
         z=pl.z,
     )
-    velocity = np.vstack([particle.velocity, new_v[None, :]])
-    return SwarmParticle(
-        placement=placement,
-        velocity=velocity,
-        objectives=particle.objectives,
-        pbest=particle.pbest,
-        pbest_objectives=particle.pbest_objectives,
-    )
+    return replace(particle, placement=placement,
+                   velocity=np.vstack([particle.velocity, new_v[None, :]]))
 
 
 def downmutate(
@@ -290,15 +266,9 @@ def downmutate(
     largest = np.argmax(np.bincount(roots[attain]))  # region sizes by root; ties: lowest root
     centroid = grid.xy[roots == largest].mean(axis=0)
 
-    if config.n_types == 1:
-        removal_type = 0
-    else:
-        c0 = int((pl.types == 0).sum())
-        c1 = int((pl.types == 1).sum())
-        removal_type = 0 if c0 >= c1 else 1
-    candidates = np.flatnonzero(pl.types == removal_type)
-    if candidates.size == 0:
-        return particle
+    c0 = int((pl.types == 0).sum())
+    c1 = int((pl.types == 1).sum())
+    candidates = np.flatnonzero(pl.types == (0 if c0 >= c1 else 1))  # the over-represented type
     d = np.linalg.norm(pl.xy[candidates] - centroid, axis=1)
     remove = int(candidates[np.argmin(d)])
 
@@ -308,13 +278,7 @@ def downmutate(
     repaired, feasible, _ = repair(reduced, room, grid, config.eval_config(), rng)
     if not feasible:
         return particle
-    return SwarmParticle(
-        placement=repaired,
-        velocity=particle.velocity[keep],
-        objectives=particle.objectives,
-        pbest=particle.pbest,
-        pbest_objectives=particle.pbest_objectives,
-    )
+    return replace(particle, placement=repaired, velocity=particle.velocity[keep])
 
 
 @dataclass(frozen=True)
@@ -356,6 +320,8 @@ def run(
                     break
                 except RuntimeError as exc:
                     last_error = exc  # size infeasible for this room; redraw m
+                except ValueError as exc:  # no margin interior to sample: no m helps
+                    raise RuntimeError(f"swarm initialization failed: {exc}") from exc
             else:
                 raise RuntimeError(f"swarm initialization failed: {last_error}")
     else:
@@ -366,15 +332,14 @@ def run(
         SwarmParticle(
             placement=pl,
             velocity=np.zeros((pl.m, 2)),
-            objectives=obj,
             pbest=pl,
             pbest_objectives=obj,
         )
         for pl, obj in zip(placements, objectives)
     ]
     archive = ParetoArchive(capacity=config.archive_capacity)
-    for p in particles:
-        archive.update(p.placement, *p.objectives)
+    for pl, obj in zip(placements, objectives):
+        archive.update(pl, *obj)
 
     evaluations = len(particles)
     log = [_log_entry(0, archive, evaluations)]
@@ -402,7 +367,6 @@ def run(
 
         # Phase C (serial): pbest and archive updates in particle order.
         for p, obj in zip(particles, objs):
-            p.objectives = obj
             if dominates(obj, p.pbest_objectives):
                 p.pbest, p.pbest_objectives = p.placement, obj
             elif not dominates(p.pbest_objectives, obj):
@@ -414,7 +378,6 @@ def run(
         if snapshot_cb is not None and config.snapshot_every > 0 and iteration % config.snapshot_every == 0:
             snapshot_cb(iteration, archive)
 
-    archive.refresh_crowding()
     return archive, log
 
 

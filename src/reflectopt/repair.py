@@ -227,7 +227,8 @@ def sample_in_margin(room: RoomModel, n: int, rng: np.random.Generator) -> np.nd
         filled += take
         if filled == n:
             return out
-    raise ValueError("margin region too small to sample reflector positions")
+    raise ValueError(f"wall_margin = {room.wall_margin:g} leaves too small a region "
+                     "to sample reflector positions")
 
 
 def random_feasible(

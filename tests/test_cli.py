@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reflectopt
-from reflectopt import files
+from reflectopt import files, mopso
 from reflectopt.amcl import AmclConfig
 from reflectopt.cli import main
 from reflectopt.geom import RoomModel, build_grid
@@ -416,6 +416,29 @@ class TestOptimizeCommand:
                 "2 cone radii apart") in err
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("margin", ["3.0", "1.999"])
+    def test_wall_margin_without_room_exit_3(self, tmp_path, capsys, monkeypatch, margin):
+        # no point of the 4 x 4 room lies 3 m from every wall, and only a
+        # 2 mm square lies 1.999 m from them: sampling fails, whatever m is
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return random_feasible(*args, **kwargs)
+
+        monkeypatch.setattr(mopso, "random_feasible", counted)
+        cfg = tmp_path / "cfg.cfg"
+        cfg.write_text(ROOM_SECTION.replace("wall_margin = 0.5", f"wall_margin = {margin}")
+                       + "\n" + PSO_SECTION)
+        start = time.perf_counter()
+        code = main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: swarm initialization failed: wall_margin = ")
+        assert len(calls) == 1  # m is not redrawn
+        assert elapsed < 5.0
+
 
 class TestEvaluateCommand:
     def test_feasible_metrics(self, cfg_file, feasible_placement_file, tmp_path):
@@ -643,9 +666,12 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("old, new, message", [
         ("3.0 3.0\n", "3.0 7.0\n", "waypoint outside the room"),
+        # both waypoints inside, but the segment cuts the reflex corner (5, 4)
+        ("[path]\n1.0 1.0\n3.0 1.0\n3.0 3.0\n1.0 3.0\n1.0 1.0\n", "[path]\n4.9 3.98\n5.2 4.1\n",
+         "path segment leaves the room"),
         ("step = 0.2", "step = 50.0", "path too short for the step size"),
         ("step = 0.2", "step = 0.0", "path step must be positive"),
-    ], ids=["outside", "too_short", "zero_step"])
+    ], ids=["outside", "corner_cut", "too_short", "zero_step"])
     def test_bad_path_exit_2(self, tmp_path, capsys, old, new, message):
         # A feasible placement in the README L room, so only the path is wrong.
         pfile = tmp_path / "l_room.txt"

@@ -56,6 +56,20 @@ class TestGenPath:
         with pytest.raises(ValueError):
             gen_path([(2.0, 2.0), (7.0, 6.0)], 0.2, room=room)
 
+    def test_l_room_reflex_corner_cut_rejected(self, readme_l_room):
+        # both waypoints inside, but the segment crosses the exterior beside
+        # the reflex corner (5, 4) for about 5 cm
+        with pytest.raises(ValueError, match="path segment leaves the room"):
+            gen_path([(4.9, 3.98), (5.2, 4.1)], 0.02, room=readme_l_room)
+
+    def test_u_room_wall_line_across_notch_rejected(self, u_room):
+        # along the top wall line y = 8 across the slot: the segment only
+        # touches the corners (3, 8) and (7, 8), so it crosses no wall
+        with pytest.raises(ValueError, match="path segment leaves the room"):
+            gen_path([(1.0, 8.0), (9.0, 8.0)], 0.2, room=u_room)
+        assert len(gen_path([(1.0, 8.0), (3.0, 8.0), (3.0, 3.0), (7.0, 3.0)], 0.2,
+                            room=u_room)) == 55  # along the walls: inside
+
 
 @pytest.fixture(scope="module")
 def sim_setup(small_room, small_grid):

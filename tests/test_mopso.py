@@ -1,12 +1,16 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectopt import mopso
 from reflectopt.geom import build_grid, in_margin
 from reflectopt.mopso import (
     ParetoArchive,
+    _crowding_distances,
     PsoConfig,
     SwarmParticle,
     dominates,
@@ -84,6 +88,14 @@ class TestArchive:
             assert min(e.f1 for e in arc.entries) <= best_f1
             assert min(e.f2 for e in arc.entries) <= best_f2
 
+    def test_truncation_drops_most_crowded(self):
+        # crowding: the ends inf, (4, 6) and (6, 4) 1.0, (5, 5) 0.4
+        pl = Placement(xy=[[1.0, 1.0]], types=[0], z=3.0)
+        arc = ParetoArchive(capacity=4)
+        for f1, f2 in [(0, 10), (4, 6), (5, 5), (6, 4), (10, 0)]:
+            arc.update(pl, f1, f2)
+        assert [e.objectives for e in arc.entries] == [(0, 10), (4, 6), (6, 4), (10, 0)]
+
     def test_select_leader_singleton(self):
         pl = Placement(xy=[[1.0, 1.0]], types=[0], z=3.0)
         arc = ParetoArchive(capacity=5)
@@ -97,7 +109,6 @@ class TestArchive:
         pts = [(0, 100), (25, 75), (26, 74), (27, 73), (100, 0)]
         for pl, (f1, f2) in zip(pls, pts):
             arc.update(pl, f1, f2)
-        arc.refresh_crowding()
         rng = np.random.default_rng(1)
         counts = {i: 0 for i in range(5)}
         id_of = {id(e.placement): i for i, e in enumerate(arc.entries)}
@@ -111,6 +122,58 @@ class TestArchive:
         with pytest.raises(ValueError):
             arc.select_leader(np.random.default_rng(0))
 
+    # few distinct values, so tied objectives and duplicate points are common
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12),
+           st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12).map(lambda k: k / 4)),
+                    max_size=60))
+    def test_random_insert_streams(self, capacity, stream):
+        pl = Placement(xy=[[1.0, 1.0]], types=[0], z=3.0)
+        arc = ParetoArchive(capacity=capacity)
+        for k, (f1, f2) in enumerate(stream):
+            arc.update(pl, f1, f2)
+            objs = [e.objectives for e in arc.entries]
+            assert len(objs) <= capacity
+            assert not any(dominates(a, b) for a in objs for b in objs)
+            assert min(a for a, _ in objs) == min(a for a, _ in stream[:k + 1])
+            assert min(b for _, b in objs) == min(b for _, b in stream[:k + 1])
+
+
+def _crowding_reference(objectives):
+    """Crowding distances by the per-point loop, skipping points already at inf."""
+    n = len(objectives)
+    if n <= 2:
+        return [math.inf] * n
+    crowd = [0.0] * n
+    for k in range(len(objectives[0])):
+        order = sorted(range(n), key=lambda i: objectives[i][k])  # stable
+        vals = [float(objectives[i][k]) for i in order]
+        span = vals[-1] - vals[0]
+        crowd[order[0]] = crowd[order[-1]] = math.inf
+        if span > 0:
+            for pos in range(1, n - 1):
+                if math.isfinite(crowd[order[pos]]):
+                    crowd[order[pos]] += (vals[pos + 1] - vals[pos - 1]) / span
+    return crowd
+
+
+class TestCrowdingDistances:
+    @pytest.mark.parametrize("objectives", [
+        [], [(1.0, 2.0)], [(1.0, 2.0), (3.0, 0.5)],
+        [(2.0, 2.0)] * 4,  # zero span in both objectives
+        [(1.0, 5.0), (2.0, 5.0), (3.0, 5.0), (4.0, 5.0)],  # zero span in f2
+        [(0.0, 4.0), (1.0, 3.0), (1.0, 3.0), (1.0, 3.0), (4.0, 0.0)],  # duplicates
+        [(0.0, 100.0), (25.0, 75.0), (26.0, 74.0), (27.0, 73.0), (100.0, 0.0)],
+    ], ids=["n0", "n1", "n2", "zero_spans", "zero_f2_span", "duplicates", "crowded"])
+    def test_matches_reference_cases(self, objectives):
+        assert _crowding_distances(objectives).tolist() == _crowding_reference(objectives)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6).map(lambda k: k * 0.3)),
+                    max_size=14))
+    def test_matches_reference(self, objectives):
+        assert _crowding_distances(objectives).tolist() == _crowding_reference(objectives)
+
 
 def _particle(small_room, small_grid, seed=0, m=8):
     rng = np.random.default_rng(seed)
@@ -118,7 +181,6 @@ def _particle(small_room, small_grid, seed=0, m=8):
     return SwarmParticle(
         placement=pl,
         velocity=np.zeros((pl.m, 2)),
-        objectives=(1.0, 1.0),
         pbest=pl,
         pbest_objectives=(1.0, 1.0),
     )
@@ -140,21 +202,27 @@ class TestVelocityUpdate:
         v = velocity_update(p, p.placement, cfg, np.random.default_rng(0), v_max=5.0)
         assert np.allclose(v, 0.0)
 
-    def test_inertia_only(self, small_room, small_grid):
+    def test_inertia_only(self, small_room, small_grid, monkeypatch):
         p = _particle(small_room, small_grid)
         p.velocity = np.full((p.placement.m, 2), 0.25)
-        cfg = _desk_config(w_range=(1.0, 1.0), c1_range=(0.0, 0.0), c2_range=(0.0, 0.0))
+        monkeypatch.setattr(mopso, "_W_RANGE", (1.0, 1.0))
+        monkeypatch.setattr(mopso, "_C1_RANGE", (0.0, 0.0))
+        monkeypatch.setattr(mopso, "_C2_RANGE", (0.0, 0.0))
+        cfg = _desk_config()
         v = velocity_update(p, p.placement, cfg, np.random.default_rng(0), v_max=5.0)
         assert np.allclose(v, 0.25)
 
-    def test_hand_computed_single_reflector(self):
+    def test_hand_computed_single_reflector(self, monkeypatch):
         pl = Placement(xy=[[1.0, 1.0]], types=[0], z=3.0)
         pbest = Placement(xy=[[2.0, 1.0]], types=[0], z=3.0)
         gbest = Placement(xy=[[1.0, 3.0]], types=[0], z=3.0)
         p = SwarmParticle(placement=pl, velocity=np.zeros((1, 2)),
-                          objectives=(0, 0), pbest=pbest, pbest_objectives=(0, 0))
+                          pbest=pbest, pbest_objectives=(0, 0))
         # W=0.5, C1=C2=1, r1=r2=1 -> v = (pbest - x) + (gbest - x) = (1, 2)
-        cfg = _desk_config(w_range=(0.5, 0.5), c1_range=(1.0, 1.0), c2_range=(1.0, 1.0))
+        monkeypatch.setattr(mopso, "_W_RANGE", (0.5, 0.5))
+        monkeypatch.setattr(mopso, "_C1_RANGE", (1.0, 1.0))
+        monkeypatch.setattr(mopso, "_C2_RANGE", (1.0, 1.0))
+        cfg = _desk_config()
 
         class OneRng:
             def uniform(self, lo=0.0, hi=1.0, size=None):
@@ -166,10 +234,11 @@ class TestVelocityUpdate:
         v = velocity_update(p, gbest, cfg, OneRng(), v_max=10.0)
         assert np.allclose(v, [[1.0, 2.0]])
 
-    def test_v_max_clamp(self, small_room, small_grid):
+    def test_v_max_clamp(self, small_room, small_grid, monkeypatch):
         p = _particle(small_room, small_grid)
         far = Placement(xy=p.placement.xy + 100.0, types=p.placement.types, z=p.placement.z)
-        cfg = _desk_config(c2_range=(2.0, 2.0))
+        monkeypatch.setattr(mopso, "_C2_RANGE", (2.0, 2.0))
+        cfg = _desk_config()
         v = velocity_update(p, far, cfg, np.random.default_rng(2), v_max=0.75)
         assert np.max(np.abs(v)) <= 0.75 + 1e-12
 
@@ -255,7 +324,7 @@ class TestMutations:
         for m in (12, 13):
             pl = Placement(xy=sample_in_margin(readme_l_room, m, rng),
                            types=type_assignment(m, 2), z=readme_l_room.z_l)
-            p = SwarmParticle(placement=pl, velocity=np.zeros((m, 2)), objectives=(1.0, 1.0),
+            p = SwarmParticle(placement=pl, velocity=np.zeros((m, 2)),
                               pbest=pl, pbest_objectives=(1.0, 1.0))
             assert downmutate(p, readme_l_room, grid, cfg, rng) is p
         assert repaired_sizes == [12]
@@ -298,7 +367,7 @@ class TestMutations:
 
         monkeypatch.setattr(mopso, "repair", failing_repair)
         pl = Placement(xy=xy, types=types, z=small_room.z_l)
-        p = SwarmParticle(placement=pl, velocity=np.zeros((6, 2)), objectives=(1.0, 1.0),
+        p = SwarmParticle(placement=pl, velocity=np.zeros((6, 2)),
                           pbest=pl, pbest_objectives=(1.0, 1.0))
         cfg = _desk_config(m_max=12, n_types=1 + max(types))
         assert downmutate(p, small_room, small_grid, cfg, np.random.default_rng(0)) is p
