@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geom import Grid, RoomModel, build_grid
-from .objectives import EvalConfig, distance_bins, nearest_visible
+from .objectives import EvalConfig, Fingerprint, distance_bins, nearest_visible
 from .placement import Placement, placement_masks
 
 _WEIGHT_FLOOR = 1e-12  # measurement weight in a coverage hole, and the least weight
@@ -27,12 +27,6 @@ class Pose(NamedTuple):
     x: float
     y: float
     heading: float  # radians in (-pi, pi]
-
-
-class Measurement(NamedTuple):
-    """Canonical fingerprint measurement: sorted (distance_bin, type) pairs."""
-
-    entries: tuple[tuple[int, int], ...]
 
 
 class OdometryInput(NamedTuple):
@@ -139,7 +133,6 @@ class FingerprintModel:
     def __init__(self, pl: Placement, masks: np.ndarray, grid: Grid, room: RoomModel,
                  n: int, sigma_r: float | None = None):
         self.grid = grid
-        self.n = n
         self.r_res = room.r_res
         self.sigma_r = room.r_res if sigma_r is None else sigma_r
         order, dsel = nearest_visible(pl, masks, grid, n)
@@ -175,29 +168,6 @@ def _match_cost_sq(meas: tuple[int, ...], expect: tuple[int, ...]) -> tuple[floa
     return prev[q][1], q - p
 
 
-def measurement_likelihood(
-    pose: Pose,
-    meas: Measurement,
-    pl: Placement,
-    masks: np.ndarray,
-    grid: Grid,
-    config: AmclConfig,
-    room: RoomModel,
-    model: FingerprintModel | None = None,
-) -> float:
-    """Probability-like weight of a measurement at a hypothetical pose.
-
-    The expected fingerprint of the grid element nearest to the pose is
-    matched against the measurement per type group (minimum-cost assignment
-    on |bin difference|); matched pairs contribute Gaussian kernels of the
-    bin residual, unmatched entries a fixed small factor.
-    """
-    if model is None:
-        model = FingerprintModel(pl, masks, grid, room, config.n, config.sigma_r)
-    cell = grid.nearest_element(np.array([[pose.x, pose.y]]))
-    return float(_cell_likelihoods(cell, meas, model)[0])
-
-
 def _match_cost_sq_rows(meas: tuple[int, ...], expect: np.ndarray) -> tuple[np.ndarray, int]:
     """``_match_cost_sq`` of one sorted bin tuple against every row of ``expect``.
 
@@ -225,13 +195,16 @@ def _match_cost_sq_rows(meas: tuple[int, ...], expect: np.ndarray) -> tuple[np.n
     return prev[q][1], q - p
 
 
-def _cell_likelihoods(cells: np.ndarray, meas: Measurement,
+def _cell_likelihoods(cells: np.ndarray, meas: Fingerprint,
                       model: FingerprintModel) -> np.ndarray:
     """Measurement weight at each of the given grid cells.
 
-    Cells are matched in groups of equal type-0 count, so that every group
-    shares its type-group sizes; the weight is computed once per distinct
-    squared total of a group.
+    Each cell's expected fingerprint is matched against the measurement type
+    group by type group (minimum-cost matching on |bin difference|); matched
+    pairs contribute Gaussian kernels of the bin residual, unmatched entries
+    a fixed small factor. Cells are matched in groups of equal type-0 count,
+    so that every group shares its type-group sizes; the weight is computed
+    once per distinct squared total of a group.
     """
     meas_groups = (
         tuple(sorted(b for b, t in meas.entries if t == 0)),
@@ -299,7 +272,7 @@ def estimate(particles: ParticleSet) -> Pose:
     return Pose(float(x), float(y), float(wrap_angle(heading)))
 
 
-def _weight_update(particles: ParticleSet, meas: Measurement,
+def _weight_update(particles: ParticleSet, meas: Fingerprint,
                    model: FingerprintModel) -> ParticleSet:
     cells = model.grid.nearest_element(particles.positions)
     unique_cells, inverse = np.unique(cells, return_inverse=True)
@@ -316,14 +289,14 @@ def _weight_update(particles: ParticleSet, meas: Measurement,
 
 
 def track(
-    scenario: Sequence[tuple[OdometryInput, Measurement]],
+    scenario: Sequence[tuple[OdometryInput, Fingerprint]],
     room: RoomModel,
     pl: Placement,
     config: AmclConfig,
     rng: np.random.Generator,
     grid: Grid | None = None,
     masks: np.ndarray | None = None,
-    initial_measurement: Measurement | None = None,
+    initial_measurement: Fingerprint | None = None,
 ) -> list[Pose]:
     """Initialize, then resample / predict / weight / estimate per step.
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amcl import AmclConfig, Measurement, OdometryInput, Pose, check_noise, track, wrap_angle
+from .amcl import AmclConfig, OdometryInput, Pose, check_noise, track, wrap_angle
 from .geom import Grid, RoomModel, build_grid, sight_lines_clear
-from .objectives import EvalConfig, distance_bins
+from .objectives import EvalConfig, Fingerprint, nearest_fingerprint
 from .placement import Placement, placement_masks
 
 BURN_IN = 20  # estimates left out of rmse_after_burn_in while the filter converges
@@ -111,24 +111,19 @@ def simulate_measurement(
     rng: np.random.Generator,
     n: int = EvalConfig.n,
     sigma: float | None = None,
-) -> Measurement:
+) -> Fingerprint:
     """Noisy fingerprint at the grid cell nearest to the truth pose.
 
-    Gaussian noise (std sigma, default r_res) is added to the true reflector
-    distances before rounding; the n smallest noisy distances are selected.
+    Gaussian noise (std sigma, default r_res) is added to the true distances
+    of the visible reflectors, and ``nearest_fingerprint`` keeps the n
+    smallest. Raises CoverageError when fewer than n are visible.
     """
     sigma = room.r_res if sigma is None else sigma
     cell = int(grid.nearest_element(np.array([[truth.x, truth.y]]))[0])
     vis = np.flatnonzero(masks[:, cell])
-    if len(vis) < n:
-        raise ValueError(f"coverage hole at truth pose: {len(vis)} < {n} reflectors visible")
     d = np.linalg.norm(pl.positions3d[vis] - grid.centers[cell], axis=1)
     noisy = d + rng.normal(0.0, sigma, size=len(d))
-    order = np.argsort(noisy, kind="stable")[:n]
-    bins = distance_bins(noisy[order], room.r_res)
-    types = pl.types[vis[order]]
-    entries = tuple(sorted((int(b), int(t)) for b, t in zip(bins, types)))
-    return Measurement(entries=entries)
+    return nearest_fingerprint(noisy, pl.types[vis], n, room.r_res)
 
 
 def simulate_odometry(
@@ -212,7 +207,6 @@ def run_experiment(
     if amcl_config is None:
         amcl_config = AmclConfig()
     steps = gen_path(path_config.waypoints, path_config.step, room)
-    sigma_meas = noise_config.sigma_meas if noise_config.sigma_meas is not None else room.r_res
     start = Pose(*path_config.waypoints[0], steps[0][0].heading)
     truth_poses = [start] + [pose for pose, _ in steps]
 
@@ -222,15 +216,14 @@ def run_experiment(
         rng_odo = np.random.default_rng([seed, 1])
         rng_filter = np.random.default_rng([seed, 2])
 
-        initial_meas = simulate_measurement(
-            start, pl, masks, grid, room, rng_meas, amcl_config.n, sigma_meas
-        )
+        initial_meas = simulate_measurement(start, pl, masks, grid, room, rng_meas,
+                                            amcl_config.n, noise_config.sigma_meas)
         scenario = []
         for pose, odo in steps:
             noisy_odo = simulate_odometry(odo, rng_odo, noise_config.sigma_d,
                                           noise_config.sigma_theta)
             meas = simulate_measurement(pose, pl, masks, grid, room, rng_meas,
-                                        amcl_config.n, sigma_meas)
+                                        amcl_config.n, noise_config.sigma_meas)
             scenario.append((noisy_odo, meas))
 
         estimates = track(scenario, room, pl, amcl_config, rng_filter,

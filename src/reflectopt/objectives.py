@@ -56,20 +56,27 @@ def distance_bins(distances: np.ndarray, r_res: float) -> np.ndarray:
     return np.floor(np.asarray(distances) / r_res + 0.5).astype(np.int64)
 
 
-def fingerprint(p_r, pl: Placement, masks: np.ndarray, grid: Grid, n: int, r_res: float) -> Fingerprint:
-    """Fingerprint of one grid element: nearest n visible reflectors.
+def nearest_fingerprint(distances, types, n: int, r_res: float) -> Fingerprint:
+    """Fingerprint of the n nearest of the given reflectors.
 
-    Selection uses true distances (index tie-break); stored entries carry the
-    rounded distance bin and the reflector type, sorted canonically.
+    ``distances`` and ``types`` list the visible reflectors in index order
+    (or nearest first with ties in index order). The n smallest distances are
+    kept, ties going to the earlier entry, and the entries are their
+    (distance bin, type) pairs, sorted. Raises CoverageError when fewer than
+    n are given.
     """
+    if len(distances) < n:
+        raise CoverageError(f"only {len(distances)} reflectors visible, fingerprint needs {n}")
+    order = np.argsort(distances, kind="stable")[:n]
+    bins = distance_bins(np.asarray(distances)[order], r_res)
+    types = np.asarray(types)[order]
+    return Fingerprint(entries=tuple(sorted((int(b), int(t)) for b, t in zip(bins, types))))
+
+
+def fingerprint(p_r, pl: Placement, masks: np.ndarray, grid: Grid, n: int, r_res: float) -> Fingerprint:
+    """Fingerprint of one grid element: nearest n visible reflectors by true distance."""
     vis = visible_reflectors(p_r, pl, masks, grid)
-    if len(vis) < n:
-        raise CoverageError(f"only {len(vis)} reflectors visible, fingerprint needs {n}")
-    chosen = vis[:n]
-    entries = sorted(
-        (int(distance_bins(np.array([d]), r_res)[0]), r.type) for r, d in chosen
-    )
-    return Fingerprint(entries=tuple(entries))
+    return nearest_fingerprint([d for _, d in vis], [r.type for r, _ in vis], n, r_res)
 
 
 def fingerprint_table(

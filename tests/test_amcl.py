@@ -6,24 +6,21 @@ import pytest
 from reflectopt.amcl import (
     AmclConfig,
     FingerprintModel,
-    Measurement,
     OdometryInput,
     ParticleSet,
-    Pose,
     _MISMATCH_FACTOR,
     _WEIGHT_FLOOR,
     _cell_likelihoods,
     _match_cost_sq,
     estimate,
     init_particles,
-    measurement_likelihood,
     motion_update,
     resample,
     track,
     wrap_angle,
 )
 from reflectopt.geom import build_grid
-from reflectopt.objectives import CoverageError, fingerprint
+from reflectopt.objectives import CoverageError, Fingerprint, fingerprint
 from reflectopt.placement import Placement, placement_masks, type_assignment
 from reflectopt.repair import random_feasible, sample_in_margin
 
@@ -150,51 +147,39 @@ def tracking_setup(small_room, small_grid):
 class TestMeasurementLikelihood:
     def test_exact_match_weight_one(self, small_room, small_grid, tracking_setup):
         pl, masks = tracking_setup
-        cfg = AmclConfig(n=4)
+        model = FingerprintModel(pl, masks, small_grid, small_room, 4)
         cell = len(small_grid) // 2
         fp = fingerprint(small_grid.centers[cell], pl, masks, small_grid, 4, small_room.r_res)
-        meas = Measurement(entries=fp.entries)
-        c = small_grid.centers[cell]
-        w = measurement_likelihood(Pose(c[0], c[1], 0.0), meas, pl, masks,
-                                   small_grid, cfg, small_room)
+        w = _cell_likelihoods(np.array([cell]), fp, model)[0]
         assert w == pytest.approx(1.0)
 
     def test_one_bin_off(self, small_room, small_grid, tracking_setup):
         pl, masks = tracking_setup
-        cfg = AmclConfig(n=4)  # sigma_r defaults to r_res
+        # sigma_r defaults to r_res
+        model = FingerprintModel(pl, masks, small_grid, small_room, 4)
         cell = len(small_grid) // 2
         fp = fingerprint(small_grid.centers[cell], pl, masks, small_grid, 4, small_room.r_res)
         entries = list(fp.entries)
         entries[0] = (entries[0][0] + 1, entries[0][1])
-        meas = Measurement(entries=tuple(sorted(entries)))
-        c = small_grid.centers[cell]
-        w = measurement_likelihood(Pose(c[0], c[1], 0.0), meas, pl, masks,
-                                   small_grid, cfg, small_room)
+        meas = Fingerprint(entries=tuple(sorted(entries)))
+        w = _cell_likelihoods(np.array([cell]), meas, model)[0]
         assert w == pytest.approx(math.exp(-0.5), rel=1e-9)
 
     def test_true_pose_attains_max_weight(self, small_room, small_grid, tracking_setup):
         pl, masks = tracking_setup
-        cfg = AmclConfig(n=4)
         model = FingerprintModel(pl, masks, small_grid, small_room, 4)
         cell = 37
         fp = fingerprint(small_grid.centers[cell], pl, masks, small_grid, 4, small_room.r_res)
-        meas = Measurement(entries=fp.entries)
-        weights = [
-            measurement_likelihood(
-                Pose(*small_grid.centers[i][:2], 0.0), meas, pl, masks,
-                small_grid, cfg, small_room, model=model,
-            )
-            for i in range(len(small_grid))
-        ]
+        weights = _cell_likelihoods(np.arange(len(small_grid)), fp, model)
         assert weights[cell] == pytest.approx(max(weights))
 
     def test_coverage_hole_floor(self, small_room, small_grid):
         pl = Placement(xy=[[2.0, 2.0]], types=[0], z=small_room.z_l)
         masks = placement_masks(pl, small_grid, small_room)
-        cfg = AmclConfig(n=4)
-        meas = Measurement(entries=((10, 0), (11, 0), (12, 0), (13, 0)))
-        w = measurement_likelihood(Pose(2.0, 2.0, 0.0), meas, pl, masks,
-                                   small_grid, cfg, small_room)
+        model = FingerprintModel(pl, masks, small_grid, small_room, 4)
+        meas = Fingerprint(entries=((10, 0), (11, 0), (12, 0), (13, 0)))
+        cell = small_grid.nearest_element(np.array([[2.0, 2.0]]))
+        w = _cell_likelihoods(cell, meas, model)[0]
         assert w == _WEIGHT_FLOOR
 
 
@@ -244,17 +229,11 @@ class TestCellLikelihoods:
             bins = [b for b, _ in base] * 2
             bins = np.array(bins[:size]) + rng.integers(-2, 3, size)
             types = [rng.integers(0, 2, size), np.zeros(size, int), np.ones(size, int)][trial % 3]
-            meas = Measurement(entries=tuple(sorted(zip(bins.tolist(), types.tolist()))))
+            meas = Fingerprint(entries=tuple(sorted(zip(bins.tolist(), types.tolist()))))
             got = _cell_likelihoods(cells, meas, model)
             want = [_pairwise_likelihood(meas, e, (1.0 / sigma_factor) ** 2) for e in expected]
             assert got.tolist() == want
             seen.update(want)
-            # the one-cell path of measurement_likelihood
-            for cell in rng.choice(cells, 5):
-                c = grid.centers[cell]
-                assert measurement_likelihood(
-                    Pose(c[0], c[1], 0.0), meas, pl, masks, grid, AmclConfig(n=n, sigma_r=sigma_r),
-                    room, model=model) == want[cell]
         assert len(seen) > 20
 
 
@@ -368,7 +347,7 @@ class TestTrack:
         ps = init_particles(small_room, 300, rng)
         from reflectopt.objectives import fingerprint as fp_of
         fp = fp_of(small_grid.centers[10], pl, masks, small_grid, 4, small_room.r_res)
-        ps = _weight_update(ps, Measurement(entries=fp.entries), model)
+        ps = _weight_update(ps, fp, model)
         assert ps.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(small_room.boundary.contains_points(ps.positions))
 
@@ -376,10 +355,7 @@ class TestTrack:
         pl, masks = tracking_setup
         cfg = AmclConfig(n_particles=200)
         fp = fingerprint(small_grid.centers[40], pl, masks, small_grid, 4, small_room.r_res)
-        scenario = [
-            (OdometryInput(0.2, 0.0), Measurement(entries=fp.entries))
-            for _ in range(5)
-        ]
+        scenario = [(OdometryInput(0.2, 0.0), fp) for _ in range(5)]
         e1 = track(scenario, small_room, pl, cfg, np.random.default_rng(11),
                    grid=small_grid, masks=masks)
         e2 = track(scenario, small_room, pl, cfg, np.random.default_rng(11),
@@ -397,8 +373,7 @@ class TestTrack:
         assert unique_cells.size > 0
         cell = int(unique_cells[unique_cells.size // 2])
         c = small_grid.centers[cell]
-        fp = fingerprint(c, pl, masks, small_grid, 4, small_room.r_res)
-        meas = Measurement(entries=fp.entries)
+        meas = fingerprint(c, pl, masks, small_grid, 4, small_room.r_res)
         cfg = AmclConfig(n_particles=1500, sigma_d=0.005, sigma_theta=math.radians(1.0))
         scenario = [(OdometryInput(0.0, 0.0), meas) for _ in range(10)]
         est = track(scenario, small_room, pl, cfg, np.random.default_rng(21),

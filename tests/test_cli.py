@@ -735,6 +735,34 @@ class TestSimulateCommand:
                      "--out-dir", str(tmp_path / "o")])
         assert code == 0
 
+    def test_fingerprint_size_beyond_visible_exit_2(self, cfg_file, feasible_placement_file,
+                                                    tmp_path, capsys):
+        # every element of the 4x4 room sees all 9 reflectors
+        cfg = tmp_path / "n10.cfg"
+        cfg.write_text(cfg_file.read_text().replace("[sim]\n", "[sim]\nfingerprint_size = 10\n"))
+        code = main(["simulate", "--config", str(cfg),
+                     "--placement", str(feasible_placement_file),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {feasible_placement_file}: [sim] fingerprint_size = 10 exceeds what the "
+            "path sees: only 9 reflectors visible, fingerprint needs 10\n")
+
+    def test_fingerprint_size_beyond_visible_l_room_exit_2(self, tmp_path, capsys):
+        # README L room, placement and path: the start pose sees 6 reflectors
+        pfile = tmp_path / "l_room.txt"
+        files.write_placement(pfile, Placement(xy=L_ROOM_PLACEMENT_XY,
+                                               types=type_assignment(22, 2), z=5.0), 2)
+        cfg = tmp_path / "l_room.cfg"
+        cfg.write_text(L_ROOM_SECTION + "\n[sim]\nfingerprint_size = 8\n\n[path]\n"
+                       "1.0 1.0\n9.0 1.0\n9.0 7.0\n")
+        code = main(["simulate", "--config", str(cfg), "--placement", str(pfile),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pfile}: [sim] fingerprint_size = 8 exceeds")
+        assert "only 6 reflectors visible, fingerprint needs 8" in err
+
     @pytest.mark.parametrize("burn_in", [0, 40])
     def test_burn_in_may_span_the_path(self, cfg_file, feasible_placement_file, tmp_path,
                                        burn_in):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reflectopt.amcl import AmclConfig, Measurement, OdometryInput, Pose
+from reflectopt.amcl import AmclConfig, FingerprintModel, OdometryInput, Pose, _cell_likelihoods
+from reflectopt.geom import build_grid
 from reflectopt.harness import (
     NoiseConfig,
     PathConfig,
@@ -13,9 +14,9 @@ from reflectopt.harness import (
     simulate_measurement,
     simulate_odometry,
 )
-from reflectopt.objectives import distance_bins, fingerprint
-from reflectopt.placement import placement_masks
-from reflectopt.repair import random_feasible
+from reflectopt.objectives import CoverageError, distance_bins, fingerprint
+from reflectopt.placement import Placement, placement_masks
+from reflectopt.repair import random_feasible, sample_in_margin
 
 
 class TestGenPath:
@@ -135,6 +136,31 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError):
             simulate_measurement(Pose(2.0, 2.0, 0.0), pl, masks, small_grid,
                                  small_room, np.random.default_rng(0), n=4)
+
+
+class TestSensorFilterAgreement:
+    def test_zero_noise_measurement_is_the_filter_fingerprint(self, oracle_room):
+        # the simulated radar, the scalar oracle and the filter's model agree
+        # at every grid centre; knocked-out mask entries leave coverage holes
+        room, m, n = oracle_room, 10, 4
+        grid = build_grid(room)
+        rng = np.random.default_rng(43)
+        xy = sample_in_margin(room, m, rng)
+        pl = Placement(xy=xy, types=xy[:, 0] > np.median(xy[:, 0]), z=room.z_l)
+        masks = placement_masks(pl, grid, room) & (rng.random((m, len(grid))) < 0.7)
+        model = FingerprintModel(pl, masks, grid, room, n)
+        assert 0 < model.valid.sum() < len(grid)
+        for cell, c in enumerate(grid.centers):
+            truth = Pose(c[0], c[1], 0.0)
+            if not model.valid[cell]:
+                with pytest.raises(CoverageError):
+                    simulate_measurement(truth, pl, masks, grid, room, rng, n=n, sigma=0.0)
+                with pytest.raises(CoverageError):
+                    fingerprint(c, pl, masks, grid, n, room.r_res)
+                continue
+            meas = simulate_measurement(truth, pl, masks, grid, room, rng, n=n, sigma=0.0)
+            assert meas == fingerprint(c, pl, masks, grid, n, room.r_res)
+            assert _cell_likelihoods(np.array([cell]), meas, model)[0] == 1.0
 
 
 class TestSimulateOdometry:

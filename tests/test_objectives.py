@@ -26,6 +26,7 @@ from reflectopt.objectives import (
     gdop,
     gdop_objective,
     gdop_values,
+    nearest_fingerprint,
     nearest_visible,
     penalty_pair,
 )
@@ -48,6 +49,26 @@ class TestDistanceBins:
         assert distance_bins(np.array([0.25]), 0.1)[0] == 3  # 2.5 -> 3, not 2
         assert distance_bins(np.array([0.24]), 0.1)[0] == 2
         assert distance_bins(np.array([2.0]), 0.1)[0] == 20
+
+
+class TestNearestFingerprint:
+    def test_fewer_than_n_raises(self):
+        with pytest.raises(CoverageError, match="only 3 reflectors visible, fingerprint needs 4"):
+            nearest_fingerprint([1.0, 2.0, 3.0], [0, 1, 0], 4, 0.1)
+        with pytest.raises(CoverageError, match="only 0 reflectors visible"):
+            nearest_fingerprint(np.empty(0), np.empty(0, int), 1, 0.1)
+
+    def test_tied_distances_keep_the_lower_index(self):
+        # entries 1 and 2 tie at 2.0 m with different types: the earlier one is kept
+        assert nearest_fingerprint([3.0, 2.0, 2.0, 1.0], [0, 1, 0, 0], 2, 0.5).entries == (
+            (2, 0), (4, 1))
+        assert nearest_fingerprint(np.array([3.0, 2.0, 2.0, 1.0]), np.array([0, 0, 1, 0]),
+                                   2, 0.5).entries == ((2, 0), (4, 0))
+
+    def test_n_equal_to_count_keeps_all(self):
+        fp = nearest_fingerprint(np.array([2.0, 0.5, 1.25]), np.array([1, 0, 1]), 3, 0.25)
+        assert fp.entries == ((2, 0), (5, 1), (8, 1))
+        assert all(type(v) is int for entry in fp.entries for v in entry)
 
 
 class TestFingerprint:
