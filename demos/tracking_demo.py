@@ -43,7 +43,7 @@ for label, seed in (("placement A", 3), ("placement B", 19)):
     masks = placement_masks(pl, grid, room)
     f1, _ = ambiguity(pl, room, grid, masks, 4, room.r_res, with_map=False)
     report = run_experiment(room, pl, path, noise, seeds=[0, 1, 2],
-                            amcl_config=amcl, grid=grid)
+                            amcl_config=amcl, grid=grid, masks=masks)
     print(f"  {label}: ambiguity f1 = {f1:4d} / {len(grid)}   "
           f"median RMSE after burn-in = {report.median_rmse * 100:.1f} cm")
 

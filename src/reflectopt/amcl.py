@@ -15,9 +15,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geom import Grid, RoomModel, build_grid
+from .geom import Grid, RoomModel
 from .objectives import EvalConfig, Fingerprint, distance_bins, nearest_visible
-from .placement import Placement, placement_masks
+from .placement import Placement
 
 _WEIGHT_FLOOR = 1e-12  # measurement weight in a coverage hole, and the least weight
 _MISMATCH_FACTOR = 1e-3  # weight factor per unmatched fingerprint entry
@@ -291,27 +291,19 @@ def _weight_update(particles: ParticleSet, meas: Fingerprint,
 def track(
     scenario: Sequence[tuple[OdometryInput, Fingerprint]],
     room: RoomModel,
-    pl: Placement,
+    model: FingerprintModel,
     config: AmclConfig,
     rng: np.random.Generator,
-    grid: Grid | None = None,
-    masks: np.ndarray | None = None,
-    initial_measurement: Fingerprint | None = None,
+    initial_measurement: Fingerprint,
 ) -> list[Pose]:
-    """Initialize, then resample / predict / weight / estimate per step.
+    """Initialize, weight by the initial measurement, then resample / predict /
+    weight / estimate per step, scoring against the placement's ``model``.
 
     Returns one pose estimate per scenario step plus the initial estimate.
     """
-    if grid is None:
-        grid = build_grid(room)
-    if masks is None:
-        masks = placement_masks(pl, grid, room)
-    model = FingerprintModel(pl, masks, grid, room, config.n, config.sigma_r)
     noise = (config.sigma_d, config.sigma_theta)
-
     particles = init_particles(room, config.n_particles, rng)
-    if initial_measurement is not None:
-        particles = _weight_update(particles, initial_measurement, model)
+    particles = _weight_update(particles, initial_measurement, model)
     estimates = [estimate(particles)]
     for odo, meas in scenario:
         particles = resample(particles, rng)

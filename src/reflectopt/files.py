@@ -173,6 +173,8 @@ def sim_configs_from_config(
         seeds = _get(sec, "seeds", _seed_list, [0])
     if min(seeds) < 0:
         raise ConfigError("seeds must be non-negative")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError("seeds must be distinct")
     burn_in = _get(sec, "burn_in", int, BURN_IN)
     if not 0 <= burn_in <= n_steps:
         raise ConfigError(f"burn_in must lie in [0, {n_steps}], the path's step count")
@@ -328,8 +330,8 @@ def write_trace(path, trace):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_histogram(path, report: ExperimentReport, bin_width: float = 0.05):
-    counts, edges = report.error_histogram(bin_width)
+def write_histogram(path, report: ExperimentReport):
+    counts, edges = report.error_histogram()
     lines = ["bin_lo,bin_hi,count"]
     for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
         lines.append(f"{float(lo)!r},{float(hi)!r},{int(c)}")

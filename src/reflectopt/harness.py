@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amcl import AmclConfig, OdometryInput, Pose, check_noise, track, wrap_angle
-from .geom import Grid, RoomModel, build_grid, sight_lines_clear
+from .amcl import AmclConfig, FingerprintModel, OdometryInput, Pose, check_noise, track, wrap_angle
+from .geom import Grid, RoomModel, sight_lines_clear
 from .objectives import EvalConfig, Fingerprint, nearest_fingerprint
-from .placement import Placement, placement_masks
+from .placement import Placement
 
 BURN_IN = 20  # estimates left out of rmse_after_burn_in while the filter converges
+HISTOGRAM_BIN = 0.05  # error histogram bin width (m)
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class NoiseConfig:
                     sigma_theta=self.sigma_theta)
 
 
-def gen_path(waypoints, step: float, room: RoomModel | None = None) -> list[tuple[Pose, OdometryInput]]:
+def gen_path(waypoints, step: float, room: RoomModel) -> list[tuple[Pose, OdometryInput]]:
     """Resample a waypoint polyline at fixed arc-length steps.
 
     Returns one (truth pose, odometry) pair per step; the start pose is the
@@ -51,8 +52,7 @@ def gen_path(waypoints, step: float, room: RoomModel | None = None) -> list[tupl
         raise ValueError("need at least two waypoints")
     if not step > 0:
         raise ValueError("path step must be positive")
-    if room is not None:
-        _check_path_inside(wp, room)
+    _check_path_inside(wp, room)
 
     seg_vec = np.diff(wp, axis=0)
     seg_len = np.linalg.norm(seg_vec, axis=1)
@@ -174,10 +174,10 @@ class ExperimentReport:
     def percentile(self, q: float) -> float:
         return float(np.percentile(self.rmse_values, q))
 
-    def error_histogram(self, bin_width: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
+    def error_histogram(self) -> tuple[np.ndarray, np.ndarray]:
         errors = np.concatenate([t.errors[self.burn_in:] for t in self.traces])
-        top = max(bin_width, errors.max() + bin_width)
-        edges = np.arange(0.0, top + bin_width, bin_width)
+        top = max(HISTOGRAM_BIN, errors.max() + HISTOGRAM_BIN)
+        edges = np.arange(0.0, top + HISTOGRAM_BIN, HISTOGRAM_BIN)
         counts, edges = np.histogram(errors, bins=edges)
         return counts, edges
 
@@ -188,27 +188,24 @@ def run_experiment(
     path_config: PathConfig,
     noise_config: NoiseConfig,
     seeds: list[int],
-    amcl_config: AmclConfig | None = None,
+    *,
+    amcl_config: AmclConfig,
+    grid: Grid,
+    masks: np.ndarray,
     burn_in: int = BURN_IN,
-    grid: Grid | None = None,
-    masks: np.ndarray | None = None,
 ) -> ExperimentReport:
     """Track the robot along the path once per seed and collect RMSE stats.
 
     Measurement, odometry and filter randomness use independent streams
     derived from each seed, so odometry noise realizations are identical
     across placements compared on matched seeds. ``masks`` are the
-    placement's visibility masks on ``grid``, computed when not given.
+    placement's visibility masks on ``grid``; every seed's filter scores
+    against the one fingerprint model built from them.
     """
-    if grid is None:
-        grid = build_grid(room)
-    if masks is None:
-        masks = placement_masks(pl, grid, room)
-    if amcl_config is None:
-        amcl_config = AmclConfig()
     steps = gen_path(path_config.waypoints, path_config.step, room)
     start = Pose(*path_config.waypoints[0], steps[0][0].heading)
     truth_poses = [start] + [pose for pose, _ in steps]
+    model = FingerprintModel(pl, masks, grid, room, amcl_config.n, amcl_config.sigma_r)
 
     traces = []
     for seed in seeds:
@@ -226,8 +223,7 @@ def run_experiment(
                                         amcl_config.n, noise_config.sigma_meas)
             scenario.append((noisy_odo, meas))
 
-        estimates = track(scenario, room, pl, amcl_config, rng_filter,
-                          grid=grid, masks=masks, initial_measurement=initial_meas)
+        estimates = track(scenario, room, model, amcl_config, rng_filter, initial_meas)
         errors = np.array([
             math.hypot(t.x - e.x, t.y - e.y) for t, e in zip(truth_poses, estimates)
         ])

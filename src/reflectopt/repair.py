@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geom import Grid, RoomModel, in_margin, project_into_margin
+from .geom import _EDGE_TOL, Grid, RoomModel, in_margin, project_into_margin
 from .objectives import EvalConfig
 from .placement import (Placement, check_constraints, coverage_floor, placement_masks,
                         type_assignment)
@@ -227,8 +227,12 @@ def sample_in_margin(room: RoomModel, n: int, rng: np.random.Generator) -> np.nd
         filled += take
         if filled == n:
             return out
-    raise ValueError(f"wall_margin = {room.wall_margin:g} leaves too small a region "
-                     "to sample reflector positions")
+    raise _margin_error(room)
+
+
+def _margin_error(room: RoomModel) -> ValueError:
+    return ValueError(f"wall_margin = {room.wall_margin:g} leaves too small a region "
+                      "to sample reflector positions")
 
 
 def random_feasible(
@@ -243,7 +247,10 @@ def random_feasible(
 
     Raises RuntimeError when no feasible placement is found after _RESTARTS
     attempts, and at once, before any draw, when m lies above config.m_max
-    or below ``coverage_floor``.
+    or below ``coverage_floor``. Raises ValueError before any draw when no
+    room point keeps wall_margin from the walls: such a point would lie more
+    than half a cell diagonal inside, so its lattice cell centre would be a
+    grid element farther from the walls than every grid element.
     """
     if m > config.m_max:
         raise RuntimeError(f"no feasible placement with {m} reflectors: m_max={config.m_max}")
@@ -254,6 +261,9 @@ def random_feasible(
                if n_spread > 1 else "every grid element")
         raise RuntimeError(f"no feasible placement with {m} reflectors: need at least {floor} "
                            f"reflectors: {who} must see k_min={config.k_min} of them")
+    deepest = room.boundary.edge_distances(grid.xy).max() + grid.size * np.sqrt(0.5)
+    if room.wall_margin - _EDGE_TOL > deepest:
+        raise _margin_error(room)
     types = type_assignment(m, n_types)
     for _ in range(_RESTARTS):
         xy = sample_in_margin(room, m, rng)

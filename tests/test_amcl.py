@@ -334,8 +334,9 @@ class TestTrack:
     def test_empty_scenario_single_estimate(self, small_room, small_grid, tracking_setup):
         pl, masks = tracking_setup
         cfg = AmclConfig(n_particles=100)
-        est = track([], small_room, pl, cfg, np.random.default_rng(0),
-                    grid=small_grid, masks=masks)
+        model = FingerprintModel(pl, masks, small_grid, small_room, cfg.n)
+        fp = fingerprint(small_grid.centers[40], pl, masks, small_grid, 4, small_room.r_res)
+        est = track([], small_room, model, cfg, np.random.default_rng(0), fp)
         assert len(est) == 1
 
     def test_weights_normalized_and_inside(self, small_room, small_grid, tracking_setup):
@@ -356,10 +357,9 @@ class TestTrack:
         cfg = AmclConfig(n_particles=200)
         fp = fingerprint(small_grid.centers[40], pl, masks, small_grid, 4, small_room.r_res)
         scenario = [(OdometryInput(0.2, 0.0), fp) for _ in range(5)]
-        e1 = track(scenario, small_room, pl, cfg, np.random.default_rng(11),
-                   grid=small_grid, masks=masks)
-        e2 = track(scenario, small_room, pl, cfg, np.random.default_rng(11),
-                   grid=small_grid, masks=masks)
+        model = FingerprintModel(pl, masks, small_grid, small_room, cfg.n)
+        e1 = track(scenario, small_room, model, cfg, np.random.default_rng(11), fp)
+        e2 = track(scenario, small_room, model, cfg, np.random.default_rng(11), fp)
         assert e1 == e2
 
     def test_noiseless_stationary_convergence(self, small_room, small_grid, tracking_setup):
@@ -376,8 +376,8 @@ class TestTrack:
         meas = fingerprint(c, pl, masks, small_grid, 4, small_room.r_res)
         cfg = AmclConfig(n_particles=1500, sigma_d=0.005, sigma_theta=math.radians(1.0))
         scenario = [(OdometryInput(0.0, 0.0), meas) for _ in range(10)]
-        est = track(scenario, small_room, pl, cfg, np.random.default_rng(21),
-                    grid=small_grid, masks=masks, initial_measurement=meas)
+        model = FingerprintModel(pl, masks, small_grid, small_room, cfg.n)
+        est = track(scenario, small_room, model, cfg, np.random.default_rng(21), meas)
         final = est[-1]
         err = math.hypot(final.x - c[0], final.y - c[1])
         assert err <= small_room.grid_size

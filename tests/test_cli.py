@@ -269,6 +269,7 @@ def test_bad_placement_coordinate_exit_2(tmp_path, capsys, command, row, message
     ("simulate", ["--seed", "-1"], None, None, "seeds must be non-negative"),
     ("simulate", [], "seeds = 1 2", "seeds = 1 -2", "seeds must be non-negative"),
     ("simulate", ["--seed", "3"], "seeds = 1 2", "n_seeds = 0", "n_seeds must be at least 1"),
+    ("simulate", [], "seeds = 1 2", "seeds = 3 3", "seeds must be distinct"),
     ("optimize", [], "seed = 12", "seed = 12\narchive_capacity = 1",
      "archive_capacity must be at least 2"),
     ("simulate", [], "n_particles = 250", "n_particles = 0", "n_particles must be at least 1"),
@@ -288,6 +289,7 @@ def test_bad_placement_coordinate_exit_2(tmp_path, capsys, command, row, message
 ], ids=["particles_zero", "particles_negative", "swarm_size_key", "iterations_negative",
         "iterations_key", "optimize_seed_negative", "optimize_seed_key",
         "simulate_seed_negative", "simulate_seeds_key", "simulate_n_seeds_zero",
+        "simulate_seeds_repeated",
         "archive_capacity_one", "sim_particles_zero", "sim_fingerprint_size_zero",
         "sigma_r_zero", "sigma_d_negative", "sigma_theta_infinite", "sigma_meas_negative",
         "burn_in_negative", "burn_in_beyond_path"])

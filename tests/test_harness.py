@@ -20,25 +20,25 @@ from reflectopt.repair import random_feasible, sample_in_margin
 
 
 class TestGenPath:
-    def test_straight_line(self):
-        steps = gen_path([(0.0, 0.0), (1.0, 0.0)], step=0.2)
+    def test_straight_line(self, small_room):
+        steps = gen_path([(0.0, 0.0), (1.0, 0.0)], step=0.2, room=small_room)
         assert len(steps) == 5
         for pose, odo in steps:
             assert odo.distance == pytest.approx(0.2)
             assert odo.rotation == pytest.approx(0.0)
         assert steps[-1][0].x == pytest.approx(1.0)
 
-    def test_right_angle_turn(self):
-        steps = gen_path([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], step=0.2)
+    def test_right_angle_turn(self, small_room):
+        steps = gen_path([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], step=0.2, room=small_room)
         rotations = [odo.rotation for _, odo in steps]
         turns = [r for r in rotations if abs(r) > 1e-9]
         assert len(turns) == 1
         assert turns[0] == pytest.approx(math.pi / 2)
 
-    def test_total_length_recovered(self):
+    def test_total_length_recovered(self, small_room):
         wp = [(0.0, 0.0), (2.3, 0.0), (2.3, 1.7), (0.5, 1.7)]
         step = 0.2
-        steps = gen_path(wp, step)
+        steps = gen_path(wp, step, small_room)
         polyline = sum(
             math.dist(a, b) for a, b in zip(wp[:-1], wp[1:])
         )
@@ -215,25 +215,49 @@ class TestRunExperiment:
         )
 
     def test_deterministic(self, small_room, small_grid, sim_setup):
-        pl, _ = sim_setup
+        pl, masks = sim_setup
         cfg = AmclConfig(n_particles=300)
         r1 = run_experiment(small_room, pl, self._path(), NoiseConfig(), [7],
-                            amcl_config=cfg, grid=small_grid)
+                            amcl_config=cfg, grid=small_grid, masks=masks)
         r2 = run_experiment(small_room, pl, self._path(), NoiseConfig(), [7],
-                            amcl_config=cfg, grid=small_grid)
+                            amcl_config=cfg, grid=small_grid, masks=masks)
         assert r1.traces[0].estimates == r2.traces[0].estimates
         assert r1.traces[0].rmse_after_burn_in == r2.traces[0].rmse_after_burn_in
 
     def test_zero_noise_converges(self, small_room, small_grid, sim_setup):
         # noiseless sensors; the filter keeps its own small process noise,
         # which maintains particle diversity
-        pl, _ = sim_setup
+        pl, masks = sim_setup
         cfg = AmclConfig(n_particles=800)
         noise = NoiseConfig(sigma_meas=0.0, sigma_d=0.0, sigma_theta=0.0)
         report = run_experiment(small_room, pl, self._path(), noise, [3],
-                                amcl_config=cfg, grid=small_grid, burn_in=20)
+                                amcl_config=cfg, grid=small_grid, masks=masks, burn_in=20)
         diag = math.sqrt(2) * small_room.grid_size
         assert report.traces[0].rmse_after_burn_in <= diag
+
+    def test_one_model_serves_every_seed(self, small_room, small_grid, sim_setup, monkeypatch):
+        # the seeds share one fingerprint model, and no seed's track leaks into the next
+        pl, masks = sim_setup
+        cfg = AmclConfig(n_particles=300)
+        built = []
+        init = FingerprintModel.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FingerprintModel, "__init__", counted)
+        both = run_experiment(small_room, pl, self._path(), NoiseConfig(), [3, 7],
+                              amcl_config=cfg, grid=small_grid, masks=masks)
+        assert len(built) == 1
+        for trace in both.traces:
+            alone = run_experiment(small_room, pl, self._path(), NoiseConfig(), [trace.seed],
+                                   amcl_config=cfg, grid=small_grid, masks=masks).traces[0]
+            assert trace.estimates == alone.estimates
+            assert (trace.rmse_full, trace.rmse_after_burn_in) == (alone.rmse_full,
+                                                                   alone.rmse_after_burn_in)
+        assert [t.seed for t in both.traces] == [3, 7]
+        assert len(built) == 3
 
     def test_matched_seeds_share_odometry(self, small_room, small_grid, sim_setup):
         # the odometry noise stream must not depend on the placement

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,25 @@ class TestRandomFeasible:
         with pytest.raises(RuntimeError, match="9 reflectors: m_max=8"):
             random_feasible(small_room, 9, 2, rng, small_grid, EvalConfig(m_max=8))
         assert rng.bit_generator.state == state
+
+    def test_empty_margin_interior_fails_before_any_draw(self, small_room, small_grid):
+        # no point of the 4 x 4 room lies 3 m from every wall
+        room = dataclasses.replace(small_room, wall_margin=3.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="wall_margin = 3 leaves too small a region"):
+            random_feasible(room, 9, 2, rng, small_grid)
+        assert rng.bit_generator.state == state
+
+    def test_thin_margin_interior_is_left_to_sampling(self, small_room, small_grid,
+                                                      monkeypatch):
+        # a 0.1 m square lies 1.95 m from every wall, deeper than every grid
+        # centre (1.875 m) but within half a cell diagonal of one
+        monkeypatch.setattr(repair_module, "_MAX_ITER", 1)
+        monkeypatch.setattr(repair_module, "_RESTARTS", 1)
+        room = dataclasses.replace(small_room, wall_margin=1.95)
+        with pytest.raises(RuntimeError, match="after 1 restarts"):
+            random_feasible(room, 4, 2, np.random.default_rng(0), small_grid)
 
     def test_restarts_run_out(self, small_room, small_grid, monkeypatch):
         # d_min beyond the room diagonal: no placement of 4 can be spaced out.
