@@ -177,6 +177,9 @@ def sim_configs_from_config(
         raise ConfigError("seeds must be distinct")
     burn_in = _get(sec, "burn_in", int, BURN_IN)
     if not 0 <= burn_in <= n_steps:
+        if "burn_in" not in sec:
+            raise ConfigError(f"the default burn_in of {BURN_IN} exceeds the path's {n_steps} "
+                              f"steps; set [sim] burn_in to a value in [0, {n_steps}]")
         raise ConfigError(f"burn_in must lie in [0, {n_steps}], the path's step count")
     return path_cfg, noise_cfg, amcl_cfg, seeds, burn_in
 

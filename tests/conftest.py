@@ -56,6 +56,23 @@ L_ROOM_PLACEMENT_B_XY = (
 )
 
 
+def five_test_rooms():
+    convex = Polygon([(0, 0), (6, 0), (8, 3), (5, 7), (1, 5)])
+    l_shape = Polygon([(0, 0), (10, 0), (10, 8), (5, 8), (5, 4), (0, 4)])
+    u_shape = Polygon([(0, 0), (9, 0), (9, 6), (6, 6), (6, 2), (3, 2), (3, 6), (0, 6)])
+    rand1 = Polygon([(0, 0), (5, 1), (7, 0), (8, 4), (6, 3), (4, 6), (1, 4)])
+    rand2 = Polygon([(0, 0), (4, -1), (9, 1), (7, 3), (9, 6), (3, 5), (2, 7), (-1, 3)])
+    return [convex, l_shape, u_shape, rand1, rand2]
+
+
+def comb_room_poly():
+    """24 x 12 m with five 0.4 m-thick walls hanging 6 m down from the top at x = 4, 8, ..., 20."""
+    top = [(24.0, 12.0)]
+    for x in (20.0, 16.0, 12.0, 8.0, 4.0):
+        top += [(x + 0.2, 12.0), (x + 0.2, 6.0), (x - 0.2, 6.0), (x - 0.2, 12.0)]
+    return Polygon([(0.0, 0.0), (24.0, 0.0)] + top + [(0.0, 12.0)])
+
+
 @pytest.fixture(scope="session")
 def unit_square():
     return Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])

@@ -778,6 +778,20 @@ class TestSimulateCommand:
         report = (out / "report.txt").read_text()
         assert f"burn_in_steps = {burn_in}\nsteps_per_run = 41\n" in report
 
+    def test_default_burn_in_beyond_short_path_names_the_default(
+            self, feasible_placement_file, tmp_path, capsys):
+        # (1, 1) -> (3, 1) at 0.2 m steps has 10 steps, fewer than the default 20
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(ROOM_SECTION + "\n[sim]\nn_particles = 250\n\n[path]\n1.0 1.0\n3.0 1.0\n")
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(cfg),
+                     "--placement", str(feasible_placement_file), "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the default burn_in of 20 exceeds the path's 10 steps; "
+            "set [sim] burn_in to a value in [0, 10]\n")
+        assert not out.exists()
+
     def test_seeded_l_room_compare_is_unchanged(self, tmp_path):
         # README L room and path, default 2000 particles, one noise seed; the
         # compare track diverges, so the filter also weighs widely spread particles

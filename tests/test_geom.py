@@ -21,7 +21,7 @@ from reflectopt.geom import (
     visibility_polygon,
 )
 from reflectopt.placement import Placement, check_constraints, placement_masks
-from conftest import mc_visibility_area, segment_visible
+from conftest import five_test_rooms, mc_visibility_area, segment_visible
 
 
 class TestPolygon:
@@ -323,10 +323,10 @@ class TestOccluderEdges:
     def test_convex_rooms_have_none(self, unit_square):
         rect = Polygon([(0, 0), (10, 0), (10, 8), (0, 8)])
         assert len(rect.occluder_edges[0]) == len(unit_square.occluder_edges[0]) == 0
-        assert len(_five_test_rooms()[0].occluder_edges[0]) == 0
+        assert len(five_test_rooms()[0].occluder_edges[0]) == 0
 
     def test_u_room_has_its_three_inner_walls_and_no_hull_edge(self):
-        u = _five_test_rooms()[2]
+        u = five_test_rooms()[2]
         a, b = u.occluder_edges
         got = {(tuple(p), tuple(q)) for p, q in zip(a.tolist(), b.tolist())}
         assert got == {((6.0, 6.0), (6.0, 2.0)), ((6.0, 2.0), (3.0, 2.0)),
@@ -352,7 +352,7 @@ class TestVisibilityMasks:
     @pytest.mark.parametrize("room_index", range(6))
     def test_placement_masks_equal_oracle(self, room_index, readme_l_room):
         # The five test rooms, then the README L room (0.2 m grid, 4.5 m cone).
-        rooms = [_test_room(poly.vertices) for poly in _five_test_rooms()] + [readme_l_room]
+        rooms = [_test_room(poly.vertices) for poly in five_test_rooms()] + [readme_l_room]
         room = rooms[room_index]
         grid = build_grid(room)
         rng = np.random.default_rng(100 + room_index)
@@ -406,7 +406,7 @@ class TestSeparatedElements:
         # with a 4 x 5 m notch).
         u_room = _test_room([(0, 0), (10, 0), (10, 8), (7, 8), (7, 3), (3, 3), (3, 8), (0, 8)],
                             grid_size=0.2, z_l=5.0)
-        return [_test_room(poly.vertices) for poly in _five_test_rooms()] + [readme_l_room, u_room]
+        return [_test_room(poly.vertices) for poly in five_test_rooms()] + [readme_l_room, u_room]
 
     @pytest.mark.parametrize("room_index", range(7))
     def test_no_reflector_sees_two(self, room_index, readme_l_room):
@@ -584,7 +584,7 @@ def _scalar_gradient(q, poly, d):
 class TestVisibilityMonteCarloSuite:
     def test_random_rooms_and_points(self):
         # 20 random interior points across 5 rooms vs the sampling oracle.
-        rooms = _five_test_rooms()
+        rooms = five_test_rooms()
         rng = np.random.default_rng(123)
         checks = 0
         for poly in rooms:
@@ -601,12 +601,3 @@ class TestVisibilityMonteCarloSuite:
                 assert vp.area == pytest.approx(mc, rel=0.02)
                 checks += 1
         assert checks == 20
-
-
-def _five_test_rooms():
-    convex = Polygon([(0, 0), (6, 0), (8, 3), (5, 7), (1, 5)])
-    l_shape = Polygon([(0, 0), (10, 0), (10, 8), (5, 8), (5, 4), (0, 4)])
-    u_shape = Polygon([(0, 0), (9, 0), (9, 6), (6, 6), (6, 2), (3, 2), (3, 6), (0, 6)])
-    rand1 = Polygon([(0, 0), (5, 1), (7, 0), (8, 4), (6, 3), (4, 6), (1, 4)])
-    rand2 = Polygon([(0, 0), (4, -1), (9, 1), (7, 3), (9, 6), (3, 5), (2, 7), (-1, 3)])
-    return [convex, l_shape, u_shape, rand1, rand2]
