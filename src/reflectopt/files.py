@@ -46,7 +46,10 @@ def parse_sections(text: str) -> dict[str, dict]:
             raise ConfigError(f"line {lineno}: content before any [section] header")
         if "=" in line:
             key, _, value = line.partition("=")
-            current[key.strip().lower()] = value.strip()
+            key = key.strip().lower()
+            if key == "rows":  # the name under which the numeric rows are kept
+                raise ConfigError(f"line {lineno}: unknown key 'rows'")
+            current[key] = value.strip()
         else:
             try:
                 current["rows"].append([float(x) for x in line.split()])
@@ -56,11 +59,20 @@ def parse_sections(text: str) -> dict[str, dict]:
 
 
 def load_config(path) -> dict[str, dict]:
+    """The sections of a config file; an unknown section or key is an error."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_sections(text)
+    sections = parse_sections(text)
+    for name, section in sections.items():
+        if name not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        unknown = sorted(section.keys() - {"rows"} - _KNOWN_KEYS[name])
+        if unknown:
+            raise ConfigError(f"unknown key{'s' * (len(unknown) > 1)} in [{name}]: "
+                              + ", ".join(unknown))
+    return sections
 
 
 def _get(section: dict, key: str, cast, default=None, required=False):
@@ -97,6 +109,14 @@ _PSO_KEYS = {"swarm_size": int, "iterations": int, "n_types": int, "p_up": float
              "snapshot_every": int}
 _NOISE_KEYS = {"sigma_meas": float, "sigma_d": float, "sigma_theta_deg": _radians}
 _AMCL_KEYS = {"n_particles": int, "fingerprint_size": int, "sigma_r": float}
+# Every key a section may hold: the tables above plus the keys read by name.
+_KNOWN_KEYS = {
+    "room": {"grid_size", *_ROOM_KEYS},
+    "vertices": set(),
+    "pso": {"m_init_min", "m_init_max", *_CONSTRAINT_KEYS, *_PSO_KEYS},
+    "sim": {"step", "seeds", "n_seeds", "burn_in", *_NOISE_KEYS, *_AMCL_KEYS},
+    "path": set(),
+}
 
 
 def _present(section: dict, casts: dict) -> dict:
@@ -274,22 +294,42 @@ def write_log(path, log: list[IterationLog]):
 
 
 def write_map_csv(path, grid: Grid, values, header="x,y,value"):
-    vals = np.asarray(values).tolist()
-    rows = (xy + _num(v) for xy, v in zip(_xy_columns(grid), vals, strict=True))
-    Path(path).write_text("\n".join([header, *rows]) + "\n")
+    """One ``x,y,value`` line per grid element.
+
+    Coordinates are written with ``repr``, values by the ``_num`` rule. Each
+    distinct coordinate is formatted once, and so is each distinct value of
+    an integer or bool map.
+    """
+    vals = np.asarray(values)
+    if vals.shape != (len(grid),):
+        raise ValueError(f"map of shape {vals.shape} for {len(grid)} grid elements")
+    if vals.dtype.kind in "biu":
+        uniq, inverse = np.unique(vals, return_inverse=True)
+        table = [str(int(v)) for v in uniq.tolist()]
+        value_texts = map(table.__getitem__, inverse.tolist())
+    else:
+        value_texts = _num_texts(vals.astype(float, copy=False))
+    rows = zip(_coordinate_texts(grid.xy[:, 0]), _coordinate_texts(grid.xy[:, 1]), value_texts)
+    Path(path).write_text(f"{header}\n" + "\n".join(map(",".join, rows)) + "\n")
 
 
-# The last grid written and its columns. Grid arrays are read-only and the
-# reference keeps the grid alive, so a match by identity is never stale.
-_xy_columns_of: tuple[Grid, list[str]] | None = None
+def _reprs(vals: np.ndarray) -> list[str]:
+    """``repr`` of each float, from one C-level ``repr`` of the whole list."""
+    return repr(vals.tolist())[1:-1].split(", ")
 
 
-def _xy_columns(grid: Grid) -> list[str]:
-    """The ``x,y,`` text of every grid element, formatted once per grid."""
-    global _xy_columns_of
-    if _xy_columns_of is None or _xy_columns_of[0] is not grid:
-        _xy_columns_of = (grid, [f"{x!r},{y!r}," for x, y in grid.xy.tolist()])
-    return _xy_columns_of[1]
+def _num_texts(vals: np.ndarray) -> list[str]:
+    """``_num`` of each float: its ``repr``, or ``str(int(v))`` for a finite whole number."""
+    texts = _reprs(vals)
+    for i in np.flatnonzero(np.isfinite(vals) & (vals == np.trunc(vals))).tolist():
+        texts[i] = str(int(vals[i]))
+    return texts
+
+
+def _coordinate_texts(coords: np.ndarray):
+    """``repr`` of each coordinate, formatted once per distinct value."""
+    uniq, inverse = np.unique(coords, return_inverse=True)
+    return map(_reprs(uniq).__getitem__, inverse.tolist())
 
 
 _AMBIGUITY_GRAY = {UNIQUE: 255, LOCAL: 170, GLOBAL: 85}

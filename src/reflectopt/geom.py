@@ -544,8 +544,9 @@ def _contains_points_raw(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.nd
     with np.errstate(divide="ignore", invalid="ignore"):
         x_int = ax + (py - ay) * (bx - ax) / (by - ay)
     inside = (np.sum(cond & (px < x_int), axis=1) % 2) == 1
-    # The on-edge test only where the parity test says outside.
-    out = np.flatnonzero(~inside)
+    # The on-edge test only where the parity test says outside, and only for
+    # finite points: no edge holds the others, and inf * 0 would warn.
+    out = np.flatnonzero(~inside & np.isfinite(px[:, 0]) & np.isfinite(py[:, 0]))
     if out.size:
         ex, ey = bx - ax, by - ay
         elen2 = ex * ex + ey * ey

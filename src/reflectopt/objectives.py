@@ -230,10 +230,12 @@ def gdop_values(pl: Placement, masks: np.ndarray, grid: Grid, sigma_r: float) ->
     c, p = grid.centers, pl.positions3d
     dx, dy, dz = (c[:, k, None] - p[None, :, k] for k in range(3))
     w = masks.T / (dx * dx + dy * dy + dz * dz)
-    wx, wy, wz = w * dx, w * dy, w * dz
-    sxx, sxy, sxz = (np.einsum("nm,nm->n", wx, v) for v in (dx, dy, dz))
-    syy, syz = (np.einsum("nm,nm->n", wy, v) for v in (dy, dz))
-    szz = np.einsum("nm,nm->n", wz, dz)
+    wk = w * dx  # then w * dy and w * dz, in the same buffer
+    sxx, sxy, sxz = (np.einsum("nm,nm->n", wk, v) for v in (dx, dy, dz))
+    np.multiply(w, dy, out=wk)
+    syy, syz = (np.einsum("nm,nm->n", wk, v) for v in (dy, dz))
+    np.multiply(w, dz, out=wk)
+    szz = np.einsum("nm,nm->n", wk, dz)
     minor_x = syy * szz - syz * syz
     minor_y = sxx * szz - sxz * sxz
     minor_z = sxx * syy - sxy * sxy

@@ -160,8 +160,7 @@ def _assert_matches_contains_points(poly: Polygon, rng: np.random.Generator,
                                     k: int = 500) -> _InsideCells:
     inside = _InsideCells(poly)
     pts = _probe_points(poly, inside, rng, k)
-    with np.errstate(invalid="ignore"):  # the polygon test warns on +-inf
-        assert np.array_equal(inside.contains_points(pts), poly.contains_points(pts))
+    assert np.array_equal(inside.contains_points(pts), poly.contains_points(pts))
     return inside
 
 

@@ -14,7 +14,7 @@ import reflectopt
 from reflectopt import files, mopso
 from reflectopt.amcl import AmclConfig
 from reflectopt.cli import main
-from reflectopt.geom import RoomModel, build_grid
+from reflectopt.geom import Polygon, RoomModel, build_grid
 from reflectopt.harness import BURN_IN, NoiseConfig, PathConfig
 from reflectopt.mopso import PsoConfig
 from reflectopt.objectives import EvalConfig, evaluate
@@ -141,8 +141,10 @@ def _readme_config_block() -> str:
 
 
 class TestReadmeConfig:
-    def test_documented_values_land_in_the_dataclasses(self):
-        sections = files.parse_sections(_readme_config_block())
+    def test_documented_values_land_in_the_dataclasses(self, tmp_path):
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(_readme_config_block())
+        sections = files.load_config(cfg)  # every documented key is known
         room = files.room_from_config(sections)
         assert room == RoomModel(boundary=room.boundary, grid_size=0.2, z_r=0.5, z_l=5.0,
                                  r_res=0.075, cone_half_angle=math.radians(45.0),
@@ -236,6 +238,54 @@ class TestMapCsv:
             files.write_map_csv(path, grid, values, header=header)
             assert path.read_text() == per_element_map_csv(grid, values, header)
 
+    def test_length_mismatch_rejected(self, tmp_path, small_grid):
+        n = len(small_grid)
+        for values in (np.zeros(n - 1), np.zeros(n + 1, dtype=np.int8), [0.5] * (n - 1),
+                       np.zeros((n, 1))):
+            with pytest.raises(ValueError):
+                files.write_map_csv(tmp_path / "map.csv", small_grid, values)
+
+    def test_negative_origin_grids(self, tmp_path):
+        # 0.3 and the origin are not binary fractions, so the grid coordinates
+        # are rounded sums that a recomputed lattice need not reproduce; the
+        # 2 m grid has whole coordinates, which keep their ".0"
+        rooms = [RoomModel(boundary=Polygon([(-3.7, -2.9), (2.2, -2.9), (2.2, 0.4), (-0.8, 0.4),
+                                             (-0.8, 1.9), (-3.7, 1.9)]), grid_size=0.3),
+                 RoomModel(boundary=Polygon([(-5.0, -4.0), (5.0, -4.0), (5.0, 4.0),
+                                             (-5.0, 4.0)]), grid_size=2.0)]
+        rng = np.random.default_rng(8)
+        for room in rooms:
+            grid = build_grid(room)
+            assert grid.xy.min() < 0 < grid.xy.max()
+            for values in (rng.uniform(-1.0, 1.0, len(grid)), rng.integers(-3, 3, len(grid))):
+                path = tmp_path / "map.csv"
+                files.write_map_csv(path, grid, values)
+                assert path.read_text() == per_element_map_csv(grid, values)
+        assert "\n-4.0,-3.0," in path.read_text()
+
+    def test_float32_and_list_values(self, tmp_path, small_grid):
+        rng = np.random.default_rng(9)
+        n = len(small_grid)
+        floats = rng.uniform(-5.0, 5.0, n)
+        floats[:4] = [1.0, -0.0, 0.1, np.nan]
+        for values in (floats.astype(np.float32), floats.tolist(),
+                       rng.integers(-9, 9, n).tolist(), (floats > 0).tolist(),
+                       [1] * (n // 2) + [2.5] * (n - n // 2)):
+            path = tmp_path / "map.csv"
+            files.write_map_csv(path, small_grid, values)
+            assert path.read_text() == per_element_map_csv(small_grid, values)
+
+    def test_whole_floats_in_exponent_form(self, tmp_path, small_grid):
+        n = len(small_grid)
+        special = [1e16, -1e16, 2.0**60, -2.0**60, -0.0, 1e22, 123456789012345678.0, 1e16 + 2]
+        values = np.resize(np.array(special), n)
+        path = tmp_path / "map.csv"
+        files.write_map_csv(path, small_grid, values)
+        text = path.read_text()
+        assert text == per_element_map_csv(small_grid, values)
+        assert "e+" not in text and "-0.0" not in text
+        assert f",{2**60}\n" in text and ",10000000000000000\n" in text
+
 
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])
 @pytest.mark.parametrize("row, message", [
@@ -303,6 +353,31 @@ def test_bad_size_or_seed_exit_2(feasible_placement_file, tmp_path, capsys, comm
     cfg.write_text(ROOM_SECTION + "\n" + section)
     argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")] + flags
     if command == "simulate":
+        argv += ["--placement", str(feasible_placement_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "evaluate", "simulate"])
+@pytest.mark.parametrize("old, new, message", [
+    ("swarm_size = 5", "swarm_sise = 5", "unknown key in [pso]: swarm_sise"),
+    ("swarm_size = 5", "swarm_sise = 5\npaticles = 3",
+     "unknown keys in [pso]: paticles, swarm_sise"),
+    ("z_l = 4.5", "z_l = 4.5\nm_max = 10", "unknown key in [room]: m_max"),
+    ("n_particles = 250", "n_particles = 250\nseed = 3", "unknown key in [sim]: seed"),
+    ("[path]", "[path]\nstep = 0.2", "unknown key in [path]: step"),
+    ("[sim]", "[simulation]", "unknown section [simulation]"),
+    ("[vertices]", "[vertices]\nrows = 4", "line 10: unknown key 'rows'"),
+], ids=["pso_key", "two_pso_keys", "room_key", "sim_key", "path_key", "section", "rows_key"])
+def test_unknown_section_or_key_exit_2(feasible_placement_file, tmp_path, capsys, command,
+                                       old, new, message):
+    text = ROOM_SECTION + "\n" + PSO_SECTION + "\n" + SIM_SECTION
+    assert text.count(old + "\n") == 1
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(text.replace(old + "\n", new + "\n"))
+    argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+    if command != "optimize":
         argv += ["--placement", str(feasible_placement_file)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,22 @@ class TestContainsPoints:
         assert np.array_equal(poly.contains_points(pts), parity | on_edge)
         # both terms decide some points
         assert (on_edge & ~parity).any() and (parity & ~on_edge).any()
+
+    def test_non_finite_points_outside_without_warning(self, oracle_room, readme_l_room):
+        for poly in (oracle_room.boundary, readme_l_room.boundary):
+            # on each vertex's row and column, so some products are inf * 0
+            finite = np.concatenate([poly.vertices[:, 0], poly.vertices[:, 1], [0.0, -3.5]])
+            pts = [(s, c) for s in (np.inf, -np.inf, np.nan) for c in finite]
+            pts += [(c, s) for s, c in pts]
+            pts += [(a, b) for a in (np.inf, -np.inf, np.nan) for b in (np.inf, -np.inf, np.nan)]
+            pts = np.array(pts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = poly.contains_points(pts)
+            assert not got.any()
+            with np.errstate(invalid="ignore"):
+                parity, on_edge = _two_term_contains(poly, pts)
+            assert np.array_equal(got, parity | on_edge)
 
 
 class TestNearestElement:

@@ -16,6 +16,7 @@ from reflectopt.objectives import (
     AmbiguityMap,
     CoverageError,
     EvalConfig,
+    _COND_LIMIT,
     _gdop_from_eigvals,
     _unique_rows,
     ambiguity,
@@ -32,6 +33,7 @@ from reflectopt.objectives import (
 )
 from reflectopt.placement import Placement, placement_masks, type_assignment, visible_reflectors
 from reflectopt.repair import random_feasible
+from conftest import comb_room_poly
 
 
 def trace_inverse_3x3(j):
@@ -521,6 +523,34 @@ def _random_cases(small_room, small_grid, readme_l_room):
         yield pl, placement_masks(pl, l_grid, readme_l_room), l_grid, readme_l_room
 
 
+def wx_wy_wz_gdop_values(pl, masks, grid, sigma_r):
+    """``gdop_values`` as it was with the three weighted products held at once."""
+    c, p = grid.centers, pl.positions3d
+    dx, dy, dz = (c[:, k, None] - p[None, :, k] for k in range(3))
+    w = masks.T / (dx * dx + dy * dy + dz * dz)
+    wx, wy, wz = w * dx, w * dy, w * dz
+    sxx, sxy, sxz = (np.einsum("nm,nm->n", wx, v) for v in (dx, dy, dz))
+    syy, syz = (np.einsum("nm,nm->n", wy, v) for v in (dy, dz))
+    szz = np.einsum("nm,nm->n", wz, dz)
+    minor_x = syy * szz - syz * syz
+    minor_y = sxx * szz - sxz * sxz
+    minor_z = sxx * syy - sxy * sxy
+    det = sxx * minor_x - sxy * (sxy * szz - syz * sxz) + sxz * (sxy * syz - syy * sxz)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        trace_inv = (minor_x + minor_y + minor_z) / det
+        cond_bound = (sxx + syy + szz) ** 3 / det
+        within_bound = (det > 0) & np.isfinite(trace_inv) & (cond_bound <= _COND_LIMIT)
+    values = trace_inv * sigma_r**2
+    rest = np.flatnonzero(~within_bound)
+    if len(rest):
+        diff = c[rest, None, :] - p[None, :, :]
+        u = diff / np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))[:, :, None]
+        u = u * masks.T[rest, :, None]
+        j = np.einsum("nmi,nmj->nij", u, u)
+        values[rest] = _gdop_from_eigvals(np.linalg.eigvalsh(j), sigma_r)
+    return values, rest
+
+
 class TestEvaluationKernels:
     def test_closed_form_gdop_matches_eigvalsh_and_scalar(self, small_room, small_grid,
                                                            readme_l_room):
@@ -532,6 +562,28 @@ class TestEvaluationKernels:
                 vis = visible_reflectors(grid.centers[idx], pl, masks, grid)
                 assert values[idx] == pytest.approx(gdop(grid.centers[idx], vis, room.r_res),
                                                     rel=1e-12, abs=0.0)
+
+    def test_gdop_bitwise_equal_to_three_product_form(self, small_room, readme_l_room, u_room):
+        comb = RoomModel(boundary=comb_room_poly(), grid_size=0.3, z_r=0.5, z_l=5.0)
+        rng = np.random.default_rng(63)
+        for room in (small_room, readme_l_room, u_room, comb):
+            grid = build_grid(room)
+            xmin, ymin, xmax, ymax = room.boundary.bounds
+            for _ in range(3):
+                m = int(rng.integers(6, 23))
+                xy = rng.uniform([xmin, ymin], [xmax, ymax], (m, 2))
+                # four reflectors on one line: elements that see only them
+                # have a singular matrix and take the eigvalsh rows
+                xy[:4, 1] = xy[0, 1]
+                pl = Placement(xy=xy, types=type_assignment(m, 2), z=room.z_l)
+                masks = rng.uniform(size=(m, len(grid))) < 0.6
+                masks[:4] |= rng.uniform(size=len(grid)) < 0.3
+                masks[4:, rng.uniform(size=len(grid)) < 0.1] = False
+                masks[:4, masks.sum(axis=0) < 4] = True
+                values = gdop_values(pl, masks, grid, room.r_res)
+                expect, rest = wx_wy_wz_gdop_values(pl, masks, grid, room.r_res)
+                assert values.tobytes() == expect.tobytes()
+                assert len(rest) > 0
 
     def test_collinear_rows_keep_the_penalty_set(self, small_room, small_grid):
         # Four reflectors on one line, two off it; half the elements see only the line.
