@@ -29,7 +29,8 @@ def parse_sections(text: str) -> dict[str, dict]:
     """Parse the key-value / tabular section format.
 
     Sections start with ``[name]``; lines are either ``key = value`` pairs
-    or whitespace-separated numeric rows (collected under ``"rows"``).
+    or whitespace-separated numeric rows (collected under ``"rows"``), which
+    only the sections without keys, [vertices] and [path], may hold.
     ``#`` starts a comment.
     """
     sections: dict[str, dict] = {}
@@ -50,6 +51,8 @@ def parse_sections(text: str) -> dict[str, dict]:
             if key == "rows":  # the name under which the numeric rows are kept
                 raise ConfigError(f"line {lineno}: unknown key 'rows'")
             current[key] = value.strip()
+        elif _KNOWN_KEYS.get(name):
+            raise ConfigError(f"line {lineno}: [{name}] takes key = value lines, not rows")
         else:
             try:
                 current["rows"].append([float(x) for x in line.split()])

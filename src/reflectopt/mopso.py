@@ -158,6 +158,8 @@ class PsoConfig:
             raise ValueError("n_types must be 1 or 2")
         if self.archive_capacity < 2:
             raise ValueError("archive_capacity must be at least 2")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be non-negative")
         self.eval_config()  # checks n, k_min and d_min
 
     def eval_config(self) -> EvalConfig:

@@ -96,6 +96,17 @@ def placement_masks(pl: Placement, grid: Grid, room: RoomModel, strict: bool = T
     return visibility_masks(pl.xy, pl.z, grid, room, strict=strict)
 
 
+def close_pairs(xy: np.ndarray, d_min: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair i < j of the (M, 2) points closer than d_min: (i, j, distance).
+
+    Pairs come in row-major order; a pair exactly d_min apart is not close.
+    """
+    diff = xy[:, None, :] - xy[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    i, j = np.nonzero(np.triu(dist < d_min, k=1))
+    return i, j, dist[i, j]
+
+
 @dataclass(frozen=True)
 class ConstraintReport:
     """Outcome of the four placement constraints.
@@ -138,11 +149,8 @@ def check_constraints(
     coverage_violations = np.flatnonzero(counts < k_min)
     coverage_ok = coverage_violations.size == 0
 
-    diff = pl.xy[:, None, :] - pl.xy[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    iu = np.triu_indices(pl.m, k=1)
-    close = dist[iu] < d_min
-    spacing_violations = [(int(i), int(j)) for i, j in zip(iu[0][close], iu[1][close])]
+    i, j, _ = close_pairs(pl.xy, d_min)
+    spacing_violations = list(zip(i.tolist(), j.tolist()))
     spacing_ok = not spacing_violations
 
     margin_violations = np.flatnonzero(~in_margin(pl.xy, room))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .geom import _EDGE_TOL, Grid, RoomModel, in_margin, project_into_margin
 from .objectives import EvalConfig
-from .placement import (Placement, check_constraints, coverage_floor, placement_masks,
-                        type_assignment)
+from .placement import (Placement, check_constraints, close_pairs, coverage_floor,
+                        placement_masks, type_assignment)
 
 # Relative overshoot past d_min when separating a violating pair, so the
 # pair does not land exactly on the constraint boundary and oscillate.
@@ -41,48 +41,37 @@ def magnet_step(pl: Placement, d_min: float, rng: np.random.Generator | None = N
     simultaneously, so the result does not depend on pair order. Coincident
     reflectors separate along a random direction (seeded rng required then).
     """
-    xy = pl.xy
-    m = pl.m
-    if m < 2:
+    i, j, d = close_pairs(pl.xy, d_min)
+    if not d.size:
         return pl
-    diff = xy[:, None, :] - xy[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    moves = np.zeros_like(xy)
-    target = d_min * (1.0 + _PUSH_DELTA)
-    moved = False
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = dist[i, j]
-            if d >= d_min:
-                continue
-            moved = True
-            if d < 1e-12:
-                if rng is None:
-                    raise ValueError("coincident reflectors need an rng to separate")
-                angle = rng.uniform(0.0, 2.0 * np.pi)
-                direction = np.array([np.cos(angle), np.sin(angle)])
-            else:
-                direction = (xy[i] - xy[j]) / d
-            push = 0.5 * (target - d)
-            moves[i] += push * direction
-            moves[j] -= push * direction
-    if not moved:
-        return pl
-    return pl.with_xy(xy + moves)
+    direction = (pl.xy[i] - pl.xy[j]) / np.maximum(d, 1e-12)[:, None]
+    coincident = np.flatnonzero(d < 1e-12)
+    if coincident.size:
+        if rng is None:
+            raise ValueError("coincident reflectors need an rng to separate")
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=coincident.size)
+        direction[coincident] = np.column_stack([np.cos(angle), np.sin(angle)])
+    push = (0.5 * (d_min * (1.0 + _PUSH_DELTA) - d))[:, None] * direction
+    moves = np.zeros_like(pl.xy)
+    # pair by pair, i's push and then j's: the order of a serial sum, bit for bit
+    np.add.at(moves, np.column_stack([i, j]).ravel(), np.hstack([push, -push]).reshape(-1, 2))
+    return pl.with_xy(pl.xy + moves)
 
 
-def _coverage_regions(grid: Grid, masks: np.ndarray, k_min: int):
-    """4-connected under-covered regions: (counts, [(member elements, attractor)]).
+def _coverage_holes(grid: Grid, masks: np.ndarray, k_min: int):
+    """Under-covered regions and per-reflector slack: ([(member elements, attractor)], slack).
 
-    ``Grid.components`` labels the regions; they come in order of their
-    lowest element. The attractor is the region element closest to the
+    ``Grid.components`` labels the 4-connected regions; they come in order of
+    their lowest element. The attractor is the region element closest to the
     region centroid; it always lies inside the room, unlike the raw centroid
-    of a concave region.
+    of a concave region. A reflector's slack is the spare coverage of its
+    worst-covered element (inf if it covers none).
     """
     counts = masks.sum(axis=0)
+    slack = np.where(masks, counts, np.inf).min(axis=1) - k_min
     violated = counts < k_min
     if not violated.any():
-        return counts, []
+        return [], slack
     roots = grid.components(violated)
     # the stable sort keeps each region's elements ascending; roots of -1 come first
     members = np.argsort(roots, kind="stable")[np.count_nonzero(~violated):]
@@ -91,12 +80,7 @@ def _coverage_regions(grid: Grid, masks: np.ndarray, k_min: int):
         centroid = grid.xy[region].mean(axis=0)
         att = region[np.argmin(np.linalg.norm(grid.xy[region] - centroid, axis=1))]
         regions.append((region, int(att)))
-    return counts, regions
-
-
-def _coverage_slack(masks: np.ndarray, counts: np.ndarray, k_min: int) -> np.ndarray:
-    """Per reflector: spare coverage of its worst-covered element (inf if none)."""
-    return np.where(masks, counts, np.inf).min(axis=1) - k_min
+    return regions, slack
 
 
 def deficit_gravitation_step(
@@ -113,10 +97,9 @@ def deficit_gravitation_step(
     the gravitation law (_GAMMA times distance, capped at _STEP_CAP) and
     serves at most one region per step.
     """
-    counts, regions = _coverage_regions(grid, masks, k_min)
+    regions, slack = _coverage_holes(grid, masks, k_min)
     if not regions:
         return pl
-    slack = _coverage_slack(masks, counts, k_min)
     xy = pl.xy.copy()
     claimed = np.zeros(pl.m, dtype=bool)
     for _, att in regions:
@@ -141,10 +124,9 @@ def deficit_gravitation_step(
 
 def _rescue_jump(pl: Placement, grid: Grid, masks: np.ndarray, k_min: int) -> Placement:
     """Relocate the most redundant reflector onto the biggest hole."""
-    counts, regions = _coverage_regions(grid, masks, k_min)
+    regions, slack = _coverage_holes(grid, masks, k_min)
     if not regions:
         return pl
-    slack = _coverage_slack(masks, counts, k_min)
     members, att = max(regions, key=lambda r: len(r[0]))
     cand = np.flatnonzero(~masks[:, att])
     if cand.size == 0:
@@ -176,7 +158,11 @@ def repair(
     best_violations = np.inf
     stall = 0
     for iteration in range(_MAX_ITER + 1):
-        masks, masks_xy = _refresh_masks(masks, masks_xy, current, grid, room)
+        moved = np.flatnonzero(np.any(current.xy != masks_xy, axis=1))
+        if moved.size:
+            sub = Placement(xy=current.xy[moved], types=current.types[moved], z=current.z)
+            masks[moved] = placement_masks(sub, grid, room, strict=False)
+        masks_xy = current.xy
         report = check_constraints(
             current, room, grid, masks, m_max=config.m_max, k_min=config.k_min, d_min=config.d_min
         )
@@ -201,16 +187,6 @@ def repair(
         if not report.spacing_ok:
             current = magnet_step(current, config.d_min, rng)
         current = current.with_xy(project_into_margin(current.xy, room))
-
-
-def _refresh_masks(masks: np.ndarray, masks_xy: np.ndarray, pl: Placement, grid: Grid,
-                   room: RoomModel) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute the mask rows of reflectors whose (x, y) differs from masks_xy."""
-    moved = np.flatnonzero(np.any(pl.xy != masks_xy, axis=1))
-    if moved.size:
-        sub = Placement(xy=pl.xy[moved], types=pl.types[moved], z=pl.z)
-        masks[moved] = placement_masks(sub, grid, room, strict=False)
-    return masks, pl.xy
 
 
 def sample_in_margin(room: RoomModel, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -322,6 +322,8 @@ def test_bad_placement_coordinate_exit_2(tmp_path, capsys, command, row, message
     ("simulate", [], "seeds = 1 2", "seeds = 3 3", "seeds must be distinct"),
     ("optimize", [], "seed = 12", "seed = 12\narchive_capacity = 1",
      "archive_capacity must be at least 2"),
+    ("optimize", [], "snapshot_every = 1", "snapshot_every = -3",
+     "snapshot_every must be non-negative"),
     ("simulate", [], "n_particles = 250", "n_particles = 0", "n_particles must be at least 1"),
     ("simulate", [], "n_particles = 250", "n_particles = 250\nfingerprint_size = 0",
      "fingerprint size n must be at least 1"),
@@ -340,7 +342,7 @@ def test_bad_placement_coordinate_exit_2(tmp_path, capsys, command, row, message
         "iterations_key", "optimize_seed_negative", "optimize_seed_key",
         "simulate_seed_negative", "simulate_seeds_key", "simulate_n_seeds_zero",
         "simulate_seeds_repeated",
-        "archive_capacity_one", "sim_particles_zero", "sim_fingerprint_size_zero",
+        "archive_capacity_one", "snapshot_every_negative", "sim_particles_zero", "sim_fingerprint_size_zero",
         "sigma_r_zero", "sigma_d_negative", "sigma_theta_infinite", "sigma_meas_negative",
         "burn_in_negative", "burn_in_beyond_path"])
 def test_bad_size_or_seed_exit_2(feasible_placement_file, tmp_path, capsys, command, flags,
@@ -369,7 +371,14 @@ def test_bad_size_or_seed_exit_2(feasible_placement_file, tmp_path, capsys, comm
     ("[path]", "[path]\nstep = 0.2", "unknown key in [path]: step"),
     ("[sim]", "[simulation]", "unknown section [simulation]"),
     ("[vertices]", "[vertices]\nrows = 4", "line 10: unknown key 'rows'"),
-], ids=["pso_key", "two_pso_keys", "room_key", "sim_key", "path_key", "section", "rows_key"])
+    # a numeric row outside [vertices] and [path], such as a value whose key was lost
+    ("swarm_size = 5", "60\nswarm_size = 5",
+     "line 16: [pso] takes key = value lines, not rows"),
+    ("z_l = 4.5", "z_l = 4.5\n4.5", "line 5: [room] takes key = value lines, not rows"),
+    ("n_particles = 250", "250\nn_particles = 250",
+     "line 26: [sim] takes key = value lines, not rows"),
+], ids=["pso_key", "two_pso_keys", "room_key", "sim_key", "path_key", "section", "rows_key",
+        "pso_row", "room_row", "sim_row"])
 def test_unknown_section_or_key_exit_2(feasible_placement_file, tmp_path, capsys, command,
                                        old, new, message):
     text = ROOM_SECTION + "\n" + PSO_SECTION + "\n" + SIM_SECTION

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from reflectopt.geom import RoomModel, Polygon, build_grid
 from reflectopt.placement import (
     Placement,
     check_constraints,
+    close_pairs,
     placement_masks,
     type_assignment,
     visible_reflectors,
@@ -37,6 +40,30 @@ def _ring_placement(room, m=8, radius=1.2):
     return Placement(xy=xy, types=type_assignment(m, 2), z=room.z_l)
 
 
+class TestClosePairs:
+    def test_matches_double_loop(self):
+        # clustered points with exact duplicates and a pair exactly d_min apart
+        rng = np.random.default_rng(8)
+        for trial in range(100):
+            m = int(rng.integers(0, 30))
+            xy = rng.uniform(0.0, 4.0, size=(m, 2))
+            if m:
+                xy = np.concatenate([xy, xy[:1], xy[:1] + [0.5, 0.0]])
+            want = []
+            for i in range(len(xy)):
+                for j in range(i + 1, len(xy)):
+                    dx, dy = xy[i] - xy[j]
+                    d = math.sqrt(dx * dx + dy * dy)
+                    if d < 0.5:
+                        want.append((i, j, d))
+            i, j, d = close_pairs(xy, 0.5)
+            assert list(zip(i.tolist(), j.tolist(), d.tolist())) == want
+
+    def test_pair_at_d_min_is_not_close(self):
+        i, j, d = close_pairs(np.array([[1.0, 1.0], [1.5, 1.0], [1.0, 1.0]]), 0.5)
+        assert (i.tolist(), j.tolist(), d.tolist()) == ([0], [2], [0.0])
+
+
 class TestCheckConstraints:
     def test_single_reflector_fails_coverage(self, small_room, small_grid):
         pl = Placement(xy=[[2.0, 2.0]], types=[0], z=small_room.z_l)
@@ -52,6 +79,7 @@ class TestCheckConstraints:
         rep = check_constraints(pl, small_room, small_grid, masks, m_max=32, k_min=4, d_min=0.5)
         assert not rep.spacing_ok
         assert rep.spacing_violations == [(0, 1)]
+        assert all(type(k) is int for pair in rep.spacing_violations for k in pair)
 
     def test_margin_violation_indices(self, small_room, small_grid):
         pl = Placement(xy=[[0.2, 2.0], [2.0, 2.0]], types=[0, 1], z=small_room.z_l)

@@ -7,9 +7,10 @@ from reflectopt import repair as repair_module
 from reflectopt.geom import Polygon, RoomModel, build_grid
 from reflectopt.mopso import PsoConfig
 from reflectopt.objectives import EvalConfig
-from reflectopt.placement import Placement, check_constraints, placement_masks, type_assignment
+from reflectopt.placement import (Placement, check_constraints, close_pairs, placement_masks,
+                                  type_assignment)
 from reflectopt.repair import (
-    _coverage_regions,
+    _coverage_holes,
     _rescue_jump,
     deficit_gravitation_step,
     magnet_step,
@@ -68,14 +69,89 @@ class TestMagnetStep:
         assert np.linalg.norm(out.xy[1] - out.xy[0]) == pytest.approx(0.525)
 
 
+def loop_magnet_step(pl, d_min, rng=None):
+    """Reference magnet step: the pair-by-pair loop that magnet_step replaced."""
+    xy = pl.xy
+    m = pl.m
+    if m < 2:
+        return pl
+    diff = xy[:, None, :] - xy[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    moves = np.zeros_like(xy)
+    target = d_min * (1.0 + repair_module._PUSH_DELTA)
+    moved = False
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = dist[i, j]
+            if d >= d_min:
+                continue
+            moved = True
+            if d < 1e-12:
+                if rng is None:
+                    raise ValueError("coincident reflectors need an rng to separate")
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                direction = np.array([np.cos(angle), np.sin(angle)])
+            else:
+                direction = (xy[i] - xy[j]) / d
+            push = 0.5 * (target - d)
+            moves[i] += push * direction
+            moves[j] -= push * direction
+    if not moved:
+        return pl
+    return pl.with_xy(xy + moves)
+
+
+def _assert_magnet_matches_loop(pl, d_min, seed):
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = loop_magnet_step(pl, d_min, want_rng)
+    got = magnet_step(pl, d_min, got_rng)
+    assert (got is pl) == (want is pl)
+    assert got.xy.tobytes() == want.xy.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("room_name", ["small_room", "readme_l_room", "u_room"])
+def test_magnet_step_matches_pair_loop_bitwise(request, room_name):
+    # dense random placements whose close pairs chain through shared
+    # reflectors; every third one has exact duplicates (coincident pairs,
+    # triples among them) that draw their directions from the seeded rng
+    room = request.getfixturevalue(room_name)
+    xmin, ymin, xmax, ymax = room.boundary.bounds
+    rng = np.random.default_rng(21)
+    n_chained = 0
+    for trial in range(60):
+        xy = rng.uniform([xmin, ymin], [xmax, ymax], size=(int(rng.integers(2, 40)), 2))
+        if trial % 3 == 0:
+            twins = rng.integers(0, len(xy), size=int(rng.integers(1, 4)))
+            xy = np.concatenate([xy, xy[twins], xy[twins[:1]]])
+        pl = Placement(xy=xy, types=type_assignment(len(xy), 2), z=room.z_l)
+        d_min = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+        i, j, _ = close_pairs(pl.xy, d_min)
+        n_chained += int(np.bincount(np.concatenate([i, j]), minlength=pl.m).max(initial=0) >= 2)
+        _assert_magnet_matches_loop(pl, d_min, seed=trial)
+    assert n_chained >= 30
+
+
+@pytest.mark.parametrize("xy", [
+    np.empty((0, 2)),
+    [[1.0, 1.0]],
+    [[1.0, 1.0], [1.5, 1.0]],  # exactly d_min apart: not pushed
+    [[1.0, 1.0], [1.25, 1.0]],
+    [[1.0, 1.0], [1.0, 1.0]],
+    [[1.0, 1.0], [1.5, 1.0], [1.0, 1.0], [1.2, 1.3], [1.0, 1.0]],
+], ids=["m0", "m1", "m2_at_d_min", "m2_close", "m2_coincident", "m5_mixed"])
+def test_magnet_step_small_cases_match_pair_loop(xy):
+    _assert_magnet_matches_loop(_pl(xy), 0.5, seed=4)
+
+
 class TestCoverageCentroids:
-    """Under-covered regions of _coverage_regions and their attractor elements."""
+    """Under-covered regions of _coverage_holes and their attractor elements."""
 
     def test_full_coverage_empty(self, small_room, small_grid):
         masks = np.ones((4, len(small_grid)), dtype=bool)
-        counts, regions = _coverage_regions(small_grid, masks, k_min=4)
+        regions, slack = _coverage_holes(small_grid, masks, k_min=4)
         assert regions == []
-        assert np.array_equal(counts, np.full(len(small_grid), 4))
+        assert np.array_equal(slack, np.zeros(4))
 
     def test_square_block_centroid(self, small_room, small_grid):
         masks = np.ones((4, len(small_grid)), dtype=bool)
@@ -84,7 +160,7 @@ class TestCoverageCentroids:
             & (small_grid.xy[:, 1] > 1.0) & (small_grid.xy[:, 1] < 2.0)
         )
         masks[0, block] = False  # block sees only 3 reflectors
-        _, regions = _coverage_regions(small_grid, masks, k_min=4)
+        regions, _ = _coverage_holes(small_grid, masks, k_min=4)
         assert len(regions) == 1
         members, att = regions[0]
         assert np.array_equal(members, np.flatnonzero(block))
@@ -99,7 +175,7 @@ class TestCoverageCentroids:
         blob_a = np.linalg.norm(small_grid.xy - [0.6, 0.6], axis=1) < 0.4
         blob_b = np.linalg.norm(small_grid.xy - [3.2, 3.2], axis=1) < 0.5
         masks[0, blob_a | blob_b] = False
-        _, regions = _coverage_regions(small_grid, masks, k_min=4)
+        regions, _ = _coverage_holes(small_grid, masks, k_min=4)
         assert len(regions) == 2
         got = sorted(tuple(members.tolist()) for members, _ in regions)
         expect = sorted([tuple(np.flatnonzero(blob_a).tolist()),
@@ -142,7 +218,7 @@ def test_coverage_regions_match_ndimage_label(request, room_name):
             centers = rng.uniform(0.0, 10.0, size=(int(rng.integers(6, 20)), 2))
             radius = rng.uniform(2.0, 4.5)
             masks = np.linalg.norm(grid.xy[None] - centers[:, None], axis=2) < radius
-        _, got = _coverage_regions(grid, masks, k_min=4)
+        got, _ = _coverage_holes(grid, masks, k_min=4)
         want = ndimage_coverage_regions(grid, masks, k_min=4)
         assert len(got) == len(want)
         for (members, att), (want_members, want_att) in zip(got, want):
