@@ -17,17 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
-
 # Perpendicular tolerance for "point on edge" tests (meters).
 _EDGE_TOL = 1e-9
-# Relative distance from a lattice cell edge within which nearest_element asks the KD-tree.
-_CELL_TOL = 1e-9
 # Angular offset of the auxiliary rays cast on both sides of every vertex ray.
 _RAY_EPS = 1e-4
 # The margin projection lands within _PROJECT_TOL (m) of the margin contour.
@@ -236,7 +230,6 @@ class Grid:
     size: float
     x0: float
     y0: float
-    _kdtree: cKDTree | None = field(default=None, compare=False, repr=False)
     _separated: dict[float, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -255,13 +248,6 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         """(rows, cols) of the underlying lattice raster."""
         return self.cell_index.shape
-
-    def kdtree(self) -> cKDTree:
-        if self._kdtree is None:
-            from scipy.spatial import cKDTree  # start-up cost that evaluate never pays
-
-            object.__setattr__(self, "_kdtree", cKDTree(self.centers[:, :2]))
-        return self._kdtree
 
     def separated_elements(self, radius: float) -> np.ndarray:
         """Indices of grid elements lying pairwise more than 2 * radius apart.
@@ -297,32 +283,19 @@ class Grid:
     def nearest_element(self, points) -> np.ndarray:
         """Index of the grid element whose center is closest to each point.
 
-        The lattice cells are the Voronoi cells of the lattice centers, and
-        the grid centers are a subset of those, so a point more than a
-        relative _CELL_TOL inside a cell that holds a grid element has that
-        element as its unique nearest center: a floor division finds it.
-        Every other point (on or near a cell edge, in a cell whose center
-        lies outside the room, off the lattice) goes to the KD-tree, which
-        then decides ties as it always does. A single point goes to the
-        KD-tree at once, which costs less than the arithmetic.
+        Closest means the least ``dx * dx + dy * dy`` over all elements,
+        computed in floating point; ties go to the lowest element index. A
+        NaN or infinite point raises ValueError. Single points and batches
+        take the same exact search, ``nearest.NearestSearch``, in bounded
+        memory.
         """
-        pts = _as_points(points)
-        if len(pts) == 1:
-            return self.kdtree().query(pts)[1]
-        ny, nx = self.cell_index.shape
-        x = (pts[:, 0] - self.x0) / self.size
-        y = (pts[:, 1] - self.y0) / self.size
-        # Clamped onto the lattice (fmax sends NaN to 0); a clamped point
-        # then lies outside its cell and fails the test below.
-        col = np.fmin(np.fmax(np.floor(x), 0.0), nx - 1)
-        row = np.fmin(np.fmax(np.floor(y), 0.0), ny - 1)
-        found = self.cell_index.ravel()[(row * nx + col).astype(np.intp)]
-        ok = ((found >= 0) & (np.abs(x - col - 0.5) < 0.5 - _CELL_TOL)
-              & (np.abs(y - row - 0.5) < 0.5 - _CELL_TOL))
-        if not ok.all():
-            rest = np.flatnonzero(~ok)
-            found[rest] = self.kdtree().query(pts[rest])[1]
-        return found
+        return self._nearest_search.nearest(points)
+
+    @cached_property
+    def _nearest_search(self):
+        from .nearest import NearestSearch  # optimize and evaluate never load it
+
+        return NearestSearch(self)
 
     def element_at(self, point) -> int:
         """Element index of the lattice cell containing ``point``, -1 if none."""

@@ -114,9 +114,12 @@ def simulate_measurement(
 ) -> Fingerprint:
     """Noisy fingerprint at the grid cell nearest to the truth pose.
 
-    Gaussian noise (std sigma, default r_res) is added to the true distances
-    of the visible reflectors, and ``nearest_fingerprint`` keeps the n
-    smallest. Raises CoverageError when fewer than n are visible.
+    The cell is ``grid.nearest_element`` of the pose: where the pose lies on
+    a cell edge or corner and the distances tie exactly, the cell with the
+    lowest element index. Gaussian noise (std sigma, default r_res) is added
+    to the true distances of the visible reflectors, and
+    ``nearest_fingerprint`` keeps the n smallest. Raises CoverageError when
+    fewer than n are visible.
     """
     sigma = room.r_res if sigma is None else sigma
     cell = int(grid.nearest_element(np.array([[truth.x, truth.y]]))[0])

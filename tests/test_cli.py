@@ -684,6 +684,14 @@ def test_import_and_evaluate_load_no_scipy(tmp_path):
     assert (out / "ambiguity_map.pgm").exists()
 
 
+def test_simulate_loads_no_scipy(tmp_path, cfg_file, feasible_placement_file):
+    # nearest-element lookups of points on cell edges use numpy alone
+    out = tmp_path / "out"
+    assert run_scipy_probe(["simulate", "--config", str(cfg_file), "--placement",
+                            str(feasible_placement_file), "--out-dir", str(out)]) == ([], 0, [])
+    assert "median_rmse" in (out / "report.txt").read_text()
+
+
 def test_optimize_loads_no_ndimage(tmp_path):
     # region labels in repair and mutation come from Grid.components
     cfg = tmp_path / "readme.cfg"
@@ -893,22 +901,22 @@ class TestSimulateCommand:
                 "seed rmse_full rmse_after_burn_in\n")
         assert report == (
             "tracking report: placement (<dir>/a.txt)\n" + runs
-            + "7 1.4351688004328471 1.6734227358641998\n\n"
-            "median_rmse = 1.6734227358641998\np25_rmse = 1.6734227358641998\n"
-            "p75_rmse = 1.6734227358641998\n\n"
+            + "7 0.27871568539581904 0.21862388182106557\n\n"
+            "median_rmse = 0.21862388182106557\np25_rmse = 0.21862388182106557\n"
+            "p75_rmse = 0.21862388182106557\n\n"
             "tracking report: compare (<dir>/b.txt)\n" + runs
-            + "7 5.116569848813102 5.056723129277624\n\n"
-            "median_rmse = 5.056723129277624\np25_rmse = 5.056723129277624\n"
-            "p75_rmse = 5.056723129277624\n\n"
+            + "7 5.368559024752548 5.408602209317063\n\n"
+            "median_rmse = 5.408602209317063\np25_rmse = 5.408602209317063\n"
+            "p75_rmse = 5.408602209317063\n\n"
             "paired comparison (matched seeds)\n"
-            "median_rmse_placement = 1.6734227358641998\n"
-            "median_rmse_compare = 5.056723129277624\nwinner = placement\n")
+            "median_rmse_placement = 0.21862388182106557\n"
+            "median_rmse_compare = 5.408602209317063\nwinner = placement\n")
         digest = hashlib.sha256()
         for path in sorted(out.iterdir()):
             if path.name != "report.txt":  # traces and histograms
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
         assert digest.hexdigest() == (
-            "46b9f342bc8f0d9dca36de8736d3e680038dcaa709294e726d1e18d657502100")
+            "feca9e364712e0c45dad7a7bdd72b3d89f035e1960fb0b68401bdbf4b77c932b")
 
     def test_compare_mode(self, cfg_file, feasible_placement_file, tmp_path, small_room, small_grid):
         pl2 = random_feasible(small_room, 8, 2, np.random.default_rng(23), small_grid)

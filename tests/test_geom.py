@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from reflectopt.geom import (
     _EDGE_TOL,
-    Grid,
     Polygon,
     RoomModel,
     boundary_distance,
@@ -21,8 +22,9 @@ from reflectopt.geom import (
     visibility_masks,
     visibility_polygon,
 )
+from reflectopt.nearest import NearestSearch
 from reflectopt.placement import Placement, check_constraints, placement_masks
-from conftest import five_test_rooms, mc_visibility_area, segment_visible
+from conftest import comb_room_poly, five_test_rooms, mc_visibility_area, segment_visible
 
 
 class TestPolygon:
@@ -167,49 +169,160 @@ class TestContainsPoints:
             assert np.array_equal(got, parity | on_edge)
 
 
+def _brute_nearest(grid, pts) -> np.ndarray:
+    """Lowest index of the least dx * dx + dy * dy over all grid elements, per point."""
+    out = np.empty(len(pts), dtype=np.intp)
+    for s in range(0, len(pts), 256):
+        dx = pts[s:s + 256, 0, None] - grid.xy[:, 0]
+        dy = pts[s:s + 256, 1, None] - grid.xy[:, 1]
+        out[s:s + 256] = np.argmin(dx * dx + dy * dy, axis=1)  # the first of equal minima
+    return out
+
+
+def _lattice_probe_points(grid, boundary, rng, n) -> np.ndarray:
+    """Random points, lattice vertices, points on, near and one ulp off cell
+    edges, wall projections and far points, around the grid's lattice."""
+    ny, nx = grid.shape
+    g = grid.size
+    cols = grid.x0 + np.arange(-2, nx + 3) * g
+    rows = grid.y0 + np.arange(-2, ny + 3) * g
+    lo = np.array([grid.x0, grid.y0]) - 2 * g
+    hi = np.array([grid.x0 + nx * g, grid.y0 + ny * g]) + 2 * g
+    rand = rng.uniform(lo, hi, (n, 2))
+    vertices = np.stack(np.meshgrid(cols, rows), axis=-1).reshape(-1, 2)
+    on_cols = np.column_stack([rng.choice(cols, n), rand[:, 1]])
+    on_rows = np.column_stack([rand[:, 0], rng.choice(rows, n)])
+    # within and just beyond the lattice tolerance of an edge
+    eps = rng.choice(np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * 1e-9 * g, n)
+    near_cols = on_cols + np.column_stack([eps, np.zeros(n)])
+    near_rows = on_rows + np.column_stack([np.zeros(n), eps])
+    # one ulp off an edge, where rounding decides the side
+    ulp_cols = np.column_stack([np.nextafter(on_cols[:, 0], rng.choice([-1e9, 1e9], n)),
+                                rand[:, 1]])
+    ulp_rows = np.column_stack([rand[:, 0],
+                                np.nextafter(on_rows[:, 1], rng.choice([-1e9, 1e9], n))])
+    walls = boundary.nearest_boundary_points(rand)
+    far = rng.uniform(lo - 10.0, hi + 10.0, (n, 2))
+    return np.concatenate([rand, vertices, on_cols, on_rows, near_cols, near_rows, ulp_cols,
+                           ulp_rows, walls, far])
+
+
+def _nearest_test_room(index, small_room, readme_l_room, u_room) -> RoomModel:
+    """The 4 x 4 room, the five test rooms, the README L, U and comb rooms."""
+    if index == 0:
+        return small_room
+    if index <= 5:
+        return RoomModel(boundary=five_test_rooms()[index - 1], grid_size=0.25)
+    if index == 8:
+        return RoomModel(boundary=comb_room_poly(), grid_size=0.2)
+    return readme_l_room if index == 6 else u_room
+
+
 class TestNearestElement:
-    def test_matches_kdtree(self, oracle_room):
-        grid = build_grid(oracle_room)
-        ny, nx = grid.shape
-        g = grid.size
-        cols = grid.x0 + np.arange(-2, nx + 3) * g
-        rows = grid.y0 + np.arange(-2, ny + 3) * g
-        rng = np.random.default_rng(29)
-        n = 3000
-        lo = np.array([grid.x0, grid.y0]) - 2 * g
-        hi = np.array([grid.x0 + nx * g, grid.y0 + ny * g]) + 2 * g
-        rand = rng.uniform(lo, hi, (n, 2))
-        vertices = np.stack(np.meshgrid(cols, rows), axis=-1).reshape(-1, 2)
-        on_cols = np.column_stack([rng.choice(cols, n), rand[:, 1]])
-        on_rows = np.column_stack([rand[:, 0], rng.choice(rows, n)])
-        # within and just beyond the lattice tolerance of an edge
-        eps = rng.choice(np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * 1e-9 * g, n)
-        near_cols = on_cols + np.column_stack([eps, np.zeros(n)])
-        near_rows = on_rows + np.column_stack([np.zeros(n), eps])
-        # one ulp off an edge, where rounding decides the side
-        ulp_cols = np.column_stack([np.nextafter(on_cols[:, 0], rng.choice([-1e9, 1e9], n)),
-                                    rand[:, 1]])
-        ulp_rows = np.column_stack([rand[:, 0],
-                                    np.nextafter(on_rows[:, 1], rng.choice([-1e9, 1e9], n))])
-        walls = oracle_room.boundary.nearest_boundary_points(rand)
-        far = rng.uniform(lo - 10.0, hi + 10.0, (n, 2))
-        pts = np.concatenate([rand, vertices, on_cols, on_rows, near_cols, near_rows, ulp_cols,
-                              ulp_rows, walls, far])
-        expected = cKDTree(grid.xy).query(pts)[1]
+    @pytest.mark.parametrize("room_index", range(9), ids=[
+        "square", "convex", "l_shape", "u_shape", "rand1", "rand2", "readme_L", "U", "comb"])
+    def test_matches_brute_force(self, room_index, small_room, readme_l_room, u_room):
+        room = _nearest_test_room(room_index, small_room, readme_l_room, u_room)
+        grid = build_grid(room)
+        pts = _lattice_probe_points(grid, room.boundary, np.random.default_rng(29 + room_index),
+                                    1000)
+        expected = _brute_nearest(grid, pts)
         assert np.array_equal(grid.nearest_element(pts), expected)
         for i in range(0, len(pts), 101):
             assert grid.nearest_element(pts[i]).tolist() == [expected[i]]
 
+    def test_ties_go_to_the_lowest_index(self, small_grid):
+        # 0.25 m cells: the centers, and the distances to a lattice vertex or
+        # edge point, are exact binary fractions, so these ties are exact
+        idx = small_grid.cell_index
+        pts = np.array([[1.0, 1.0], [1.0, 1.1], [1.1, 1.0], [0.0, 0.0], [4.0, 2.0]])
+        expected = [idx[3, 3], idx[4, 3], idx[3, 4], idx[0, 0], idx[7, 15]]
+        assert small_grid.nearest_element(pts).tolist() == expected
+        assert [small_grid.nearest_element(p)[0] for p in pts] == expected
+        assert np.array_equal(_brute_nearest(small_grid, pts), expected)
+
+    # No shrink phase, as in TestInsideCells.
+    @settings(max_examples=100, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(0.5, 5.0)),
+                    min_size=4, max_size=12),
+           st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(0.2, 0.5),
+           st.integers(0, 2**32 - 1))
+    def test_random_star_polygons_match_brute_force(self, spokes, cx, cy, size, seed):
+        n = len(spokes)
+        verts = [(cx + r * math.cos(2 * math.pi * (i + f) / n),
+                  cy + r * math.sin(2 * math.pi * (i + f) / n))
+                 for i, (f, r) in enumerate(spokes)]
+        try:
+            room = RoomModel(boundary=Polygon(verts), grid_size=size)
+            grid = build_grid(room)
+        except ValueError:
+            assume(False)
+        pts = _lattice_probe_points(grid, room.boundary, np.random.default_rng(seed), 50)
+        expected = _brute_nearest(grid, pts)
+        assert np.array_equal(grid.nearest_element(pts), expected)
+        assert grid.nearest_element(pts[0]).tolist() == [expected[0]]
+
     def test_cell_interiors_need_no_kdtree(self, oracle_room, monkeypatch):
+        # points inside a cell that holds an element need no window search
         grid = build_grid(oracle_room)
         offsets = np.random.default_rng(5).uniform(-0.49, 0.49, (len(grid), 2)) * grid.size
-        expected = cKDTree(grid.xy).query(grid.xy + offsets)[1]
+        expected = _brute_nearest(grid, grid.xy + offsets)
 
-        def no_kdtree(self):
-            raise AssertionError("KD-tree asked for a point inside a grid cell")
+        def no_window_search(self, pts, flat):
+            raise AssertionError("window search asked for a point inside a grid cell")
 
-        monkeypatch.setattr(Grid, "kdtree", no_kdtree)
+        monkeypatch.setattr(NearestSearch, "_window_search", no_window_search)
         assert np.array_equal(grid.nearest_element(grid.xy + offsets), expected)
+
+    @pytest.mark.parametrize("bad", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, -np.inf),
+                                     (np.nan, np.inf)])
+    def test_non_finite_points_raise(self, readme_l_room, bad):
+        grid = build_grid(readme_l_room)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                grid.nearest_element(np.array([bad]))
+            batch = np.random.default_rng(3).uniform(0.0, 4.0, (500, 2))
+            batch[137] = bad
+            with pytest.raises(ValueError):
+                grid.nearest_element(batch)
+
+    @pytest.mark.parametrize("room_index, compares_all", [(8, False), (5, True)],
+                             ids=["comb", "rand2"])
+    def test_far_points_in_bounded_memory(self, room_index, compares_all, small_room,
+                                          readme_l_room, u_room, monkeypatch):
+        # In the comb room the distance to the lattice settles each point next
+        # to its window; most windows of rand2's far points hold no element,
+        # so those points compare all elements.
+        room = _nearest_test_room(room_index, small_room, readme_l_room, u_room)
+        grid = build_grid(room)
+        ny, nx = grid.shape
+        lo = np.array([grid.x0, grid.y0])
+        hi = lo + grid.size * np.array([nx, ny])
+        pts = np.random.default_rng(8).uniform(lo - 10.0, hi + 10.0, (40_000, 2))
+        pts = pts[((pts < lo) | (pts > hi)).any(axis=1)][:10_000]
+        assert len(pts) == 10_000
+        compared_all = []
+        nearest_of_all = NearestSearch._nearest_of_all
+
+        def spy(self, far):
+            compared_all.append(len(far))
+            return nearest_of_all(self, far)
+
+        monkeypatch.setattr(NearestSearch, "_nearest_of_all", spy)
+        tracemalloc.start()
+        try:
+            got = grid.nearest_element(pts)  # the first call also builds the lookup tables
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        if compares_all:
+            assert sum(compared_all) > len(pts) // 2
+        else:
+            assert compared_all == []
+        assert np.array_equal(got, _brute_nearest(grid, pts))
 
 
 class TestVisibilityPolygon:
