@@ -12,60 +12,52 @@ import numpy as np
 from .geom import Grid, _as_points
 
 # Relative distance from a lattice cell edge within which a point searches a
-# window of cells; the distance bounds keep the same relative slack.
+# window of cells; the window's distance bound keeps the same relative slack.
 _CELL_TOL = 1e-9
 # Points per chunk of the window search, and point-element distances per
 # chunk of the search over all elements.
 _WINDOW_CHUNK = 2048
 _FULL_CHUNK = 1 << 15
-# Stand-in center of a missing element in a window: farther than any element
-# from every point whose squared distances do not overflow, yet finite, so
-# that an infinite point meets no inf - inf.
-_FAR_ELEMENT = complex(1e150, 1e150)
 
 
 class NearestSearch:
     """``Grid.nearest_element`` of one grid, with its tables.
 
-    The tables cover a square raster, so that one scalar clamps both
-    coordinates, which pads the lattice by two cells on each side (more
-    along its shorter side). A point ``p``, as the complex
-    number x + iy, lies at raster coordinates ``(p - origin) * scale``, with
-    the cell centers at integers; lattice column and row 0 lie at 2.
+    The tables cover the lattice padded by two cells on each side. A point
+    (x, y) lies at raster coordinates ``((x, y) - origin) * scale``, with the
+    cell centers at integers; lattice column and row 0 lie at 2.
     """
 
-    __slots__ = ("size", "origin", "scale", "top", "strides", "cells", "inner", "window", "z",
-                 "row_starts", "near", "span")
+    __slots__ = ("origin", "scale", "top", "strides", "cells", "inner", "window", "z",
+                 "row_starts", "near")
 
     def __init__(self, grid: Grid):
         ny, nx = grid.cell_index.shape
-        side = max(nx, ny)
-        w = side + 4
-        padded = np.full((w + 2, w + 2), -1, dtype=np.int32)
+        padded = np.full((ny + 6, nx + 6), -1, dtype=np.intp)
         padded[3:3 + ny, 3:3 + nx] = grid.cell_index
-        window = np.stack([padded[r:r + w, c:c + w] for r in range(3) for c in range(3)], axis=2)
-        # past the padding of the lattice's shorter side, a cell's window is
-        # that of the padding cell next to it, which reaches the lattice
-        window_rows = np.minimum(np.arange(w), ny + 2)
-        window_cols = np.minimum(np.arange(w), nx + 2)
-        self.size = grid.size
-        self.origin = complex(grid.x0, grid.y0) - 1.5 * grid.size * (1 + 1j)
+        window = np.stack([padded[r:r + ny + 4, c:c + nx + 4] for r in range(3) for c in range(3)],
+                          axis=2).reshape(-1, 9)
+        # A window's empty cells repeat its first, lowest element, which keeps
+        # the first minimum; a window without elements holds element 0, which
+        # lies farther than the 1.5-cell bound from every point it serves.
+        first = np.where(window >= 0, window, len(grid)).min(axis=1, keepdims=True)
+        first[first == len(grid)] = 0
+        # (2, 1) columns, against the (2, points) raster coordinates
+        self.origin = np.array([[grid.x0], [grid.y0]]) - 1.5 * grid.size
         self.scale = 1.0 / grid.size
-        self.top = side + 2.0  # points are clamped to raster coordinates in [1, top]
-        self.strides = np.array([1.0, float(w)])  # raster (column, row) to flat index
+        self.top = np.array([[nx + 2.0], [ny + 2.0]])  # points are clamped to [1, top]
+        self.strides = np.array([1.0, nx + 4.0])  # raster (column, row) to flat index
         # element index per raster cell, -1 where none
-        self.cells = padded[1:-1, 1:-1].ravel().astype(np.intp)
+        self.cells = padded[1:-1, 1:-1].ravel()
         # a point closer than this to a cell's center, in both coordinates,
         # is nearest to the cell's element
         self.inner = np.where(self.cells >= 0, 0.5 - _CELL_TOL, -1.0)
         # (cells, 9): the elements of the 3 x 3 cells around each cell, in raster order
-        self.window = window[np.ix_(window_rows, window_cols)].reshape(-1, 9)
-        # element centers as complex numbers, then _FAR_ELEMENT for index -1
-        self.z = np.append(grid.xy[:, 0] + 1j * grid.xy[:, 1], _FAR_ELEMENT)
+        self.window = np.where(window >= 0, window, first)
+        self.z = grid.xy[:, 0] + 1j * grid.xy[:, 1]  # element centers as complex numbers
         self.row_starts = np.arange(0, 9 * _WINDOW_CHUNK, 9)  # in a flattened chunk of windows
         # squared distance below which the window's nearest element stands
         self.near = 2.25 * grid.size * grid.size * (1.0 - 2 * _CELL_TOL)
-        self.span = np.array([nx + 1.0, ny + 1.0])  # last lattice column and row
 
     def nearest(self, points) -> np.ndarray:
         """``Grid.nearest_element``: the lowest index of the least ``dx * dx + dy * dy``.
@@ -77,17 +69,18 @@ class NearestSearch:
         point (on or near a cell edge, in a cell whose center lies outside
         the room, off the lattice) goes to _window_search, in chunks.
         """
-        # contiguous rows, each viewed as one complex number x + iy
-        pts = np.ascontiguousarray(_as_points(points)).view(complex)
-        u = (pts - self.origin).view(float)
+        pts = np.ascontiguousarray(_as_points(points))
+        # one row per coordinate, so that the clamp broadcasts along rows
+        u = np.subtract(pts.T, self.origin, out=np.empty((2, len(pts))))
         u *= self.scale
         # fmax also sends NaN to the padding, where no element is trusted
         np.minimum(np.fmax(u, 1.0, out=u), self.top, out=u)
         cell = np.rint(u)
-        flat = np.dot(cell, self.strides).astype(np.intp)
+        flat = np.dot(self.strides, cell).astype(np.intp)
         found = self.cells.take(flat)
         np.abs(np.subtract(u, cell, out=u), out=u)
-        rest = (np.maximum(u[:, 0], u[:, 1]) >= self.inner.take(flat)).nonzero()[0]
+        rest = (np.maximum(u[0], u[1]) >= self.inner.take(flat)).nonzero()[0]
+        pts = pts.view(complex)  # each row as one complex number x + iy
         for s in range(0, len(rest), _WINDOW_CHUNK):
             part = rest[s:s + _WINDOW_CHUNK]
             found[part] = self._window_search(pts.take(part, axis=0), flat.take(part))
@@ -99,7 +92,7 @@ class NearestSearch:
         The candidates are the elements of the 3 x 3 cells around each
         point's cell, and the nearest of them stands if it lies closer than
         1.5 cells: every element outside the window lies at least that far
-        away. _settle decides the other points.
+        away. The other points compare all elements.
         """
         cand = self.window.take(flat, axis=0)
         diff = self.z.take(cand)
@@ -110,50 +103,21 @@ class NearestSearch:
         # the candidates run in raster order, so the first minimum has the lowest index
         k = d2.argmin(axis=1) + self.row_starts[:len(pts)]
         found = cand.take(k)
-        best = d2.take(k)
         # NaN distances, from NaN points, fail this test too
-        left = (~(best < self.near)).nonzero()[0]
-        if len(left):
-            found[left] = self._settle(pts.take(left, axis=0), best[left], found[left])
-        return found
-
-    def _settle(self, pts, best, found) -> np.ndarray:
-        """_window_search's answers where the 1.5-cell bound did not settle them.
-
-        ``best`` and ``found`` are the window's least squared distance and
-        its element. An element outside the window lies farther than the
-        nearest lattice column outside the window's columns, in x, and the
-        nearest lattice row at all, in y; or the other way round. Where
-        ``best`` is below that bound the window's element stands; the other
-        points compare all elements.
-        """
-        if not np.isfinite(pts).all():
-            raise ValueError("nearest_element needs finite points")
-        u = (pts - self.origin).view(float) * self.scale
-        # raster coordinates: lattice columns and rows lie in [2, span], and
-        # the windows of cells beyond span + 1 are those at span + 1
-        cell = np.clip(np.rint(u), 1.0, self.span + 1.0)
-        outside = np.maximum(np.maximum(2.0 - u, u - self.span), 0.0)
-        below = np.minimum(cell - 2.0, self.span)
-        above = np.maximum(cell + 2.0, 2.0)
-        beyond = np.minimum(np.where(below >= 2.0, u - below, np.inf),
-                            np.where(above <= self.span, above - u, np.inf))
-        outside *= outside
-        beyond *= beyond
-        bound = np.minimum(beyond[:, 0] + outside[:, 1], outside[:, 0] + beyond[:, 1])
-        bound *= self.size * self.size * (1.0 - 2 * _CELL_TOL)
-        todo = (~(best < bound)).nonzero()[0]
-        if len(todo):
-            found[todo] = self._nearest_of_all(pts.take(todo, axis=0))
+        settled = d2.take(k) < self.near
+        if not settled.all():
+            left = (~settled).nonzero()[0]
+            found[left] = self._nearest_of_all(pts.take(left, axis=0))
         return found
 
     def _nearest_of_all(self, pts) -> np.ndarray:
         """Answers for complex points, comparing all elements in chunks."""
-        z = self.z[:-1]
-        step = max(1, _FULL_CHUNK // len(z))
+        if not np.isfinite(pts).all():
+            raise ValueError("nearest_element needs finite points")
+        step = max(1, _FULL_CHUNK // len(self.z))
         found = np.empty(len(pts), dtype=np.intp)
         for s in range(0, len(pts), step):
-            diff = (z - pts[s:s + step]).view(float)
+            diff = (self.z - pts[s:s + step]).view(float)
             diff *= diff
             found[s:s + step] = (diff[:, ::2] + diff[:, 1::2]).argmin(axis=1)
         return found
