@@ -66,6 +66,37 @@ class TestHungarian:
         with pytest.raises(ValueError):
             hungarian(np.ones((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        cost = np.ones((3, 4))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hungarian(cost)
+
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="2D"):
+            hungarian(np.ones(4))
+
+    @pytest.mark.parametrize("seed, kind",
+                             enumerate(["small_int", "uniform", "squared_distance"]))
+    def test_same_columns_as_scipy(self, seed, kind):
+        # scipy runs the same method with the same scan order and tie rule,
+        # so every column, not only the total cost, must agree
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            n = int(rng.integers(1, 25))
+            m = n + int(rng.integers(0, 5))
+            if kind == "small_int":  # many tied optima
+                cost = rng.integers(0, 4, size=(n, m)).astype(float)
+            elif kind == "uniform":
+                cost = rng.uniform(0.0, 1.0, size=(n, m))
+            else:  # what align_leader sends
+                diff = rng.uniform(0, 10, size=(n, 1, 2)) - rng.uniform(0, 10, size=(1, m, 2))
+                cost = np.einsum("ijk,ijk->ij", diff, diff)
+            assert hungarian(cost).tolist() == linear_sum_assignment(cost)[1].tolist()
+
 
 def _pl(xy, types=None, z=3.0):
     xy = np.asarray(xy, float)
