@@ -107,8 +107,7 @@ _ROOM_KEYS = {"z_r": float, "z_l": float, "r_res": float, "cone_half_angle_deg":
               "wall_margin": float}
 # Read from [pso] by all three commands.
 _CONSTRAINT_KEYS = {"fingerprint_size": int, "k_min": int, "d_min": float, "m_max": int}
-_PSO_KEYS = {"swarm_size": int, "iterations": int, "n_types": int, "p_up": float,
-             "p_down": float, "archive_capacity": int, "v_max": float, "seed": int,
+_PSO_KEYS = {"swarm_size": int, "iterations": int, "n_types": int, "seed": int,
              "snapshot_every": int}
 _NOISE_KEYS = {"sigma_meas": float, "sigma_d": float, "sigma_theta_deg": _radians}
 _AMCL_KEYS = {"n_particles": int, "fingerprint_size": int, "sigma_r": float}

@@ -27,6 +27,10 @@ Objectives = tuple[float, float]
 _W_RANGE = (0.1, 0.5)
 _C1_RANGE = (1.5, 2.0)
 _C2_RANGE = (1.5, 2.0)
+# Per-particle, per-iteration probabilities of adding and of removing a reflector.
+_P_UP = 0.05
+_P_DOWN = 0.05
+_ARCHIVE_CAPACITY = 100  # Pareto archive entries kept before crowding truncation
 
 
 def dominates(a: Objectives, b: Objectives) -> bool:
@@ -128,16 +132,12 @@ class PsoConfig:
 
     swarm_size: int = 60
     iterations: int = 60
-    p_up: float = 0.05
-    p_down: float = 0.05
     m_max: int = EvalConfig.m_max
     m_init_range: tuple[int, int] = (27, 32)
     n_types: int = 2
     n: int = EvalConfig.n  # fingerprint size
     k_min: int = EvalConfig.k_min
     d_min: float = EvalConfig.d_min
-    archive_capacity: int = 100
-    v_max: float | None = None  # None: 2 * room bbox diagonal / iterations
     seed: int = 0
     snapshot_every: int = 10
 
@@ -148,29 +148,16 @@ class PsoConfig:
             raise ValueError("iterations must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.v_max is not None and not (math.isfinite(self.v_max) and self.v_max > 0):
-            raise ValueError("v_max must be finite and positive")
-        if not (0 <= self.p_up <= 1 and 0 <= self.p_down <= 1 and self.p_up + self.p_down <= 1):
-            raise ValueError("mutation probabilities must lie in [0, 1] and sum to <= 1")
         if self.m_init_range[0] < 1 or self.m_init_range[1] > self.m_max:
             raise ValueError("m_init_range must lie within [1, m_max]")
         if self.n_types not in (1, 2):
             raise ValueError("n_types must be 1 or 2")
-        if self.archive_capacity < 2:
-            raise ValueError("archive_capacity must be at least 2")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be non-negative")
         self.eval_config()  # checks n, k_min and d_min
 
     def eval_config(self) -> EvalConfig:
         return EvalConfig(n=self.n, k_min=self.k_min, d_min=self.d_min, m_max=self.m_max)
-
-    def resolve_v_max(self, room: RoomModel) -> float:
-        if self.v_max is not None:
-            return self.v_max
-        xmin, ymin, xmax, ymax = room.boundary.bounds
-        diag = math.hypot(xmax - xmin, ymax - ymin)
-        return 2.0 * diag / max(1, self.iterations)
 
 
 def velocity_update(
@@ -308,7 +295,9 @@ def run(
     rng = np.random.default_rng(config.seed)
     grid = build_grid(room)
     eval_cfg = config.eval_config()
-    v_max = config.resolve_v_max(room)
+    # velocity bound: two bounding-box diagonals over the whole run
+    xmin, ymin, xmax, ymax = room.boundary.bounds
+    v_max = 2.0 * math.hypot(xmax - xmin, ymax - ymin) / max(1, config.iterations)
 
     if initial_placements is None:
         placements = []
@@ -339,7 +328,7 @@ def run(
         )
         for pl, obj in zip(placements, objectives)
     ]
-    archive = ParetoArchive(capacity=config.archive_capacity)
+    archive = ParetoArchive(capacity=_ARCHIVE_CAPACITY)
     for pl, obj in zip(placements, objectives):
         archive.update(pl, *obj)
 
@@ -353,9 +342,9 @@ def run(
             p.velocity = velocity_update(p, leader, config, rng, v_max)
             p.placement = position_update(p, room, grid, eval_cfg, rng)
             u = rng.random()
-            if u < config.p_up:
+            if u < _P_UP:
                 mutated = upmutate(p, room, config, rng, v_max)
-            elif u < config.p_up + config.p_down:
+            elif u < _P_UP + _P_DOWN:
                 mutated = downmutate(p, room, grid, config, rng)
             else:
                 mutated = p

@@ -114,15 +114,25 @@ class ConstraintReport:
     coverage_violations holds grid element indices seeing fewer than K_min
     reflectors; spacing_violations the offending index pairs; margin
     violations the reflector indices too close to (or beyond) the walls.
+    Each rule holds when its violation list is empty.
     """
 
     m_ok: bool
-    coverage_ok: bool
     coverage_violations: np.ndarray
-    spacing_ok: bool
     spacing_violations: list[tuple[int, int]]
-    margin_ok: bool
     margin_violations: np.ndarray
+
+    @property
+    def coverage_ok(self) -> bool:
+        return self.coverage_violations.size == 0
+
+    @property
+    def spacing_ok(self) -> bool:
+        return not self.spacing_violations
+
+    @property
+    def margin_ok(self) -> bool:
+        return self.margin_violations.size == 0
 
     @property
     def feasible(self) -> bool:
@@ -142,28 +152,12 @@ def check_constraints(
     """Evaluate reflector count, coverage, pairwise spacing and wall margin."""
     if masks.shape != (pl.m, len(grid)):
         raise ValueError(f"masks shape {masks.shape} does not match placement/grid")
-
-    m_ok = 0 < pl.m <= m_max
-
-    counts = masks.sum(axis=0)
-    coverage_violations = np.flatnonzero(counts < k_min)
-    coverage_ok = coverage_violations.size == 0
-
     i, j, _ = close_pairs(pl.xy, d_min)
-    spacing_violations = list(zip(i.tolist(), j.tolist()))
-    spacing_ok = not spacing_violations
-
-    margin_violations = np.flatnonzero(~in_margin(pl.xy, room))
-    margin_ok = margin_violations.size == 0
-
     return ConstraintReport(
-        m_ok=m_ok,
-        coverage_ok=coverage_ok,
-        coverage_violations=coverage_violations,
-        spacing_ok=spacing_ok,
-        spacing_violations=spacing_violations,
-        margin_ok=margin_ok,
-        margin_violations=margin_violations,
+        m_ok=0 < pl.m <= m_max,
+        coverage_violations=np.flatnonzero(masks.sum(axis=0) < k_min),
+        spacing_violations=list(zip(i.tolist(), j.tolist())),
+        margin_violations=np.flatnonzero(~in_margin(pl.xy, room)),
     )
 
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .geom import _EDGE_TOL, Grid, RoomModel, in_margin, project_into_margin
 from .objectives import EvalConfig
-from .placement import (Placement, check_constraints, close_pairs, coverage_floor,
-                        placement_masks, type_assignment)
+from .placement import Placement, close_pairs, coverage_floor, placement_masks, type_assignment
 
 # Relative overshoot past d_min when separating a violating pair, so the
 # pair does not land exactly on the constraint boundary and oscillate.
@@ -151,7 +150,12 @@ def repair(
     back unchanged after 0 iterations; otherwise the loop runs until the
     constraints hold or _MAX_ITER is exhausted. The mask matrix is kept
     across iterations; only the rows of reflectors that moved are recomputed.
+    The wall margin is checked on the input only: ``project_into_margin``
+    returns points that ``in_margin`` accepts.
     """
+    if not 0 < pl.m <= config.m_max:
+        return pl, False, 0
+    margin_violations = np.count_nonzero(~in_margin(pl.xy, room))
     current = pl
     masks = placement_masks(current, grid, room, strict=False)
     masks_xy = current.xy
@@ -163,30 +167,26 @@ def repair(
             sub = Placement(xy=current.xy[moved], types=current.types[moved], z=current.z)
             masks[moved] = placement_masks(sub, grid, room, strict=False)
         masks_xy = current.xy
-        report = check_constraints(
-            current, room, grid, masks, m_max=config.m_max, k_min=config.k_min, d_min=config.d_min
-        )
-        if report.feasible or not report.m_ok or iteration == _MAX_ITER:
-            return current, report.feasible, iteration
-        n_violations = (
-            len(report.coverage_violations)
-            + len(report.spacing_violations)
-            + len(report.margin_violations)
-        )
+        coverage_violations = np.count_nonzero(masks.sum(axis=0) < config.k_min)
+        spacing_violations = len(close_pairs(current.xy, config.d_min)[0])
+        n_violations = coverage_violations + spacing_violations + margin_violations
+        if n_violations == 0 or iteration == _MAX_ITER:
+            return current, n_violations == 0, iteration
         if n_violations < best_violations:
             best_violations = n_violations
             stall = 0
         else:
             stall += 1
-        if not report.coverage_ok:
+        if coverage_violations:
             if stall >= _STALL_LIMIT:
                 current = _rescue_jump(current, grid, masks, config.k_min)
                 stall = 0
             else:
                 current = deficit_gravitation_step(current, grid, masks, config.k_min)
-        if not report.spacing_ok:
+        if spacing_violations:
             current = magnet_step(current, config.d_min, rng)
         current = current.with_xy(project_into_margin(current.xy, room))
+        margin_violations = 0
 
 
 def sample_in_margin(room: RoomModel, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -44,12 +44,17 @@ class TestHungarian:
             total = cost[np.arange(n), cols].sum()
             assert total == pytest.approx(brute_force_min_cost(cost), rel=1e-12)
 
-    def test_lexicographic_tie_break(self):
-        # all-equal costs: lexicographically smallest assignment is identity
+    def test_tie_break_prefers_unassigned_column_in_reverse_scan(self):
+        # Among columns at equal distance, the scan from the last column to
+        # the first keeps the last unassigned one it meets. With all costs
+        # equal, each row in turn takes the lowest free column.
         assert hungarian(np.ones((3, 3))).tolist() == [0, 1, 2]
-        # two optimal assignments, the one starting with column 0 wins
-        cost = np.array([[1.0, 1.0], [1.0, 1.0]])
-        assert hungarian(cost).tolist() == [0, 1]
+        assert hungarian(np.ones((2, 2))).tolist() == [0, 1]
+        # Not the lexicographically smallest optimum, which is [1, 2, 0]:
+        # row 0 takes its zero in column 2 first, and the later rows keep it.
+        cost = [[1, 1, 0], [1, 1, 0], [0, 1, 1]]
+        assert brute_force_min_cost(cost) == 1
+        assert hungarian(cost).tolist() == [2, 1, 0]
 
     def test_optimality_never_worse_than_identity(self):
         rng = np.random.default_rng(15)

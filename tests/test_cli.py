@@ -321,7 +321,7 @@ def test_bad_placement_coordinate_exit_2(tmp_path, capsys, command, row, message
     ("simulate", ["--seed", "3"], "seeds = 1 2", "n_seeds = 0", "n_seeds must be at least 1"),
     ("simulate", [], "seeds = 1 2", "seeds = 3 3", "seeds must be distinct"),
     ("optimize", [], "seed = 12", "seed = 12\narchive_capacity = 1",
-     "archive_capacity must be at least 2"),
+     "unknown key in [pso]: archive_capacity"),
     ("optimize", [], "snapshot_every = 1", "snapshot_every = -3",
      "snapshot_every must be non-negative"),
     ("simulate", [], "n_particles = 250", "n_particles = 0", "n_particles must be at least 1"),
@@ -453,14 +453,12 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("command, keys, message", [
         ("optimize", "k_min = 3\nfingerprint_size = 3\n", "k_min must be at least 4"),
         ("evaluate", "k_min = 3\nfingerprint_size = 3\n", "k_min must be at least 4"),
-        # a NaN or negative d_min would switch the spacing check off; a NaN
-        # v_max would reach the margin projection
+        # a NaN or negative d_min would switch the spacing check off
         ("optimize", "d_min = nan\n", "d_min must be finite and non-negative"),
         ("evaluate", "d_min = nan\n", "d_min must be finite and non-negative"),
         ("optimize", "d_min = -1.0\n", "d_min must be finite and non-negative"),
-        ("optimize", "v_max = nan\n", "v_max must be finite and positive"),
-        # a negative v_max would clip every velocity coordinate to v_max itself
-        ("optimize", "v_max = -1.0\n", "v_max must be finite and positive"),
+        ("optimize", "v_max = nan\n", "unknown key in [pso]: v_max"),
+        ("optimize", "v_max = -1.0\n", "unknown key in [pso]: v_max"),
     ], ids=["optimize", "evaluate", "d_min_nan-optimize", "d_min_nan-evaluate",
             "d_min_negative-optimize", "v_max_nan-optimize", "v_max_negative-optimize"])
     def test_k_min_below_four_exit_2(self, feasible_placement_file, tmp_path, capsys, command,

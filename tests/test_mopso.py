@@ -189,7 +189,7 @@ def _particle(small_room, small_grid, seed=0, m=8):
 def _desk_config(**over):
     base = dict(
         swarm_size=8, iterations=3, m_max=12, m_init_range=(8, 10),
-        n_types=2, seed=3, archive_capacity=20, snapshot_every=0,
+        n_types=2, seed=3, snapshot_every=0,
     )
     base.update(over)
     return PsoConfig(**base)
@@ -403,8 +403,10 @@ class TestRun:
         assert all(a >= b for a, b in zip(f1s, f1s[1:]))
         assert all(a >= b for a, b in zip(f2s, f2s[1:]))
 
-    def test_velocity_length_tracks_placement(self, small_room, small_grid):
-        cfg = _desk_config(iterations=4, p_up=0.4, p_down=0.4)
+    def test_velocity_length_tracks_placement(self, small_room, small_grid, monkeypatch):
+        monkeypatch.setattr(mopso, "_P_UP", 0.4)
+        monkeypatch.setattr(mopso, "_P_DOWN", 0.4)
+        cfg = _desk_config(iterations=4)
         archive, _ = run(small_room, cfg)  # check_dimensions asserts inside
         assert len(archive) >= 1
 
@@ -423,10 +425,11 @@ class TestRun:
             (e.f1, round(e.f2, 9)) for e in a2.entries
         )
 
-    def test_seeded_l_room_run_is_unchanged(self, readme_l_room):
+    def test_seeded_l_room_run_is_unchanged(self, readme_l_room, monkeypatch):
         # A concave room (coverage floor 12), with up- and down-mutations.
-        cfg = PsoConfig(swarm_size=4, iterations=3, m_max=16, m_init_range=(12, 14),
-                        p_up=0.2, p_down=0.2, seed=3)
+        monkeypatch.setattr(mopso, "_P_UP", 0.2)
+        monkeypatch.setattr(mopso, "_P_DOWN", 0.2)
+        cfg = PsoConfig(swarm_size=4, iterations=3, m_max=16, m_init_range=(12, 14), seed=3)
         archive, log = run(readme_l_room, cfg)
         assert [(r.iteration, r.best_f1, r.best_f2, r.archive_size, r.evaluations)
                 for r in log] == [

@@ -18,7 +18,7 @@ from reflectopt.repair import (
     repair,
     sample_in_margin,
 )
-from conftest import L_ROOM_PLACEMENT_XY
+from conftest import L_ROOM_PLACEMENT_XY, comb_room_poly
 
 
 def _pl(xy, z=3.0):
@@ -334,6 +334,67 @@ class TestRepair:
                                       rng=np.random.default_rng(0))
         assert (feasible, iters) == (True, 1)
         assert np.array_equal(out.xy[1:], xy[1:])
+
+    @pytest.mark.parametrize("room_name, m, seed", [
+        ("readme_l_room", 14, 6), ("u_room", 14, 2), ("comb", 30, 1)])
+    def test_verdict_matches_check_constraints_at_every_budget(self, request, monkeypatch,
+                                                                room_name, m, seed):
+        # A start drawn over the bounding box widened by 0.5 m, so some
+        # reflectors begin outside the room or inside the wall margin; the
+        # U start passes through a rescue jump. Cutting repair after K
+        # iterations, for every K up to the one where it succeeds, the verdict
+        # it returns must be the constraint check's verdict on what it returns.
+        if room_name == "comb":
+            room = RoomModel(boundary=comb_room_poly(), grid_size=0.4, z_r=0.5, z_l=5.0,
+                             r_res=0.075, cone_half_angle=np.deg2rad(60.0), wall_margin=0.5)
+        else:
+            room = request.getfixturevalue(room_name)
+        grid = build_grid(room)
+        config = EvalConfig()
+        xmin, ymin, xmax, ymax = room.boundary.bounds
+        xy = np.random.default_rng(seed).uniform([xmin - 0.5, ymin - 0.5],
+                                                 [xmax + 0.5, ymax + 0.5], size=(m, 2))
+        pl = Placement(xy=xy, types=type_assignment(m, 2), z=room.z_l)
+        for k in range(41):
+            monkeypatch.setattr(repair_module, "_MAX_ITER", k)
+            out, feasible, iters = repair(pl, room, grid, config, np.random.default_rng(seed))
+            masks = placement_masks(out, grid, room, strict=False)
+            report = check_constraints(out, room, grid, masks, config.m_max,
+                                       k_min=config.k_min, d_min=config.d_min)
+            assert feasible == report.feasible
+            assert iters == k or (feasible and iters < k)
+            if feasible:
+                break
+        assert feasible and 0 < iters
+
+    def test_margin_only_violation_repairs_in_one_iteration(self, readme_l_room):
+        # Reflector 2 of a feasible placement moved 0.2 m into the wall
+        # margin of the bottom wall; coverage and spacing still hold.
+        grid = build_grid(readme_l_room)
+        xy = np.array(L_ROOM_PLACEMENT_XY)
+        xy[2, 1] = 0.3
+        pl = Placement(xy=xy, types=type_assignment(len(xy), 2), z=readme_l_room.z_l)
+        report = check_constraints(pl, readme_l_room, grid,
+                                   placement_masks(pl, grid, readme_l_room), m_max=32,
+                                   k_min=4, d_min=0.5)
+        assert report.margin_violations.tolist() == [2]
+        assert report.m_ok and report.coverage_ok and report.spacing_ok
+        out, feasible, iters = repair(pl, readme_l_room, grid, rng=np.random.default_rng(0))
+        assert (feasible, iters) == (True, 1)
+        assert np.array_equal(np.delete(out.xy, 2, axis=0), np.delete(xy, 2, axis=0))
+
+    @pytest.mark.parametrize("m", [0, 8])
+    def test_count_outside_range_computes_no_masks(self, small_room, small_grid, monkeypatch,
+                                                   m):
+        def no_masks(*args, **kwargs):
+            raise AssertionError("placement_masks called")
+
+        monkeypatch.setattr(repair_module, "placement_masks", no_masks)
+        xy = np.random.default_rng(1).uniform(1.8, 2.2, size=(m, 2))
+        pl = Placement(xy=xy, types=np.zeros(m, int), z=small_room.z_l)
+        out, feasible, iters = repair(pl, small_room, small_grid, EvalConfig(m_max=7),
+                                      np.random.default_rng(0))
+        assert (out, feasible, iters) == (pl, False, 0)
 
     def test_recomputes_only_moved_rows(self, small_room, small_grid, monkeypatch):
         import reflectopt.repair as repair_module
