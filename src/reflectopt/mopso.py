@@ -18,7 +18,7 @@ from .assign import align_leader
 from .geom import Grid, RoomModel, build_grid
 from .objectives import EvalConfig, evaluate
 from .placement import Placement, coverage_floor, placement_masks
-from .repair import random_feasible, repair, sample_in_margin
+from .repair import _repair, random_feasible, repair, sample_in_margin
 
 Objectives = tuple[float, float]
 
@@ -190,11 +190,15 @@ def position_update(
     grid: Grid,
     config: EvalConfig,
     rng: np.random.Generator,
-) -> Placement:
-    """Add the velocity to the placement coordinates, then repair."""
+) -> tuple[Placement, np.ndarray | None]:
+    """Add the velocity to the placement coordinates, then repair.
+
+    Returns the repaired placement and the ``strict=False`` masks repair
+    holds for it (None for a count outside (0, config.m_max]).
+    """
     moved = particle.placement.with_xy(particle.placement.xy + particle.velocity)
-    repaired, _, _ = repair(moved, room, grid, config, rng)
-    return repaired
+    repaired, _, _, masks = _repair(moved, room, grid, config, rng)
+    return repaired, masks
 
 
 def upmutate(
@@ -291,6 +295,11 @@ def run(
     in particle index order from one seeded generator, so a fixed seed gives
     identical output. ``initial_placements`` overrides the random
     initialization (used by permutation-invariance checks).
+
+    Masks are built once per placement: each evaluation after a move scores
+    the masks that repair hands on with the placement. Only the initial
+    placements and those a mutation changed have their masks built for the
+    evaluation.
     """
     rng = np.random.default_rng(config.seed)
     grid = build_grid(room)
@@ -336,11 +345,15 @@ def run(
     log = [_log_entry(0, archive, evaluations)]
 
     for iteration in range(1, config.iterations + 1):
-        # Phase A (serial): leaders, velocities, positions, mutations.
+        # Phase A (serial): leaders, velocities, positions, mutations and
+        # evaluations. An evaluation draws no random numbers and nothing reads
+        # the archive or a pbest before Phase B, so scoring each particle right
+        # after its move keeps the output of scoring them all afterwards.
+        objs = []
         for p in particles:
             leader = archive.select_leader(rng)
             p.velocity = velocity_update(p, leader, config, rng, v_max)
-            p.placement = position_update(p, room, grid, eval_cfg, rng)
+            p.placement, masks = position_update(p, room, grid, eval_cfg, rng)
             u = rng.random()
             if u < _P_UP:
                 mutated = upmutate(p, room, config, rng, v_max)
@@ -348,15 +361,15 @@ def run(
                 mutated = downmutate(p, room, grid, config, rng)
             else:
                 mutated = p
+            if mutated.placement is not p.placement:
+                masks = None  # the mutation changed the placement: build its masks
             p.placement = mutated.placement
             p.velocity = mutated.velocity
             p.check_dimensions()
-
-        # Phase B: objective evaluations, which draw no random numbers.
-        objs = [_evaluate(p.placement, room, grid, eval_cfg) for p in particles]
+            objs.append(_evaluate(p.placement, room, grid, eval_cfg, masks))
         evaluations += len(particles)
 
-        # Phase C (serial): pbest and archive updates in particle order.
+        # Phase B (serial): pbest and archive updates in particle order.
         for p, obj in zip(particles, objs):
             if dominates(obj, p.pbest_objectives):
                 p.pbest, p.pbest_objectives = p.placement, obj
@@ -382,6 +395,9 @@ def _log_entry(iteration: int, archive: ParetoArchive, evaluations: int) -> Iter
     )
 
 
-def _evaluate(pl: Placement, room: RoomModel, grid: Grid, eval_cfg: EvalConfig) -> Objectives:
-    masks = placement_masks(pl, grid, room, strict=False)
+def _evaluate(pl: Placement, room: RoomModel, grid: Grid, eval_cfg: EvalConfig,
+              masks: np.ndarray | None = None) -> Objectives:
+    """Objectives of pl, scored on the given masks or, if None, on masks built here."""
+    if masks is None:
+        masks = placement_masks(pl, grid, room, strict=False)
     return evaluate(pl, room, grid, masks, eval_cfg)

@@ -57,16 +57,16 @@ def magnet_step(pl: Placement, d_min: float, rng: np.random.Generator | None = N
     return pl.with_xy(pl.xy + moves)
 
 
-def _coverage_holes(grid: Grid, masks: np.ndarray, k_min: int):
+def _coverage_holes(grid: Grid, masks: np.ndarray, counts: np.ndarray, k_min: int):
     """Under-covered regions and per-reflector slack: ([(member elements, attractor)], slack).
 
+    ``counts`` is ``masks.sum(axis=0)``, the reflectors each element sees.
     ``Grid.components`` labels the 4-connected regions; they come in order of
     their lowest element. The attractor is the region element closest to the
     region centroid; it always lies inside the room, unlike the raw centroid
     of a concave region. A reflector's slack is the spare coverage of its
     worst-covered element (inf if it covers none).
     """
-    counts = masks.sum(axis=0)
     slack = np.where(masks, counts, np.inf).min(axis=1) - k_min
     violated = counts < k_min
     if not violated.any():
@@ -86,6 +86,7 @@ def deficit_gravitation_step(
     pl: Placement,
     grid: Grid,
     masks: np.ndarray,
+    counts: np.ndarray,
     k_min: int,
 ) -> Placement:
     """Selective gravitation: each hole recruits its missing reflectors.
@@ -94,18 +95,17 @@ def deficit_gravitation_step(
     toward its attractor element, preferring redundant reflectors (slack
     >= 1 on every element they serve), nearest first. Each reflector obeys
     the gravitation law (_GAMMA times distance, capped at _STEP_CAP) and
-    serves at most one region per step.
+    serves at most one region per step. ``counts`` is ``masks.sum(axis=0)``.
     """
-    regions, slack = _coverage_holes(grid, masks, k_min)
+    regions, slack = _coverage_holes(grid, masks, counts, k_min)
     if not regions:
         return pl
     xy = pl.xy.copy()
     claimed = np.zeros(pl.m, dtype=bool)
     for _, att in regions:
         c_pt = grid.xy[att]
-        covering = masks[:, att]
-        deficit = int(k_min - covering.sum())
-        cand = np.flatnonzero(~covering & ~claimed)
+        deficit = int(k_min - counts[att])
+        cand = np.flatnonzero(~masks[:, att] & ~claimed)
         if cand.size == 0:
             continue
         d = np.linalg.norm(pl.xy[cand] - c_pt, axis=1)
@@ -121,9 +121,10 @@ def deficit_gravitation_step(
     return pl.with_xy(xy)
 
 
-def _rescue_jump(pl: Placement, grid: Grid, masks: np.ndarray, k_min: int) -> Placement:
+def _rescue_jump(pl: Placement, grid: Grid, masks: np.ndarray, counts: np.ndarray,
+                 k_min: int) -> Placement:
     """Relocate the most redundant reflector onto the biggest hole."""
-    regions, slack = _coverage_holes(grid, masks, k_min)
+    regions, slack = _coverage_holes(grid, masks, counts, k_min)
     if not regions:
         return pl
     members, att = max(regions, key=lambda r: len(r[0]))
@@ -148,16 +149,33 @@ def repair(
     Returns (placement, feasible, iterations). A feasible placement, or one
     whose count lies outside (0, config.m_max], which no step changes, comes
     back unchanged after 0 iterations; otherwise the loop runs until the
-    constraints hold or _MAX_ITER is exhausted. The mask matrix is kept
-    across iterations; only the rows of reflectors that moved are recomputed.
-    The wall margin is checked on the input only: ``project_into_margin``
-    returns points that ``in_margin`` accepts.
+    constraints hold or _MAX_ITER is exhausted. The wall margin is checked on
+    the input only: ``project_into_margin`` returns points that ``in_margin``
+    accepts. ``_repair`` also returns the masks of the placement.
+    """
+    return _repair(pl, room, grid, config, rng)[:3]
+
+
+def _repair(
+    pl: Placement,
+    room: RoomModel,
+    grid: Grid,
+    config: EvalConfig,
+    rng: np.random.Generator | None,
+) -> tuple[Placement, bool, int, np.ndarray | None]:
+    """``repair``, plus the (M, n_elements) ``strict=False`` masks of the placement returned.
+
+    The masks are None only when the count lies outside (0, config.m_max].
+    The mask matrix and its per-element counts are kept across iterations:
+    only the rows of reflectors that moved are recomputed, and the counts
+    take off their old rows and add their new ones.
     """
     if not 0 < pl.m <= config.m_max:
-        return pl, False, 0
+        return pl, False, 0, None
     margin_violations = np.count_nonzero(~in_margin(pl.xy, room))
     current = pl
     masks = placement_masks(current, grid, room, strict=False)
+    counts = masks.sum(axis=0)
     masks_xy = current.xy
     best_violations = np.inf
     stall = 0
@@ -165,13 +183,15 @@ def repair(
         moved = np.flatnonzero(np.any(current.xy != masks_xy, axis=1))
         if moved.size:
             sub = Placement(xy=current.xy[moved], types=current.types[moved], z=current.z)
-            masks[moved] = placement_masks(sub, grid, room, strict=False)
+            rows = placement_masks(sub, grid, room, strict=False)
+            counts += rows.sum(axis=0) - masks[moved].sum(axis=0)
+            masks[moved] = rows
         masks_xy = current.xy
-        coverage_violations = np.count_nonzero(masks.sum(axis=0) < config.k_min)
+        coverage_violations = np.count_nonzero(counts < config.k_min)
         spacing_violations = len(close_pairs(current.xy, config.d_min)[0])
         n_violations = coverage_violations + spacing_violations + margin_violations
         if n_violations == 0 or iteration == _MAX_ITER:
-            return current, n_violations == 0, iteration
+            return current, n_violations == 0, iteration, masks
         if n_violations < best_violations:
             best_violations = n_violations
             stall = 0
@@ -179,10 +199,10 @@ def repair(
             stall += 1
         if coverage_violations:
             if stall >= _STALL_LIMIT:
-                current = _rescue_jump(current, grid, masks, config.k_min)
+                current = _rescue_jump(current, grid, masks, counts, config.k_min)
                 stall = 0
             else:
-                current = deficit_gravitation_step(current, grid, masks, config.k_min)
+                current = deficit_gravitation_step(current, grid, masks, counts, config.k_min)
         if spacing_violations:
             current = magnet_step(current, config.d_min, rng)
         current = current.with_xy(project_into_margin(current.xy, room))

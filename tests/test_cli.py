@@ -424,6 +424,20 @@ class TestOptimizeCommand:
                   "--threads", "2"])
         assert exc.value.code == 2
 
+    def test_readme_l_room_optimize_is_unchanged(self, tmp_path):
+        # README config at 6 particles x 4 iterations, optimizer seed 0: the
+        # evaluations after the first move score the masks repair hands on
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(_readme_config_block())
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--out-dir", str(out), "--particles", "6",
+                     "--iterations", "4", "--seed", "0"]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "e2fca640995e45e9a540231ddcef3d5ee7f017fdf0d25b29306b13bea45fba48")
+
     def test_front_rows_mutually_non_dominated(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         assert main(["optimize", "--config", str(cfg_file), "--out-dir", str(out)]) == 0

@@ -247,26 +247,29 @@ class TestPositionUpdate:
     def test_zero_velocity_feasible_unchanged(self, small_room, small_grid):
         p = _particle(small_room, small_grid)
         cfg = _desk_config()
-        out = position_update(p, small_room, small_grid, cfg.eval_config(),
-                              np.random.default_rng(0))
+        out, masks = position_update(p, small_room, small_grid, cfg.eval_config(),
+                                     np.random.default_rng(0))
         assert np.allclose(out.xy, p.placement.xy)
+        assert np.array_equal(masks, placement_masks(out, small_grid, small_room, strict=False))
 
     def test_margin_restored(self, small_room, small_grid):
         p = _particle(small_room, small_grid)
         p.velocity = np.zeros((p.placement.m, 2))
         p.velocity[0] = [-10.0, 0.0]  # shove reflector 0 out of the room
         cfg = _desk_config()
-        out = position_update(p, small_room, small_grid, cfg.eval_config(),
-                              np.random.default_rng(0))
+        out, masks = position_update(p, small_room, small_grid, cfg.eval_config(),
+                                     np.random.default_rng(0))
         assert np.all(in_margin(out.xy, small_room))
+        assert np.array_equal(masks, placement_masks(out, small_grid, small_room, strict=False))
 
     def test_spacing_restored(self, small_room, small_grid):
         p = _particle(small_room, small_grid)
         p.velocity = np.zeros((p.placement.m, 2))
         p.velocity[0] = p.placement.xy[1] - p.placement.xy[0]  # collapse onto #1
         cfg = _desk_config()
-        out = position_update(p, small_room, small_grid, cfg.eval_config(),
-                              np.random.default_rng(0))
+        out, masks = position_update(p, small_room, small_grid, cfg.eval_config(),
+                                     np.random.default_rng(0))
+        assert np.array_equal(masks, placement_masks(out, small_grid, small_room, strict=False))
         diff = out.xy[:, None, :] - out.xy[None, :, :]
         dist = np.sqrt((diff ** 2).sum(-1))
         iu = np.triu_indices(out.m, 1)
@@ -445,6 +448,24 @@ class TestRun:
         xy_bytes = b"".join(e.placement.xy.tobytes() for e in archive.entries)
         assert hashlib.sha256(xy_bytes).hexdigest() == (
             "c0b5391419d4a32f877e2a4246d084c986efbc17925b41a29928f43779fe5abc")
+
+    def test_masks_built_once_per_placement(self, readme_l_room, monkeypatch):
+        # Without mutations every scored placement comes out of repair, which
+        # hands its masks on, so only the initial placements have theirs built.
+        monkeypatch.setattr(mopso, "_P_UP", 0.0)
+        monkeypatch.setattr(mopso, "_P_DOWN", 0.0)
+        built = []
+        original = mopso.placement_masks
+
+        def counting(pl, *args, **kwargs):
+            built.append(pl.m)
+            return original(pl, *args, **kwargs)
+
+        monkeypatch.setattr(mopso, "placement_masks", counting)
+        cfg = PsoConfig(swarm_size=4, iterations=3, m_max=16, m_init_range=(12, 14), seed=3)
+        _, log = run(readme_l_room, cfg)
+        assert log[-1].evaluations == 16
+        assert len(built) == cfg.swarm_size
 
     def test_snapshot_callback_invoked(self, small_room):
         seen = []

@@ -149,7 +149,7 @@ class TestCoverageCentroids:
 
     def test_full_coverage_empty(self, small_room, small_grid):
         masks = np.ones((4, len(small_grid)), dtype=bool)
-        regions, slack = _coverage_holes(small_grid, masks, k_min=4)
+        regions, slack = _coverage_holes(small_grid, masks, masks.sum(axis=0), k_min=4)
         assert regions == []
         assert np.array_equal(slack, np.zeros(4))
 
@@ -160,7 +160,7 @@ class TestCoverageCentroids:
             & (small_grid.xy[:, 1] > 1.0) & (small_grid.xy[:, 1] < 2.0)
         )
         masks[0, block] = False  # block sees only 3 reflectors
-        regions, _ = _coverage_holes(small_grid, masks, k_min=4)
+        regions, _ = _coverage_holes(small_grid, masks, masks.sum(axis=0), k_min=4)
         assert len(regions) == 1
         members, att = regions[0]
         assert np.array_equal(members, np.flatnonzero(block))
@@ -175,7 +175,7 @@ class TestCoverageCentroids:
         blob_a = np.linalg.norm(small_grid.xy - [0.6, 0.6], axis=1) < 0.4
         blob_b = np.linalg.norm(small_grid.xy - [3.2, 3.2], axis=1) < 0.5
         masks[0, blob_a | blob_b] = False
-        regions, _ = _coverage_holes(small_grid, masks, k_min=4)
+        regions, _ = _coverage_holes(small_grid, masks, masks.sum(axis=0), k_min=4)
         assert len(regions) == 2
         got = sorted(tuple(members.tolist()) for members, _ in regions)
         expect = sorted([tuple(np.flatnonzero(blob_a).tolist()),
@@ -218,7 +218,7 @@ def test_coverage_regions_match_ndimage_label(request, room_name):
             centers = rng.uniform(0.0, 10.0, size=(int(rng.integers(6, 20)), 2))
             radius = rng.uniform(2.0, 4.5)
             masks = np.linalg.norm(grid.xy[None] - centers[:, None], axis=2) < radius
-        got, _ = _coverage_holes(grid, masks, k_min=4)
+        got, _ = _coverage_holes(grid, masks, masks.sum(axis=0), k_min=4)
         want = ndimage_coverage_regions(grid, masks, k_min=4)
         assert len(got) == len(want)
         for (members, att), (want_members, want_att) in zip(got, want):
@@ -231,7 +231,7 @@ class TestDeficitGravitation:
         pl = _pl([[x, y] for x in (1.0, 2.0, 3.0) for y in (1.0, 2.0, 3.0)],
                  z=small_room.z_l)
         masks = placement_masks(pl, small_grid, small_room)
-        out = deficit_gravitation_step(pl, small_grid, masks, k_min=4)
+        out = deficit_gravitation_step(pl, small_grid, masks, masks.sum(axis=0), k_min=4)
         assert np.array_equal(out.xy, pl.xy)
 
     def test_recruits_exactly_the_deficit(self, small_room, small_grid):
@@ -243,7 +243,7 @@ class TestDeficitGravitation:
         masks[0, hole] = False
         masks[1, hole] = False
         masks[2, hole] = False
-        out = deficit_gravitation_step(pl, small_grid, masks, k_min=4)
+        out = deficit_gravitation_step(pl, small_grid, masks, masks.sum(axis=0), k_min=4)
         moved = [i for i in range(5) if not np.allclose(out.xy[i], pl.xy[i])]
         assert len(moved) == 2
         # recruited reflectors move toward the hole, not away
@@ -257,7 +257,7 @@ class TestDeficitGravitation:
         masks = np.ones((5, len(small_grid)), dtype=bool)
         hole = np.linalg.norm(small_grid.xy - [3.2, 0.8], axis=1) < 0.6
         masks[:3, hole] = False
-        out = _rescue_jump(pl, small_grid, masks, k_min=4)
+        out = _rescue_jump(pl, small_grid, masks, masks.sum(axis=0), k_min=4)
         moved = [i for i in range(5) if not np.allclose(out.xy[i], pl.xy[i])]
         assert len(moved) == 1
         assert hole[small_grid.nearest_element([out.xy[moved[0]]])[0]]
@@ -289,13 +289,6 @@ class TestRepair:
                                       rng=np.random.default_rng(0))
         assert not feasible
         assert iters == 20
-
-    def test_count_above_m_max_returned_at_once(self, small_room, small_grid):
-        # a clustered start that repair would fix, but 8 reflectors exceed m_max=7
-        rng = np.random.default_rng(1)
-        pl = _pl(rng.uniform(1.8, 2.2, size=(8, 2)), z=small_room.z_l)
-        out, feasible, iters = repair(pl, small_room, small_grid, EvalConfig(m_max=7), rng)
-        assert (out, feasible, iters) == (pl, False, 0)
 
     def test_deterministic_given_seed(self, small_room, small_grid):
         xy = np.full((6, 2), 2.0) + np.linspace(0, 0.01, 12).reshape(6, 2)
@@ -343,7 +336,10 @@ class TestRepair:
         # reflectors begin outside the room or inside the wall margin; the
         # U start passes through a rescue jump. Cutting repair after K
         # iterations, for every K up to the one where it succeeds, the verdict
-        # it returns must be the constraint check's verdict on what it returns.
+        # it returns must be the constraint check's verdict on what it returns,
+        # and the masks it returns must be the masks of what it returns. Every
+        # step reads the kept masks and per-element counts; they must be the
+        # masks of the placement it moves and their column sums.
         if room_name == "comb":
             room = RoomModel(boundary=comb_room_poly(), grid_size=0.4, z_r=0.5, z_l=5.0,
                              r_res=0.075, cone_half_angle=np.deg2rad(60.0), wall_margin=0.5)
@@ -355,10 +351,24 @@ class TestRepair:
         xy = np.random.default_rng(seed).uniform([xmin - 0.5, ymin - 0.5],
                                                  [xmax + 0.5, ymax + 0.5], size=(m, 2))
         pl = Placement(xy=xy, types=type_assignment(m, 2), z=room.z_l)
+        steps = []
+
+        def checked(step):
+            def wrapper(current, grid, masks, counts, k_min):
+                assert np.array_equal(masks, placement_masks(current, grid, room, strict=False))
+                assert np.array_equal(counts, masks.sum(axis=0))
+                steps.append(step.__name__)
+                return step(current, grid, masks, counts, k_min)
+            return wrapper
+
+        for name in ("deficit_gravitation_step", "_rescue_jump"):
+            monkeypatch.setattr(repair_module, name, checked(getattr(repair_module, name)))
         for k in range(41):
             monkeypatch.setattr(repair_module, "_MAX_ITER", k)
-            out, feasible, iters = repair(pl, room, grid, config, np.random.default_rng(seed))
+            out, feasible, iters, kept = repair_module._repair(pl, room, grid, config,
+                                                               np.random.default_rng(seed))
             masks = placement_masks(out, grid, room, strict=False)
+            assert np.array_equal(kept, masks)
             report = check_constraints(out, room, grid, masks, config.m_max,
                                        k_min=config.k_min, d_min=config.d_min)
             assert feasible == report.feasible
@@ -366,6 +376,7 @@ class TestRepair:
             if feasible:
                 break
         assert feasible and 0 < iters
+        assert "deficit_gravitation_step" in steps
 
     def test_margin_only_violation_repairs_in_one_iteration(self, readme_l_room):
         # Reflector 2 of a feasible placement moved 0.2 m into the wall
@@ -386,6 +397,8 @@ class TestRepair:
     @pytest.mark.parametrize("m", [0, 8])
     def test_count_outside_range_computes_no_masks(self, small_room, small_grid, monkeypatch,
                                                    m):
+        # m = 8: a clustered start that repair would fix, but 8 reflectors
+        # exceed m_max = 7; both counts come back at once, without masks
         def no_masks(*args, **kwargs):
             raise AssertionError("placement_masks called")
 
@@ -395,6 +408,9 @@ class TestRepair:
         out, feasible, iters = repair(pl, small_room, small_grid, EvalConfig(m_max=7),
                                       np.random.default_rng(0))
         assert (out, feasible, iters) == (pl, False, 0)
+        out, feasible, iters, masks = repair_module._repair(
+            pl, small_room, small_grid, EvalConfig(m_max=7), np.random.default_rng(0))
+        assert (out, feasible, iters, masks) == (pl, False, 0, None)
 
     def test_recomputes_only_moved_rows(self, small_room, small_grid, monkeypatch):
         import reflectopt.repair as repair_module
