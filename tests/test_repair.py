@@ -290,6 +290,13 @@ class TestRepair:
         assert not feasible
         assert iters == 20
 
+    def test_count_above_m_max_returned_at_once(self, small_room, small_grid):
+        # a clustered start that repair would fix, but 8 reflectors exceed m_max=7
+        rng = np.random.default_rng(1)
+        pl = _pl(rng.uniform(1.8, 2.2, size=(8, 2)), z=small_room.z_l)
+        out, feasible, iters = repair(pl, small_room, small_grid, EvalConfig(m_max=7), rng)
+        assert (out, feasible, iters) == (pl, False, 0)
+
     def test_deterministic_given_seed(self, small_room, small_grid):
         xy = np.full((6, 2), 2.0) + np.linspace(0, 0.01, 12).reshape(6, 2)
         pl = _pl(xy, z=small_room.z_l)
@@ -397,8 +404,6 @@ class TestRepair:
     @pytest.mark.parametrize("m", [0, 8])
     def test_count_outside_range_computes_no_masks(self, small_room, small_grid, monkeypatch,
                                                    m):
-        # m = 8: a clustered start that repair would fix, but 8 reflectors
-        # exceed m_max = 7; both counts come back at once, without masks
         def no_masks(*args, **kwargs):
             raise AssertionError("placement_masks called")
 
