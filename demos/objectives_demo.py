@@ -42,13 +42,13 @@ fp = fingerprint(c, pl, masks, grid, n=4, r_res=room.r_res)
 print(f"\nfingerprint at ({c[0]:.1f}, {c[1]:.1f}): {fp.entries}")
 print("(each entry is a distance bin of width r_res plus the reflector type)")
 
-f1, amb = ambiguity(pl, room, grid, masks, n=4, r_res=room.r_res)
+f1, amb = ambiguity(pl, grid, masks, n=4, r_res=room.r_res)
 print(f"\nambiguity objective f1 = {f1} of {len(grid)} elements")
 print(f"  unique {amb.n_unique}, locally ambiguous {amb.n_local}, "
       f"globally ambiguous {amb.n_global}")
 print("  (global = same fingerprint appears in disconnected room regions)")
 
-f2, gdop_map = gdop_objective(pl, room, grid, masks, sigma_r=room.r_res)
+f2, gdop_map = gdop_objective(pl, grid, masks, sigma_r=room.r_res)
 print(f"\nGDOP objective f2 = {f2:.4f} (sum over elements)")
 print(f"  per-element range: {gdop_map.min():.4f} .. {gdop_map.max():.4f}")
 print("  (high values mean range errors blow up into position errors)")

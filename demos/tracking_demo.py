@@ -41,7 +41,7 @@ print("comparing two feasible placements of 9 reflectors (2 types):")
 for label, seed in (("placement A", 3), ("placement B", 19)):
     pl = random_feasible(room, 9, 2, np.random.default_rng(seed), grid)
     masks = placement_masks(pl, grid, room)
-    f1, _ = ambiguity(pl, room, grid, masks, 4, room.r_res, with_map=False)
+    f1, _ = ambiguity(pl, grid, masks, 4, room.r_res, with_map=False)
     report = run_experiment(room, pl, path, noise, seeds=[0, 1, 2],
                             amcl_config=amcl, grid=grid, masks=masks)
     print(f"  {label}: ambiguity f1 = {f1:4d} / {len(grid)}   "

@@ -15,14 +15,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geom import _EDGE_TOL, Grid, Polygon, RoomModel
+from .geom import Grid, Polygon, RoomModel
 from .objectives import EvalConfig, Fingerprint, distance_bins, nearest_visible
 from .placement import Placement
 
 _WEIGHT_FLOOR = 1e-12  # measurement weight in a coverage hole, and the least weight
 _MISMATCH_FACTOR = 1e-3  # weight factor per unmatched fingerprint entry
-_INSIDE_CELLS = 64  # raster cells per side of the room's bounding box in _InsideCells
-_INSIDE_PAD = 1e-6  # relative clearance between a wall and a cell that gets a verdict
 
 
 class Pose(NamedTuple):
@@ -96,85 +94,17 @@ def init_particles(room: RoomModel, n: int, rng: np.random.Generator) -> Particl
     return ParticleSet(positions=positions, headings=headings, weights=np.full(n, 1.0 / n))
 
 
-class _InsideCells:
-    """``boundary.contains_points``, looked up by raster cell where no wall is near.
-
-    An _INSIDE_CELLS x _INSIDE_CELLS raster covers the boundary's bounding
-    box. A cell gets a verdict only if no wall comes within a pad of it: the
-    relative _INSIDE_PAD, far beyond rounding, plus twice the reach of the
-    on-edge test, which grows as 1/length for short walls. Such a cell lies
-    wholly on one side of the boundary, and every point in it is decided by
-    the parity test alone, so the verdict at the cell centre is the verdict
-    for all of it. Every other point goes to ``boundary.contains_points``
-    itself: points in a cell a wall comes near, points off the raster, NaN
-    and +-inf. The answers are that rule's for every input.
-    """
-
-    def __init__(self, boundary: Polygon):
-        self.boundary = boundary
-        xmin, ymin, xmax, ymax = boundary.bounds
-        n = _INSIDE_CELLS
-        self.x0, self.y0 = xmin, ymin
-        self.wx, self.wy = (xmax - xmin) / n, (ymax - ymin) / n
-        cx = xmin + (np.arange(n) + 0.5) * self.wx
-        cy = ymin + (np.arange(n) + 0.5) * self.wy
-        scale = max(1.0, abs(xmin), abs(ymin), abs(xmax), abs(ymax))
-        near = np.zeros((n, n), dtype=bool)  # (row, col) = (y, x)
-        for (ax, ay), (bx, by) in zip(*boundary._edges):
-            length = math.hypot(bx - ax, by - ay)
-            pad = _INSIDE_PAD * scale + 2.0 * _EDGE_TOL * max(1.0, 1.0 / length)
-            # The cells that meet the wall's padded bounding box, one more on
-            # each side against rounding ...
-            c0, c1 = self._cell_range(min(ax, bx) - pad, max(ax, bx) + pad, xmin, self.wx)
-            r0, r1 = self._cell_range(min(ay, by) - pad, max(ay, by) + pad, ymin, self.wy)
-            # ... and of those the ones whose padded box the wall's line meets.
-            ux, uy = (by - ay) / length, (ax - bx) / length
-            off = ux * (cx[None, c0:c1] - ax) + uy * (cy[r0:r1, None] - ay)
-            reach = abs(ux) * (0.5 * self.wx + pad) + abs(uy) * (0.5 * self.wy + pad)
-            near[r0:r1, c0:c1] |= np.abs(off) <= reach
-        # Neighbouring free cells of a row share a side of the boundary, so
-        # the centre of each run's first cell decides the run.
-        free = ~near
-        starts = free.copy()
-        starts[:, 1:] &= near[:, :-1]
-        rows, cols = np.nonzero(starts)
-        run_verdicts = boundary.contains_points(np.column_stack([cx[cols], cy[rows]]))
-        # -1: no verdict, also on a border of one cell around the raster;
-        # 0: outside; 1: inside
-        self.verdicts = np.full((n + 2, n + 2), -1, dtype=np.int8)
-        self.verdicts[1:-1, 1:-1][free] = run_verdicts[(np.cumsum(starts) - 1)[free.ravel()]]
-
-    @staticmethod
-    def _cell_range(lo: float, hi: float, origin: float, width: float) -> tuple[int, int]:
-        first = math.floor((lo - origin) / width) - 1
-        last = math.floor((hi - origin) / width) + 1
-        return max(first, 0), min(last + 1, _INSIDE_CELLS)
-
-    def contains_points(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean per point of the (k, 2) array; boundary points count as inside."""
-        n = _INSIDE_CELLS
-        # Raster (row, col) plus one, clamped onto the border (fmax sends NaN to 0).
-        col = np.fmin(np.fmax(np.floor((pts[:, 0] - self.x0) / self.wx) + 1.0, 0.0), n + 1.0)
-        row = np.fmin(np.fmax(np.floor((pts[:, 1] - self.y0) / self.wy) + 1.0, 0.0), n + 1.0)
-        verdict = self.verdicts.ravel()[(row * (n + 2) + col).astype(np.intp)]
-        inside = verdict > 0
-        rest = np.flatnonzero(verdict < 0)
-        if rest.size:
-            inside[rest] = self.boundary.contains_points(pts[rest])
-        return inside
-
-
 def motion_update(
     particles: ParticleSet,
     odo: OdometryInput,
     noise: tuple[float, float],
     rng: np.random.Generator,
-    inside: _InsideCells,
+    boundary: Polygon,
 ) -> ParticleSet:
     """Propagate particles by odometry plus Gaussian noise.
 
-    Particles that would leave the room (``inside``'s boundary) are projected
-    back onto the nearest boundary point and their weight is scaled down by 0.1.
+    Particles that would leave the room's ``boundary`` are projected back
+    onto the nearest boundary point and their weight is scaled down by 0.1.
     """
     sigma_d, sigma_theta = noise
     n = len(particles)
@@ -184,9 +114,9 @@ def motion_update(
         [dist * np.cos(headings), dist * np.sin(headings)]
     )
     weights = particles.weights.copy()
-    outside = ~inside.contains_points(positions)
+    outside = ~boundary.contains_points(positions)
     if outside.any():
-        positions[outside] = inside.boundary.nearest_boundary_points(positions[outside])
+        positions[outside] = boundary.nearest_boundary_points(positions[outside])
         weights[outside] *= 0.1
     return ParticleSet(positions=positions, headings=headings, weights=weights)
 
@@ -376,13 +306,12 @@ def track(
     Returns one pose estimate per scenario step plus the initial estimate.
     """
     noise = (config.sigma_d, config.sigma_theta)
-    inside = _InsideCells(room.boundary)
     particles = init_particles(room, config.n_particles, rng)
     particles = _weight_update(particles, initial_measurement, model)
     estimates = [estimate(particles)]
     for odo, meas in scenario:
         particles = resample(particles, rng)
-        particles = motion_update(particles, odo, noise, rng, inside)
+        particles = motion_update(particles, odo, noise, rng, room.boundary)
         particles = _weight_update(particles, meas, model)
         estimates.append(estimate(particles))
     return estimates

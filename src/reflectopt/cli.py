@@ -127,8 +127,8 @@ def _cmd_evaluate(args) -> int:
     f1, f2 = penalty_pair(grid, room.r_res)
     map_lines = ["maps skipped: coverage constraint violated"]
     if report.coverage_ok:
-        f1_map, amb_map = ambiguity(pl, room, grid, masks, cfg.n, room.r_res)
-        f2_map, gdop_map = gdop_objective(pl, room, grid, masks, room.r_res)
+        f1_map, amb_map = ambiguity(pl, grid, masks, cfg.n, room.r_res)
+        f2_map, gdop_map = gdop_objective(pl, grid, masks, room.r_res)
         if report.feasible:  # the pair objectives.evaluate returns, read off the maps
             f1, f2 = f1_map, f2_map
         map_lines = [

@@ -27,6 +27,8 @@ _RAY_EPS = 1e-4
 # The margin projection lands within _PROJECT_TOL (m) of the margin contour.
 _PROJECT_TOL = 1e-6
 _PROJECT_MAX_ITER = 50
+_INSIDE_CELLS = 64  # raster cells per side of the bounding box in Polygon._inside_cells
+_INSIDE_PAD = 1e-6  # relative clearance between a wall and a cell that gets a verdict
 
 
 def _as_points(arr) -> np.ndarray:
@@ -95,9 +97,74 @@ class Polygon:
         occ = right.any(axis=1)
         return a[occ], b[occ]
 
+    @cached_property
+    def _inside_cells(self) -> np.ndarray:
+        """Inside verdicts of an _INSIDE_CELLS-square raster over the bounds.
+
+        A cell gets a verdict only if no wall comes within a pad of it: the
+        relative _INSIDE_PAD, far beyond rounding, plus twice the reach of the
+        on-edge test, which grows as 1/length for short walls. Such a cell lies
+        wholly on one side of the boundary, and every point in it is decided by
+        the parity test alone, so the verdict at the cell centre is the verdict
+        for all of it. Indexed by raster (row, col) plus one: -1 is no verdict,
+        also on a border of one cell around the raster; 0 outside; 1 inside.
+        """
+        n = _INSIDE_CELLS
+        xmin, ymin, xmax, ymax = (float(v) for v in self.bounds)
+        wx, wy = (xmax - xmin) / n, (ymax - ymin) / n
+        cx = xmin + (np.arange(n) + 0.5) * wx
+        cy = ymin + (np.arange(n) + 0.5) * wy
+        scale = max(1.0, abs(xmin), abs(ymin), abs(xmax), abs(ymax))
+        near = np.zeros((n, n), dtype=bool)  # (row, col) = (y, x)
+        a, b = self._edges
+        for (ax, ay), (bx, by) in zip(a.tolist(), b.tolist()):
+            length = math.hypot(bx - ax, by - ay)
+            pad = _INSIDE_PAD * scale + 2.0 * _EDGE_TOL * max(1.0, 1.0 / length)
+            # The cells that meet the wall's padded bounding box, one more on
+            # each side against rounding ...
+            c0 = max(math.floor((min(ax, bx) - pad - xmin) / wx) - 1, 0)
+            c1 = min(math.floor((max(ax, bx) + pad - xmin) / wx) + 2, n)
+            r0 = max(math.floor((min(ay, by) - pad - ymin) / wy) - 1, 0)
+            r1 = min(math.floor((max(ay, by) + pad - ymin) / wy) + 2, n)
+            # ... and of those the ones whose padded box the wall's line meets.
+            ux, uy = (by - ay) / length, (ax - bx) / length
+            off = ux * (cx[None, c0:c1] - ax) + uy * (cy[r0:r1, None] - ay)
+            reach = abs(ux) * (0.5 * wx + pad) + abs(uy) * (0.5 * wy + pad)
+            near[r0:r1, c0:c1] |= np.abs(off) <= reach
+        # Neighbouring free cells of a row share a side of the boundary, so
+        # the parity test at the centre of each run's first cell decides the run.
+        free = ~near
+        starts = free.copy()
+        starts[:, 1:] &= near[:, :-1]
+        first = np.flatnonzero(starts)
+        run_verdicts = _parity_inside(a, b, np.column_stack([cx[first % n], cy[first // n]]))
+        # only near cells lie between the end of a run and the next start
+        run_lengths = np.add.reduceat(free.ravel(), first, dtype=np.intp)
+        verdicts = np.full((n + 2, n + 2), -1, dtype=np.int8)
+        verdicts[1:-1, 1:-1][free] = np.repeat(run_verdicts, run_lengths)
+        verdicts.flags.writeable = False
+        return verdicts
+
     def contains_points(self, points) -> np.ndarray:
-        """Boolean per point; boundary points count as inside."""
-        return _contains_points_raw(*self._edges, _as_points(points))
+        """Boolean per point; boundary points count as inside.
+
+        A point takes the verdict of its ``_inside_cells`` cell if it has one;
+        the others (near a wall, off the raster, NaN and +-inf) take the exact
+        test, ``_contains_points_raw``. Every answer is the exact test's.
+        """
+        pts = _as_points(points)
+        n = _INSIDE_CELLS
+        xmin, ymin, xmax, ymax = self.bounds
+        wx, wy = (xmax - xmin) / n, (ymax - ymin) / n
+        # Raster (row, col) plus one, clamped onto the border (fmax sends NaN to 0).
+        col = np.fmin(np.fmax(np.floor((pts[:, 0] - xmin) / wx) + 1.0, 0.0), n + 1.0)
+        row = np.fmin(np.fmax(np.floor((pts[:, 1] - ymin) / wy) + 1.0, 0.0), n + 1.0)
+        verdict = self._inside_cells.ravel()[(row * (n + 2) + col).astype(np.intp)]
+        inside = verdict > 0
+        rest = np.flatnonzero(verdict < 0)
+        if rest.size:
+            inside[rest] = _contains_points_raw(*self._edges, pts[rest])
+        return inside
 
     def edge_distances(self, points) -> np.ndarray:
         """Unsigned distance from each point to the nearest boundary edge."""
@@ -507,8 +574,8 @@ def sight_lines_clear(qx, qy, px, py, room: RoomModel) -> np.ndarray:
     return clear
 
 
-def _contains_points_raw(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Boundary-inclusive point-in-polygon against the edges a[i] -> b[i]."""
+def _parity_inside(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Even-odd point-in-polygon against the edges a[i] -> b[i]; boundary points fall either way."""
     ax, ay = a[:, 0], a[:, 1]
     bx, by = b[:, 0], b[:, 1]
     px = pts[:, 0:1]
@@ -516,15 +583,21 @@ def _contains_points_raw(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.nd
     cond = (ay > py) != (by > py)
     with np.errstate(divide="ignore", invalid="ignore"):
         x_int = ax + (py - ay) * (bx - ax) / (by - ay)
-    inside = (np.sum(cond & (px < x_int), axis=1) % 2) == 1
+    return (np.sum(cond & (px < x_int), axis=1) % 2) == 1
+
+
+def _contains_points_raw(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Boundary-inclusive point-in-polygon against the edges a[i] -> b[i]."""
+    inside = _parity_inside(a, b, pts)
     # The on-edge test only where the parity test says outside, and only for
     # finite points: no edge holds the others, and inf * 0 would warn.
-    out = np.flatnonzero(~inside & np.isfinite(px[:, 0]) & np.isfinite(py[:, 0]))
+    out = np.flatnonzero(~inside & np.isfinite(pts).all(axis=1))
     if out.size:
-        ex, ey = bx - ax, by - ay
+        ax, ay = a[:, 0], a[:, 1]
+        ex, ey = b[:, 0] - ax, b[:, 1] - ay
         elen2 = ex * ex + ey * ey
-        dx = px[out] - ax
-        dy = py[out] - ay
+        dx = pts[out, 0:1] - ax
+        dy = pts[out, 1:2] - ay
         cross = dx * ey - dy * ex
         dot = dx * ex + dy * ey
         on_line = np.abs(cross) <= _EDGE_TOL * np.maximum(np.sqrt(elen2), 1.0)

@@ -143,7 +143,6 @@ class AmbiguityMap:
 
 def ambiguity(
     pl: Placement,
-    room: RoomModel,
     grid: Grid,
     masks: np.ndarray,
     n: int,
@@ -257,7 +256,6 @@ def gdop_values(pl: Placement, masks: np.ndarray, grid: Grid, sigma_r: float) ->
 
 def gdop_objective(
     pl: Placement,
-    room: RoomModel,
     grid: Grid,
     masks: np.ndarray,
     sigma_r: float,
@@ -288,6 +286,6 @@ def evaluate(
     )
     if not report.feasible:
         return penalty_pair(grid, room.r_res)
-    f1, _ = ambiguity(pl, room, grid, masks, config.n, room.r_res, with_map=False)
-    f2, _ = gdop_objective(pl, room, grid, masks, room.r_res)
+    f1, _ = ambiguity(pl, grid, masks, config.n, room.r_res, with_map=False)
+    f2, _ = gdop_objective(pl, grid, masks, room.r_res)
     return f1, f2

@@ -2,18 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
-from hypothesis import strategies as st
 
 from reflectopt.amcl import (
     AmclConfig,
     FingerprintModel,
     OdometryInput,
     ParticleSet,
-    _INSIDE_CELLS,
     _MISMATCH_FACTOR,
     _WEIGHT_FLOOR,
-    _InsideCells,
     _cell_likelihoods,
     _match_cost_sq,
     estimate,
@@ -23,11 +19,10 @@ from reflectopt.amcl import (
     track,
     wrap_angle,
 )
-from reflectopt.geom import _EDGE_TOL, Polygon, build_grid
+from reflectopt.geom import build_grid
 from reflectopt.objectives import CoverageError, Fingerprint, fingerprint
 from reflectopt.placement import Placement, placement_masks, type_assignment
 from reflectopt.repair import random_feasible, sample_in_margin
-from conftest import comb_room_poly, five_test_rooms
 
 
 class TestWrapAngle:
@@ -68,7 +63,7 @@ class TestMotionUpdate:
     def test_identity_motion(self, small_room):
         ps = init_particles(small_room, 50, np.random.default_rng(3))
         out = motion_update(ps, OdometryInput(0.0, 0.0), (0.0, 0.0),
-                            np.random.default_rng(0), _InsideCells(small_room.boundary))
+                            np.random.default_rng(0), small_room.boundary)
         assert np.allclose(out.positions, ps.positions)
         assert np.allclose(out.headings, ps.headings)
 
@@ -79,7 +74,7 @@ class TestMotionUpdate:
             weights=np.array([1.0]),
         )
         out = motion_update(ps, OdometryInput(0.2, 0.0), (0.0, 0.0),
-                            np.random.default_rng(0), _InsideCells(small_room.boundary))
+                            np.random.default_rng(0), small_room.boundary)
         assert np.allclose(out.positions, [[2.2, 2.0]])
 
     def test_noise_spread_matches_sigma(self, small_room):
@@ -91,7 +86,7 @@ class TestMotionUpdate:
         )
         sigma_d, sigma_t = 0.02, math.radians(5.0)
         out = motion_update(ps, OdometryInput(0.2, 0.0), (sigma_d, sigma_t),
-                            np.random.default_rng(4), _InsideCells(small_room.boundary))
+                            np.random.default_rng(4), small_room.boundary)
         assert np.std(out.headings) == pytest.approx(sigma_t, rel=0.05)
         dist = np.linalg.norm(out.positions - [2.0, 2.0], axis=1)
         assert np.std(dist) == pytest.approx(sigma_d, rel=0.06)
@@ -103,7 +98,7 @@ class TestMotionUpdate:
             weights=np.array([1.0]),
         )
         out = motion_update(ps, OdometryInput(0.5, 0.0), (0.0, 0.0),
-                            np.random.default_rng(0), _InsideCells(small_room.boundary))
+                            np.random.default_rng(0), small_room.boundary)
         assert small_room.boundary.contains_points(out.positions)[0]
         assert np.allclose(out.positions, [[4.0, 2.0]])
         assert out.weights[0] == pytest.approx(0.1)
@@ -118,96 +113,12 @@ class TestMotionUpdate:
                          headings=np.array([math.pi / 2, math.pi, 3 * math.pi / 4, 0.0, math.pi]),
                          weights=np.full(5, 0.2))
         out = motion_update(ps, OdometryInput(0.5, 0.0), (0.0, 0.0),
-                            np.random.default_rng(0), _InsideCells(readme_l_room.boundary))
+                            np.random.default_rng(0), readme_l_room.boundary)
         diagonal = 0.5 * math.sqrt(0.5)
         assert np.allclose(out.positions, [[4.0, 4.0], [5.0, 5.0], [5.0, 3.8 + diagonal],
                                            [7.5, 2.0], [5.0, 6.0]])
         assert np.allclose(out.weights, [0.02, 0.02, 0.02, 0.2, 0.2])
         assert np.all(readme_l_room.boundary.contains_points(out.positions))
-
-
-def _probe_points(poly: Polygon, inside: _InsideCells, rng: np.random.Generator,
-                  k: int = 500) -> np.ndarray:
-    """Random points and the points where a raster lookup could go wrong."""
-    xmin, ymin, xmax, ymax = poly.bounds
-    a = poly.vertices
-    e = np.roll(a, -1, axis=0) - a
-    normal = np.column_stack([-e[:, 1], e[:, 0]]) / np.linalg.norm(e, axis=1)[:, None]
-    on_edges = a[:, None, :] + np.linspace(0.0, 1.0, 21)[None, :, None] * e[:, None, :]
-    offsets = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * _EDGE_TOL
-    near_edges = on_edges[:, :, None, :] + offsets[:, None] * normal[:, None, None, :]
-    # raster cell lines and corners, and one ulp to either side of a line
-    cols = inside.x0 + np.arange(_INSIDE_CELLS + 1) * inside.wx
-    rows = inside.y0 + np.arange(_INSIDE_CELLS + 1) * inside.wy
-    corners = np.stack(np.meshgrid(cols, rows), axis=-1).reshape(-1, 2)
-    rand = rng.uniform([xmin - 1, ymin - 1], [xmax + 1, ymax + 1], (k, 2))
-    on_cols = np.column_stack([rng.choice(cols, k), rand[:, 1]])
-    on_rows = np.column_stack([rand[:, 0], rng.choice(rows, k)])
-    ulp_cols = np.column_stack([np.nextafter(on_cols[:, 0], rng.choice([-1e9, 1e9], k)),
-                                rand[:, 1]])
-    ulp_rows = np.column_stack([rand[:, 0],
-                                np.nextafter(on_rows[:, 1], rng.choice([-1e9, 1e9], k))])
-    projected = poly.nearest_boundary_points(rand)
-    far = rng.uniform([xmin - 100, ymin - 100], [xmax + 100, ymax + 100], (k, 2))
-    nan, inf = np.nan, np.inf
-    special = np.array([[nan, ymin], [xmax, nan], [nan, nan], [inf, ymin], [-inf, ymax],
-                        [xmin, inf], [xmax, -inf], [inf, inf], [-inf, -inf], [nan, inf]])
-    return np.concatenate([rand, a, on_edges.reshape(-1, 2), near_edges.reshape(-1, 2), corners,
-                           on_cols, on_rows, ulp_cols, ulp_rows, projected, far, special])
-
-
-def _assert_matches_contains_points(poly: Polygon, rng: np.random.Generator,
-                                    k: int = 500) -> _InsideCells:
-    inside = _InsideCells(poly)
-    pts = _probe_points(poly, inside, rng, k)
-    assert np.array_equal(inside.contains_points(pts), poly.contains_points(pts))
-    return inside
-
-
-class TestInsideCells:
-    @pytest.mark.parametrize("room_index", range(8), ids=[
-        "convex", "l_shape", "u_shape", "rand1", "rand2", "readme_L", "U", "comb"])
-    def test_matches_contains_points(self, room_index, readme_l_room, u_room):
-        poly = (five_test_rooms() + [readme_l_room.boundary, u_room.boundary,
-                                     comb_room_poly()])[room_index]
-        inside = _assert_matches_contains_points(poly, np.random.default_rng(31 + room_index))
-        # the raster decides most of the room
-        assert (inside.verdicts >= 0).sum() > 0.5 * _INSIDE_CELLS ** 2
-
-    # No shrink phase: when every example fails, shrinking can run for
-    # minutes and grow past 1 GB before the failure is reported.
-    @settings(max_examples=100, deadline=None,
-              phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    @given(st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(0.01, 20.0)),
-                    min_size=4, max_size=12),
-           st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.integers(0, 2**32 - 1))
-    def test_random_star_polygons_match_contains_points(self, spokes, cx, cy, seed):
-        # Spoke i lies in the i-th of n equal sectors around (cx, cy), so no
-        # gap reaches pi; neighbouring spokes may nearly meet, making a very
-        # short wall.
-        n = len(spokes)
-        verts = [(cx + r * math.cos(2 * math.pi * (i + f) / n),
-                  cy + r * math.sin(2 * math.pi * (i + f) / n))
-                 for i, (f, r) in enumerate(spokes)]
-        try:
-            poly = Polygon(verts)
-        except ValueError:
-            assume(False)
-        _assert_matches_contains_points(poly, np.random.default_rng(seed), k=100)
-
-    def test_free_cells_need_no_polygon_test(self, oracle_room, monkeypatch):
-        inside = _InsideCells(oracle_room.boundary)
-        rows, cols = np.nonzero(inside.verdicts >= 0)  # raster index plus one
-        frac = np.random.default_rng(5).uniform(0.01, 0.99, (len(rows), 2))
-        pts = np.column_stack([inside.x0 + (cols - 1 + frac[:, 0]) * inside.wx,
-                               inside.y0 + (rows - 1 + frac[:, 1]) * inside.wy])
-        expected = oracle_room.boundary.contains_points(pts)
-
-        def no_polygon_test(self, points):
-            raise AssertionError("polygon test asked for a point in a free cell")
-
-        monkeypatch.setattr(Polygon, "contains_points", no_polygon_test)
-        assert np.array_equal(inside.contains_points(pts), expected)
 
 
 class TestMatchCost:

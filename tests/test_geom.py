@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from reflectopt import geom
 from reflectopt.geom import (
     _EDGE_TOL,
+    _INSIDE_CELLS,
     Polygon,
     RoomModel,
     boundary_distance,
@@ -18,6 +21,7 @@ from reflectopt.geom import (
     in_margin,
     point_in_polygon,
     project_into_margin,
+    sight_lines_clear,
     visibility_mask,
     visibility_masks,
     visibility_polygon,
@@ -133,6 +137,47 @@ def _two_term_contains(poly, pts):
     return inside, np.any(on_line & within, axis=1)
 
 
+def _exact_contains(poly, pts):
+    """The exact parity and on-edge test, without the raster."""
+    return geom._contains_points_raw(*poly._edges, pts)
+
+
+def _raster_lines(poly):
+    """x of the raster's column edges and y of its row edges."""
+    xmin, ymin, xmax, ymax = poly.bounds
+    n = _INSIDE_CELLS
+    return (xmin + np.arange(n + 1) * ((xmax - xmin) / n),
+            ymin + np.arange(n + 1) * ((ymax - ymin) / n))
+
+
+def _raster_probe_points(poly: Polygon, rng: np.random.Generator, k: int = 500) -> np.ndarray:
+    """Random points and the points where a raster lookup could go wrong."""
+    xmin, ymin, xmax, ymax = poly.bounds
+    a = poly.vertices
+    e = np.roll(a, -1, axis=0) - a
+    normal = np.column_stack([-e[:, 1], e[:, 0]]) / np.linalg.norm(e, axis=1)[:, None]
+    on_edges = a[:, None, :] + np.linspace(0.0, 1.0, 21)[None, :, None] * e[:, None, :]
+    offsets = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * _EDGE_TOL
+    near_edges = on_edges[:, :, None, :] + offsets[:, None] * normal[:, None, None, :]
+    # raster cell lines and corners, and one ulp to either side of a line
+    cols, rows = _raster_lines(poly)
+    corners = np.stack(np.meshgrid(cols, rows), axis=-1).reshape(-1, 2)
+    rand = rng.uniform([xmin - 1, ymin - 1], [xmax + 1, ymax + 1], (k, 2))
+    on_cols = np.column_stack([rng.choice(cols, k), rand[:, 1]])
+    on_rows = np.column_stack([rand[:, 0], rng.choice(rows, k)])
+    ulp_cols = np.column_stack([np.nextafter(on_cols[:, 0], rng.choice([-1e9, 1e9], k)),
+                                rand[:, 1]])
+    ulp_rows = np.column_stack([rand[:, 0],
+                                np.nextafter(on_rows[:, 1], rng.choice([-1e9, 1e9], k))])
+    projected = poly.nearest_boundary_points(rand)
+    far = rng.uniform([xmin - 100, ymin - 100], [xmax + 100, ymax + 100], (k, 2))
+    nan, inf = np.nan, np.inf
+    special = np.array([[nan, ymin], [xmax, nan], [nan, nan], [inf, ymin], [-inf, ymax],
+                        [xmin, inf], [xmax, -inf], [inf, inf], [-inf, -inf], [nan, inf]])
+    return np.concatenate([rand, a, on_edges.reshape(-1, 2), near_edges.reshape(-1, 2), corners,
+                           on_cols, on_rows, ulp_cols, ulp_rows, projected, far, special])
+
+
 class TestContainsPoints:
     def test_matches_two_term_formula(self, oracle_room):
         poly = oracle_room.boundary
@@ -167,6 +212,85 @@ class TestContainsPoints:
             with np.errstate(invalid="ignore"):
                 parity, on_edge = _two_term_contains(poly, pts)
             assert np.array_equal(got, parity | on_edge)
+
+    @pytest.mark.parametrize("room_index", range(8), ids=[
+        "convex", "l_shape", "u_shape", "rand1", "rand2", "readme_L", "U", "comb"])
+    def test_raster_matches_exact_test(self, room_index, readme_l_room, u_room):
+        poly = (five_test_rooms() + [readme_l_room.boundary, u_room.boundary,
+                                     comb_room_poly()])[room_index]
+        pts = _raster_probe_points(poly, np.random.default_rng(31 + room_index))
+        assert np.array_equal(poly.contains_points(pts), _exact_contains(poly, pts))
+        # the raster decides most of the room
+        assert (poly._inside_cells >= 0).sum() > 0.5 * _INSIDE_CELLS ** 2
+
+    # No shrink phase: when every example fails, shrinking can run for
+    # minutes and grow past 1 GB before the failure is reported.
+    @settings(max_examples=100, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(0.01, 20.0)),
+                    min_size=4, max_size=12),
+           st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.integers(0, 2**32 - 1))
+    def test_raster_on_random_star_polygons(self, spokes, cx, cy, seed):
+        # Spoke i lies in the i-th of n equal sectors around (cx, cy), so no
+        # gap reaches pi; neighbouring spokes may nearly meet, making a very
+        # short wall.
+        n = len(spokes)
+        verts = [(cx + r * math.cos(2 * math.pi * (i + f) / n),
+                  cy + r * math.sin(2 * math.pi * (i + f) / n))
+                 for i, (f, r) in enumerate(spokes)]
+        try:
+            poly = Polygon(verts)
+        except ValueError:
+            assume(False)
+        pts = _raster_probe_points(poly, np.random.default_rng(seed), k=100)
+        assert np.array_equal(poly.contains_points(pts), _exact_contains(poly, pts))
+
+    def test_free_cells_need_no_exact_test(self, oracle_room, monkeypatch):
+        poly = oracle_room.boundary
+        cols, rows = _raster_lines(poly)
+        r, c = np.nonzero(poly._inside_cells >= 0)  # raster index plus one
+        frac = np.random.default_rng(5).uniform(0.01, 0.99, (len(r), 2))
+        pts = np.column_stack([cols[c - 1] + frac[:, 0] * (cols[1] - cols[0]),
+                               rows[r - 1] + frac[:, 1] * (rows[1] - rows[0])])
+        expected = _exact_contains(poly, pts)
+
+        def no_exact_test(a, b, points):
+            raise AssertionError("exact test asked for a point in a free cell")
+
+        monkeypatch.setattr(geom, "_contains_points_raw", no_exact_test)
+        assert np.array_equal(poly.contains_points(pts), expected)
+
+    @pytest.mark.parametrize("room_name", ["readme_L", "U", "comb"])
+    def test_callers_match_exact_test(self, room_name, readme_l_room, u_room):
+        room = {"readme_L": readme_l_room, "U": u_room,
+                "comb": dataclasses.replace(u_room, boundary=comb_room_poly())}[room_name]
+        poly = room.boundary
+        # finite points only: the nearest-edge search warns on +-inf
+        pts = _raster_probe_points(poly, np.random.default_rng(7))
+        pts = pts[np.isfinite(pts).all(axis=1)]
+        inside = _exact_contains(poly, pts)
+        dist = poly.edge_distances(pts)
+        assert np.array_equal(in_margin(pts, room),
+                              inside & (dist >= room.wall_margin - _EDGE_TOL))
+        # A cone that holds every element, on a coarse grid: each row is the
+        # strictly-inside verdict and the sight lines.
+        coarse = dataclasses.replace(room, grid_size=2.0)
+        grid = build_grid(coarse)
+        strictly = inside & (dist > _EDGE_TOL)
+        clear = sight_lines_clear(pts[:, 0:1], pts[:, 1:2], grid.xy[:, 0], grid.xy[:, 1], coarse)
+        masks = visibility_masks(pts, coarse.z_r + 500.0, grid, coarse, strict=False)
+        assert np.array_equal(masks, strictly[:, None] & clear)
+        assert masks[strictly].any(axis=1).mean() > 0.9  # the rows are not empty
+        # lattice centres on walls, too, at 0.4 m
+        for size in (room.grid_size, 0.4):
+            grid = build_grid(dataclasses.replace(room, grid_size=size))
+            ny, nx = grid.shape
+            cols, rows = np.meshgrid(np.arange(nx), np.arange(ny))
+            lattice = np.column_stack([grid.x0 + (cols.ravel() + 0.5) * size,
+                                       grid.y0 + (rows.ravel() + 0.5) * size])
+            keep = _exact_contains(poly, lattice)
+            assert np.array_equal(grid.cell_index.ravel() >= 0, keep)
+            assert np.array_equal(grid.xy, lattice[keep])
 
 
 def _brute_nearest(grid, pts) -> np.ndarray:
@@ -246,7 +370,7 @@ class TestNearestElement:
         assert [small_grid.nearest_element(p)[0] for p in pts] == expected
         assert np.array_equal(_brute_nearest(small_grid, pts), expected)
 
-    # No shrink phase, as in TestInsideCells.
+    # No shrink phase, as in TestContainsPoints.
     @settings(max_examples=100, deadline=None,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(0.5, 5.0)),

@@ -186,7 +186,7 @@ class TestAmbiguity:
                        [2.0, 1.4], [2.0, 2.6]])
         pl = Placement(xy=xy, types=np.zeros(6, int), z=small_room.z_l)
         masks = placement_masks(pl, small_grid, small_room)
-        f1, amb_map = ambiguity(pl, small_room, small_grid, masks, n=4,
+        f1, amb_map = ambiguity(pl, small_grid, masks, n=4,
                                 r_res=small_room.r_res)
         assert f1 == len(small_grid)
         assert amb_map.n_unique == 0
@@ -196,7 +196,7 @@ class TestAmbiguity:
         xy = rng.uniform(0.8, 3.2, size=(8, 2))
         pl = Placement(xy=xy, types=type_assignment(8, 2), z=small_room.z_l)
         masks = placement_masks(pl, small_grid, small_room)
-        f1, amb_map = ambiguity(pl, small_room, small_grid, masks, n=4,
+        f1, amb_map = ambiguity(pl, small_grid, masks, n=4,
                                 r_res=small_room.r_res)
         total = amb_map.n_unique + amb_map.n_local + amb_map.n_global
         assert total == len(small_grid)
@@ -207,7 +207,7 @@ class TestAmbiguity:
         xy = rng.uniform(0.8, 3.2, size=(8, 2))
         pl = Placement(xy=xy, types=type_assignment(8, 2), z=small_room.z_l)
         masks = placement_masks(pl, small_grid, small_room)
-        f1, _ = ambiguity(pl, small_room, small_grid, masks, n=4, r_res=small_room.r_res)
+        f1, _ = ambiguity(pl, small_grid, masks, n=4, r_res=small_room.r_res)
         # O(n^2) oracle over per-element fingerprints
         fps = [
             fingerprint(small_grid.centers[i], pl, masks, small_grid, 4, small_room.r_res)
@@ -226,7 +226,7 @@ class TestAmbiguity:
         m = 8 if room.boundary.area < 20 else 20
         pl = random_feasible(room, m, 2, np.random.default_rng(40), grid)
         masks = placement_masks(pl, grid, room)
-        _, amb_map = ambiguity(pl, room, grid, masks, n=4, r_res=room.r_res)
+        _, amb_map = ambiguity(pl, grid, masks, n=4, r_res=room.r_res)
         assert {LOCAL, GLOBAL} <= set(amb_map.classes.tolist())
         # flood-fill oracle per group
         groups = {}
@@ -451,7 +451,7 @@ class TestGdopObjective:
         pl = Placement(xy=[[0.3, 0.3], [0.7, 0.3], [0.3, 0.7], [0.7, 0.7]],
                        types=[0, 1, 0, 1], z=room.z_l)
         masks = placement_masks(pl, grid, room)
-        f2, values = gdop_objective(pl, room, grid, masks, sigma_r=room.r_res)
+        f2, values = gdop_objective(pl, grid, masks, sigma_r=room.r_res)
         assert f2 == pytest.approx(values[0])
 
     def test_sum_matches_loop_oracle(self, small_room, small_grid):
@@ -459,7 +459,7 @@ class TestGdopObjective:
         xy = rng.uniform(0.8, 3.2, size=(8, 2))
         pl = Placement(xy=xy, types=type_assignment(8, 2), z=small_room.z_l)
         masks = placement_masks(pl, small_grid, small_room)
-        f2, gmap = gdop_objective(pl, small_room, small_grid, masks, sigma_r=0.075)
+        f2, gmap = gdop_objective(pl, small_grid, masks, sigma_r=0.075)
         total = 0.0
         for idx in range(len(small_grid)):
             vis = visible_reflectors(small_grid.centers[idx], pl, masks, small_grid)
@@ -622,7 +622,7 @@ class TestEvaluationKernels:
 
     def test_packed_keys_match_row_unique(self, small_room, small_grid, readme_l_room):
         for pl, masks, grid, room in _random_cases(small_room, small_grid, readme_l_room):
-            f1, amb = ambiguity(pl, room, grid, masks, 4, room.r_res)
+            f1, amb = ambiguity(pl, grid, masks, 4, room.r_res)
             ref_f1, ref_ids, ref_classes = row_unique_ambiguity(pl, grid, masks, 4, room.r_res)
             assert f1 == ref_f1
             assert np.array_equal(amb.group_ids, ref_ids)
@@ -636,7 +636,7 @@ class TestEvaluationKernels:
         r_res = 1e-6
         codes = fingerprint_table(pl, masks, small_grid, 4, r_res)
         assert 4 * int(codes.max()).bit_length() > 63
-        f1, amb = ambiguity(pl, small_room, small_grid, masks, 4, r_res)
+        f1, amb = ambiguity(pl, small_grid, masks, 4, r_res)
         ref_f1, ref_ids, ref_classes = row_unique_ambiguity(pl, small_grid, masks, 4, r_res)
         assert f1 == ref_f1
         assert np.array_equal(amb.group_ids, ref_ids)
@@ -669,8 +669,8 @@ class TestEvaluate:
                                 k_min=cfg.k_min, d_min=cfg.d_min)
         assert rep.feasible
         f1, f2 = evaluate(pl, small_room, small_grid, masks, cfg)
-        a, _ = ambiguity(pl, small_room, small_grid, masks, cfg.n, small_room.r_res)
-        g, _ = gdop_objective(pl, small_room, small_grid, masks, small_room.r_res)
+        a, _ = ambiguity(pl, small_grid, masks, cfg.n, small_room.r_res)
+        g, _ = gdop_objective(pl, small_grid, masks, small_room.r_res)
         assert (f1, f2) == (a, pytest.approx(g))
 
     def test_fingerprint_larger_than_k_min_rejected(self):
