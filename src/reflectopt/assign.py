@@ -93,7 +93,7 @@ def align_leader(particle: Placement, leader: Placement, type_constrained: bool)
     if type_constrained:
         groups = [
             (np.flatnonzero(particle.types == t), np.flatnonzero(leader.types == t))
-            for t in np.unique(particle.types)
+            for t in (0, 1)  # the reflector types; not np.unique, which loads numpy.ma
         ]
     else:
         groups = [(np.arange(particle.m), np.arange(leader.m))]

@@ -223,7 +223,10 @@ def write_placement(path, pl: Placement, n_types: int):
 
 
 def load_placement(path, room: RoomModel | None = None) -> tuple[Placement, int]:
-    """Placement and type count from a file; with a room, its z_l must be the room's."""
+    """Placement and type count from a file; with a room, its z_l must be the room's.
+
+    Rows are indexed 0..m-1, each once, and types lie below n_types (1 or 2).
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -248,19 +251,26 @@ def load_placement(path, room: RoomModel | None = None) -> tuple[Placement, int]
         z_l = float(header["z_l"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"placement header incomplete: {exc}") from exc
+    if n_types not in (1, 2):
+        raise ConfigError(f"{path}: placement n_types = {n_types} must be 1 or 2")
     if room is not None and z_l != room.z_l:
         raise ConfigError(f"{path}: placement z_l = {z_l!r} differs from the room's z_l = "
                           f"{room.z_l!r}")
     if len(rows) != m:
         raise ConfigError(f"placement declares m={m} but has {len(rows)} rows")
     try:
-        order = sorted(range(m), key=lambda k: int(rows[k][0]))
+        index = [int(row[0]) for row in rows]
+        order = sorted(range(m), key=index.__getitem__)
         xy = np.array([[float(rows[k][1]), float(rows[k][2])] for k in order])
         types = np.array([int(rows[k][3]) for k in order])
     except ValueError as exc:
         raise ConfigError(f"{path}: bad placement row: {exc}") from exc
+    if sorted(index) != list(range(m)):
+        raise ConfigError(f"{path}: placement indices must be 0 to {m - 1}, each once")
     if not np.all(np.isfinite(xy)):
         raise ConfigError(f"{path}: placement x and y must be finite")
+    if np.any((types < 0) | (types >= n_types)):
+        raise ConfigError(f"{path}: reflector types must lie below n_types = {n_types}")
     try:
         return Placement(xy=xy, types=types, z=z_l), n_types
     except ValueError as exc:

@@ -103,7 +103,7 @@ class Polygon:
 
         A cell gets a verdict only if no wall comes within a pad of it: the
         relative _INSIDE_PAD, far beyond rounding, plus twice the reach of the
-        on-edge test, which grows as 1/length for short walls. Such a cell lies
+        on-edge test, _EDGE_TOL across and along every wall. Such a cell lies
         wholly on one side of the boundary, and every point in it is decided by
         the parity test alone, so the verdict at the cell centre is the verdict
         for all of it. Indexed by raster (row, col) plus one: -1 is no verdict,
@@ -115,11 +115,11 @@ class Polygon:
         cx = xmin + (np.arange(n) + 0.5) * wx
         cy = ymin + (np.arange(n) + 0.5) * wy
         scale = max(1.0, abs(xmin), abs(ymin), abs(xmax), abs(ymax))
+        pad = _INSIDE_PAD * scale + 2.0 * _EDGE_TOL
         near = np.zeros((n, n), dtype=bool)  # (row, col) = (y, x)
         a, b = self._edges
         for (ax, ay), (bx, by) in zip(a.tolist(), b.tolist()):
             length = math.hypot(bx - ax, by - ay)
-            pad = _INSIDE_PAD * scale + 2.0 * _EDGE_TOL * max(1.0, 1.0 / length)
             # The cells that meet the wall's padded bounding box, one more on
             # each side against rounding ...
             c0 = max(math.floor((min(ax, bx) - pad - xmin) / wx) - 1, 0)
@@ -600,8 +600,9 @@ def _contains_points_raw(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.nd
         dy = pts[out, 1:2] - ay
         cross = dx * ey - dy * ex
         dot = dx * ex + dy * ey
-        on_line = np.abs(cross) <= _EDGE_TOL * np.maximum(np.sqrt(elen2), 1.0)
-        within = (dot >= -_EDGE_TOL) & (dot <= elen2 + _EDGE_TOL)
+        reach = _EDGE_TOL * np.sqrt(elen2)  # cross and dot are edge length times distance
+        on_line = np.abs(cross) <= reach
+        within = (dot >= -reach) & (dot <= elen2 + reach)
         inside[out] = np.any(on_line & within, axis=1)
     return inside
 

@@ -18,7 +18,7 @@ from .assign import align_leader
 from .geom import Grid, RoomModel, build_grid
 from .objectives import EvalConfig, evaluate
 from .placement import Placement, coverage_floor, placement_masks
-from .repair import _repair, random_feasible, repair, sample_in_margin
+from .repair import _repair, random_feasible, sample_in_margin
 
 Objectives = tuple[float, float]
 
@@ -42,12 +42,13 @@ def dominates(a: Objectives, b: Objectives) -> bool:
 class SwarmParticle:
     placement: Placement
     velocity: np.ndarray  # (M, 2) m/iteration
+    masks: np.ndarray  # (M, n_elements) strict=False visibility masks of placement
     pbest: Placement
     pbest_objectives: Objectives
 
     def check_dimensions(self):
-        if len(self.velocity) != self.placement.m:
-            raise AssertionError("velocity length diverged from placement size")
+        if not len(self.velocity) == len(self.masks) == self.placement.m:
+            raise AssertionError("velocity or masks length diverged from placement size")
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,7 @@ def position_update(
 def upmutate(
     particle: SwarmParticle,
     room: RoomModel,
+    grid: Grid,
     config: PsoConfig,
     rng: np.random.Generator,
     v_max: float,
@@ -211,7 +213,8 @@ def upmutate(
     """Append a reflector at a random margin-respecting position.
 
     The new reflector's type keeps the equal-split rule; its velocity is a
-    fresh random vector. A particle already at m_max is returned unchanged.
+    fresh random vector, and its mask row, the only one built, is appended to
+    the particle's masks. A particle already at m_max is returned unchanged.
     """
     pl = particle.placement
     if pl.m >= config.m_max:
@@ -224,13 +227,16 @@ def upmutate(
         c1 = int((pl.types == 1).sum())
         new_type = 0 if c0 <= c1 else 1
     new_v = rng.uniform(-v_max, v_max, size=2)
+    added = Placement(xy=pos[None, :], types=[new_type], z=pl.z)
     placement = Placement(
-        xy=np.vstack([pl.xy, pos[None, :]]),
+        xy=np.vstack([pl.xy, added.xy]),
         types=np.append(pl.types, new_type),
         z=pl.z,
     )
     return replace(particle, placement=placement,
-                   velocity=np.vstack([particle.velocity, new_v[None, :]]))
+                   velocity=np.vstack([particle.velocity, new_v[None, :]]),
+                   masks=np.vstack([particle.masks,
+                                    placement_masks(added, grid, room, strict=False)]))
 
 
 def downmutate(
@@ -247,13 +253,13 @@ def downmutate(
     count (4-connected regions from ``Grid.components``; of equal sizes, the
     one with the lowest element); removing there avoids creating coverage
     holes. A particle at the coverage floor (see ``coverage_floor``) is
-    returned unchanged.
+    returned unchanged. The counts come from the particle's masks, and a
+    repaired particle carries the masks that repair returns.
     """
     pl = particle.placement
     if pl.m <= coverage_floor(grid, room, config.k_min):
         return particle  # one fewer would lie below the coverage floor
-    masks = placement_masks(pl, grid, room, strict=False)
-    counts = masks.sum(axis=0)
+    counts = particle.masks.sum(axis=0)
     attain = counts == counts.max()
     roots = grid.components(attain)
     largest = np.argmax(np.bincount(roots[attain]))  # region sizes by root; ties: lowest root
@@ -268,10 +274,10 @@ def downmutate(
     keep = np.ones(pl.m, dtype=bool)
     keep[remove] = False
     reduced = Placement(xy=pl.xy[keep], types=pl.types[keep], z=pl.z)
-    repaired, feasible, _ = repair(reduced, room, grid, config.eval_config(), rng)
+    repaired, feasible, _, masks = _repair(reduced, room, grid, config.eval_config(), rng)
     if not feasible:
         return particle
-    return replace(particle, placement=repaired, velocity=particle.velocity[keep])
+    return replace(particle, placement=repaired, velocity=particle.velocity[keep], masks=masks)
 
 
 @dataclass(frozen=True)
@@ -287,19 +293,17 @@ def run(
     room: RoomModel,
     config: PsoConfig,
     snapshot_cb=None,
-    initial_placements: list[Placement] | None = None,
 ) -> tuple[ParetoArchive, list[IterationLog]]:
     """Run the optimizer and return the Pareto archive plus per-iteration log.
 
     Leaders, velocities, repairs, mutations and evaluations advance serially
     in particle index order from one seeded generator, so a fixed seed gives
-    identical output. ``initial_placements`` overrides the random
-    initialization (used by permutation-invariance checks).
+    identical output.
 
-    Masks are built once per placement: each evaluation after a move scores
-    the masks that repair hands on with the placement. Only the initial
-    placements and those a mutation changed have their masks built for the
-    evaluation.
+    Masks are built once per placement: a particle carries the masks of its
+    placement, which repair hands on after a move and a mutation hands on
+    after it changed the placement. Only the initial placements have their
+    whole mask matrix built here; an added reflector has its one row built.
     """
     rng = np.random.default_rng(config.seed)
     grid = build_grid(room)
@@ -308,37 +312,29 @@ def run(
     xmin, ymin, xmax, ymax = room.boundary.bounds
     v_max = 2.0 * math.hypot(xmax - xmin, ymax - ymin) / max(1, config.iterations)
 
-    if initial_placements is None:
-        placements = []
-        redraws = 3 * (config.m_init_range[1] - config.m_init_range[0] + 1)
-        for _ in range(config.swarm_size):
-            last_error = None
-            for _ in range(redraws):
-                m = int(rng.integers(config.m_init_range[0], config.m_init_range[1] + 1))
-                try:
-                    placements.append(random_feasible(room, m, config.n_types, rng, grid, eval_cfg))
-                    break
-                except RuntimeError as exc:
-                    last_error = exc  # size infeasible for this room; redraw m
-                except ValueError as exc:  # no margin interior to sample: no m helps
-                    raise RuntimeError(f"swarm initialization failed: {exc}") from exc
-            else:
-                raise RuntimeError(f"swarm initialization failed: {last_error}")
-    else:
-        placements = list(initial_placements)
+    placements = []
+    redraws = 3 * (config.m_init_range[1] - config.m_init_range[0] + 1)
+    for _ in range(config.swarm_size):
+        last_error = None
+        for _ in range(redraws):
+            m = int(rng.integers(config.m_init_range[0], config.m_init_range[1] + 1))
+            try:
+                placements.append(random_feasible(room, m, config.n_types, rng, grid, eval_cfg))
+                break
+            except RuntimeError as exc:
+                last_error = exc  # size infeasible for this room; redraw m
+            except ValueError as exc:  # no margin interior to sample: no m helps
+                raise RuntimeError(f"swarm initialization failed: {exc}") from exc
+        else:
+            raise RuntimeError(f"swarm initialization failed: {last_error}")
 
-    objectives = [_evaluate(pl, room, grid, eval_cfg) for pl in placements]
-    particles = [
-        SwarmParticle(
-            placement=pl,
-            velocity=np.zeros((pl.m, 2)),
-            pbest=pl,
-            pbest_objectives=obj,
-        )
-        for pl, obj in zip(placements, objectives)
-    ]
+    particles = []
     archive = ParetoArchive(capacity=_ARCHIVE_CAPACITY)
-    for pl, obj in zip(placements, objectives):
+    for pl in placements:
+        masks = placement_masks(pl, grid, room, strict=False)
+        obj = evaluate(pl, room, grid, masks, eval_cfg)
+        particles.append(SwarmParticle(placement=pl, velocity=np.zeros((pl.m, 2)), masks=masks,
+                                       pbest=pl, pbest_objectives=obj))
         archive.update(pl, *obj)
 
     evaluations = len(particles)
@@ -350,23 +346,18 @@ def run(
         # the archive or a pbest before Phase B, so scoring each particle right
         # after its move keeps the output of scoring them all afterwards.
         objs = []
-        for p in particles:
+        for k, p in enumerate(particles):
             leader = archive.select_leader(rng)
             p.velocity = velocity_update(p, leader, config, rng, v_max)
-            p.placement, masks = position_update(p, room, grid, eval_cfg, rng)
+            p.placement, p.masks = position_update(p, room, grid, eval_cfg, rng)
             u = rng.random()
             if u < _P_UP:
-                mutated = upmutate(p, room, config, rng, v_max)
+                p = upmutate(p, room, grid, config, rng, v_max)
             elif u < _P_UP + _P_DOWN:
-                mutated = downmutate(p, room, grid, config, rng)
-            else:
-                mutated = p
-            if mutated.placement is not p.placement:
-                masks = None  # the mutation changed the placement: build its masks
-            p.placement = mutated.placement
-            p.velocity = mutated.velocity
+                p = downmutate(p, room, grid, config, rng)
             p.check_dimensions()
-            objs.append(_evaluate(p.placement, room, grid, eval_cfg, masks))
+            particles[k] = p
+            objs.append(evaluate(p.placement, room, grid, p.masks, eval_cfg))
         evaluations += len(particles)
 
         # Phase B (serial): pbest and archive updates in particle order.
@@ -393,11 +384,3 @@ def _log_entry(iteration: int, archive: ParetoArchive, evaluations: int) -> Iter
         archive_size=len(archive),
         evaluations=evaluations,
     )
-
-
-def _evaluate(pl: Placement, room: RoomModel, grid: Grid, eval_cfg: EvalConfig,
-              masks: np.ndarray | None = None) -> Objectives:
-    """Objectives of pl, scored on the given masks or, if None, on masks built here."""
-    if masks is None:
-        masks = placement_masks(pl, grid, room, strict=False)
-    return evaluate(pl, room, grid, masks, eval_cfg)

@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reflectopt
 from reflectopt.assign import align_leader, hungarian
 from reflectopt.placement import Placement
 
@@ -180,3 +185,14 @@ class TestAlignLeader:
                 for p in itertools.permutations(range(k))
             )
             assert got == pytest.approx(best, rel=1e-12)
+
+    def test_loads_no_numpy_ma(self):
+        # np.unique loads numpy.ma on first use, about 1.2 MB resident in optimize
+        probe = ("import sys; import numpy as np; from reflectopt.assign import align_leader; "
+                 "from reflectopt.placement import Placement; "
+                 "pl = Placement(xy=[[0.0, 0.0], [1.0, 0.0]], types=[0, 1], z=3.0); "
+                 "align_leader(pl, pl, type_constrained=True); print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(reflectopt.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.stdout.split() == ["False"]

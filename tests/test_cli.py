@@ -308,6 +308,30 @@ def test_bad_placement_coordinate_exit_2(tmp_path, capsys, command, row, message
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("indices, n_types, message", [
+    ([0] + list(range(21)), 2, "placement indices must be 0 to 21, each once"),
+    ([0] * 22, 2, "placement indices must be 0 to 21, each once"),
+    (list(range(1, 23)), 2, "placement indices must be 0 to 21, each once"),
+    (list(range(22)), 7, "placement n_types = 7 must be 1 or 2"),
+    (list(range(22)), 0, "placement n_types = 0 must be 1 or 2"),
+    (list(range(22)), 1, "reflector types must lie below n_types = 1"),
+], ids=["duplicate_index", "all_index_0", "one_based", "n_types_7", "n_types_0", "type_1_of_1"])
+def test_malformed_placement_file_exit_2(tmp_path, capsys, command, indices, n_types, message):
+    pl = Placement(xy=L_ROOM_PLACEMENT_XY, types=type_assignment(22, 2), z=5.0)
+    lines = files.format_placement(pl, n_types).splitlines()  # 4 header lines, then the rows
+    rows = [f"{i} {line.split(' ', 1)[1]}" for i, line in zip(indices, lines[4:])]
+    pfile = tmp_path / "bad.txt"
+    pfile.write_text("\n".join(lines[:4] + rows) + "\n")
+    cfg = tmp_path / "l_room.cfg"
+    cfg.write_text(L_ROOM_SECTION + "\n" + SIM_SECTION)
+    code = main([command, "--config", str(cfg), "--placement", str(pfile),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {pfile}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, flags, old, new, message", [
     ("optimize", ["--particles", "0"], None, None, "swarm_size must be at least 1"),
     ("optimize", ["--particles", "-1"], None, None, "swarm_size must be at least 1"),

@@ -132,8 +132,10 @@ def _two_term_contains(poly, pts):
     elen2 = ex * ex + ey * ey
     cross = (px - ax) * ey - (py - ay) * ex
     dot = (px - ax) * ex + (py - ay) * ey
-    on_line = np.abs(cross) <= _EDGE_TOL * np.maximum(np.sqrt(elen2), 1.0)
-    within = (dot >= -_EDGE_TOL) & (dot <= elen2 + _EDGE_TOL)
+    # within _EDGE_TOL of the edge's line, and at most _EDGE_TOL beyond either end
+    reach = _EDGE_TOL * np.sqrt(elen2)
+    on_line = np.abs(cross) <= reach
+    within = (dot >= -reach) & (dot <= elen2 + reach)
     return inside, np.any(on_line & within, axis=1)
 
 
@@ -291,6 +293,17 @@ class TestContainsPoints:
             keep = _exact_contains(poly, lattice)
             assert np.array_equal(grid.cell_index.ravel() >= 0, keep)
             assert np.array_equal(grid.xy, lattice[keep])
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, 2.4])
+    def test_point_inside_short_wall_tip_is_outside(self, k, u_room):
+        # The comb's 0.4 m wall tip at x = 12 runs along y = 6; the point lies
+        # k nm inside the wall, beyond the on-edge test's reach of _EDGE_TOL.
+        room = dataclasses.replace(u_room, boundary=comb_room_poly())
+        pt = np.array([[12.0, 6.0 + k * 1e-9]])
+        assert not room.boundary.contains_points(pt)[0]
+        assert boundary_distances(pt, room.boundary)[0] < 0.0
+        grid = build_grid(dataclasses.replace(room, grid_size=0.4))
+        assert not visibility_masks(pt, room.z_l, grid, room, strict=False).any()
 
 
 def _brute_nearest(grid, pts) -> np.ndarray:

@@ -20,6 +20,7 @@ from reflectopt.mopso import (
     upmutate,
     velocity_update,
 )
+from reflectopt.objectives import evaluate
 from reflectopt.placement import Placement, placement_masks, type_assignment
 from reflectopt.repair import random_feasible, sample_in_margin
 
@@ -181,6 +182,7 @@ def _particle(small_room, small_grid, seed=0, m=8):
     return SwarmParticle(
         placement=pl,
         velocity=np.zeros((pl.m, 2)),
+        masks=placement_masks(pl, small_grid, small_room, strict=False),
         pbest=pl,
         pbest_objectives=(1.0, 1.0),
     )
@@ -217,6 +219,7 @@ class TestVelocityUpdate:
         pbest = Placement(xy=[[2.0, 1.0]], types=[0], z=3.0)
         gbest = Placement(xy=[[1.0, 3.0]], types=[0], z=3.0)
         p = SwarmParticle(placement=pl, velocity=np.zeros((1, 2)),
+                          masks=np.zeros((1, 0), dtype=bool),  # velocity_update reads none
                           pbest=pbest, pbest_objectives=(0, 0))
         # W=0.5, C1=C2=1, r1=r2=1 -> v = (pbest - x) + (gbest - x) = (1, 2)
         monkeypatch.setattr(mopso, "_W_RANGE", (0.5, 0.5))
@@ -280,19 +283,21 @@ class TestMutations:
     def test_upmutate_at_cap_is_noop(self, small_room, small_grid):
         p = _particle(small_room, small_grid, m=8)
         cfg = _desk_config(m_max=8, m_init_range=(8, 8))
-        out = upmutate(p, small_room, cfg, np.random.default_rng(0), v_max=1.0)
+        out = upmutate(p, small_room, small_grid, cfg, np.random.default_rng(0), v_max=1.0)
         assert out.placement.m == 8
         assert out is p
 
     def test_upmutate_restores_equal_split(self, small_room, small_grid):
         p = _particle(small_room, small_grid, m=8)  # types 4 + 4
         cfg = _desk_config(m_max=12)
-        out = upmutate(p, small_room, cfg, np.random.default_rng(0), v_max=1.0)
+        out = upmutate(p, small_room, small_grid, cfg, np.random.default_rng(0), v_max=1.0)
         assert out.placement.m == 9
         assert (out.placement.types == 0).sum() == 5
         assert (out.placement.types == 1).sum() == 4
         assert len(out.velocity) == 9
         assert np.max(np.abs(out.velocity[-1])) <= 1.0
+        assert np.array_equal(out.masks, placement_masks(out.placement, small_grid, small_room,
+                                                         strict=False))
 
     def test_downmutate_restores_equal_split(self, small_room, small_grid):
         p = _particle(small_room, small_grid, m=9)  # types 5 + 4
@@ -304,6 +309,8 @@ class TestMutations:
         assert (out.placement.types == 0).sum() == 4
         assert (out.placement.types == 1).sum() == 4
         assert len(out.velocity) == 8
+        assert np.array_equal(out.masks, placement_masks(out.placement, small_grid, small_room,
+                                                         strict=False))
 
     def test_downmutate_at_minimum_is_noop(self, small_room, small_grid):
         p = _particle(small_room, small_grid, m=4)
@@ -319,15 +326,16 @@ class TestMutations:
 
         def failing_repair(pl, *args, **kwargs):
             repaired_sizes.append(pl.m)
-            return pl, False, 0
+            return pl, False, 0, None
 
-        monkeypatch.setattr(mopso, "repair", failing_repair)
+        monkeypatch.setattr(mopso, "_repair", failing_repair)
         cfg = PsoConfig(m_max=16, m_init_range=(12, 14))
         rng = np.random.default_rng(0)
         for m in (12, 13):
             pl = Placement(xy=sample_in_margin(readme_l_room, m, rng),
                            types=type_assignment(m, 2), z=readme_l_room.z_l)
             p = SwarmParticle(placement=pl, velocity=np.zeros((m, 2)),
+                              masks=placement_masks(pl, grid, readme_l_room, strict=False),
                               pbest=pl, pbest_objectives=(1.0, 1.0))
             assert downmutate(p, readme_l_room, grid, cfg, rng) is p
         assert repaired_sizes == [12]
@@ -361,20 +369,29 @@ class TestMutations:
         masks = np.zeros((6, len(small_grid)), dtype=bool)
         masks[0] = True
         masks[1] = ((row < 2) & (col < 2)) | ((row >= 14) & (col >= 14))
-        monkeypatch.setattr(mopso, "placement_masks", lambda *args, **kwargs: masks.copy())
         reduced = []
 
         def failing_repair(pl, *args, **kwargs):
             reduced.append(pl)
-            return pl, False, 0
+            return pl, False, 0, None
 
-        monkeypatch.setattr(mopso, "repair", failing_repair)
+        monkeypatch.setattr(mopso, "_repair", failing_repair)
         pl = Placement(xy=xy, types=types, z=small_room.z_l)
-        p = SwarmParticle(placement=pl, velocity=np.zeros((6, 2)),
+        p = SwarmParticle(placement=pl, velocity=np.zeros((6, 2)), masks=masks,
                           pbest=pl, pbest_objectives=(1.0, 1.0))
         cfg = _desk_config(m_max=12, n_types=1 + max(types))
         assert downmutate(p, small_room, small_grid, cfg, np.random.default_rng(0)) is p
         assert np.array_equal(reduced[0].xy, np.delete(xy, removed, axis=0))
+
+
+class TestCheckDimensions:
+    @pytest.mark.parametrize("field", ["velocity", "masks"])
+    def test_length_differs_from_placement_size(self, small_room, small_grid, field):
+        p = _particle(small_room, small_grid)
+        p.check_dimensions()
+        setattr(p, field, getattr(p, field)[:-1])
+        with pytest.raises(AssertionError, match="diverged from placement size"):
+            p.check_dimensions()
 
 
 class TestRun:
@@ -413,7 +430,7 @@ class TestRun:
         archive, _ = run(small_room, cfg)  # check_dimensions asserts inside
         assert len(archive) >= 1
 
-    def test_permutation_invariant_objectives(self, small_room, small_grid):
+    def test_permutation_invariant_objectives(self, small_room, small_grid, monkeypatch):
         rng = np.random.default_rng(77)
         placements = [random_feasible(small_room, 8, 2, rng, small_grid) for _ in range(6)]
         shuffled = []
@@ -422,8 +439,15 @@ class TestRun:
             perm = shuffle_rng.permutation(pl.m)
             shuffled.append(Placement(xy=pl.xy[perm], types=pl.types[perm], z=pl.z))
         cfg = _desk_config(swarm_size=6, iterations=3)
-        a1, _ = run(small_room, cfg, initial_placements=placements)
-        a2, _ = run(small_room, cfg, initial_placements=shuffled)
+
+        def run_from(initial):
+            # the swarm's initial placements, in order; both runs draw the same sizes
+            draws = iter(initial)
+            monkeypatch.setattr(mopso, "random_feasible", lambda *args: next(draws))
+            return run(small_room, cfg)
+
+        a1, _ = run_from(placements)
+        a2, _ = run_from(shuffled)
         assert sorted((e.f1, round(e.f2, 9)) for e in a1.entries) == sorted(
             (e.f1, round(e.f2, 9)) for e in a2.entries
         )
@@ -449,11 +473,16 @@ class TestRun:
         assert hashlib.sha256(xy_bytes).hexdigest() == (
             "c0b5391419d4a32f877e2a4246d084c986efbc17925b41a29928f43779fe5abc")
 
-    def test_masks_built_once_per_placement(self, readme_l_room, monkeypatch):
-        # Without mutations every scored placement comes out of repair, which
-        # hands its masks on, so only the initial placements have theirs built.
-        monkeypatch.setattr(mopso, "_P_UP", 0.0)
-        monkeypatch.setattr(mopso, "_P_DOWN", 0.0)
+    # seed 6 with mutations: 2 reflectors added and 3 removed
+    @pytest.mark.parametrize("p_mutate, seed", [(0.0, 3), (0.2, 6)],
+                             ids=["no_mutations", "mutations"])
+    def test_masks_built_once_per_placement(self, readme_l_room, monkeypatch, p_mutate, seed):
+        # A particle carries its placement's masks: repair hands them on after
+        # a move and after a removal, and an added reflector appends its own
+        # row. So only the initial placements have all their masks built, and
+        # every other build is the single row of an up-mutation.
+        monkeypatch.setattr(mopso, "_P_UP", p_mutate)
+        monkeypatch.setattr(mopso, "_P_DOWN", p_mutate)
         built = []
         original = mopso.placement_masks
 
@@ -461,11 +490,33 @@ class TestRun:
             built.append(pl.m)
             return original(pl, *args, **kwargs)
 
+        changed = {"upmutate": 0, "downmutate": 0}
+
+        def spy(name):
+            mutate = getattr(mopso, name)
+
+            def spied(p, *args, **kwargs):
+                out = mutate(p, *args, **kwargs)
+                changed[name] += out.placement is not p.placement
+                return out
+
+            monkeypatch.setattr(mopso, name, spied)
+
+        def scored(pl, room, grid, masks, cfg):
+            assert np.array_equal(masks, placement_masks(pl, grid, room, strict=False))
+            return evaluate(pl, room, grid, masks, cfg)
+
         monkeypatch.setattr(mopso, "placement_masks", counting)
-        cfg = PsoConfig(swarm_size=4, iterations=3, m_max=16, m_init_range=(12, 14), seed=3)
+        spy("upmutate")
+        spy("downmutate")
+        monkeypatch.setattr(mopso, "evaluate", scored)
+        cfg = PsoConfig(swarm_size=4, iterations=3, m_max=16, m_init_range=(12, 14), seed=seed)
         _, log = run(readme_l_room, cfg)
         assert log[-1].evaluations == 16
-        assert len(built) == cfg.swarm_size
+        assert len([m for m in built if m > 1]) == cfg.swarm_size
+        assert built[cfg.swarm_size:] == [1] * changed["upmutate"]
+        if p_mutate:
+            assert changed["upmutate"] and changed["downmutate"]
 
     def test_snapshot_callback_invoked(self, small_room):
         seen = []
