@@ -49,7 +49,7 @@ class ParticleSet:
 @dataclass(frozen=True)
 class AmclConfig:
     n_particles: int = 2000
-    n: int = EvalConfig.n  # fingerprint size
+    n: int = EvalConfig.n  # fingerprint size; the CLI takes it from [pso]
     sigma_r: float | None = None  # range likelihood std dev; None -> room.r_res
     sigma_d: float = 0.02  # odometry distance noise (m)
     sigma_theta: float = math.radians(5.0)  # odometry rotation noise (rad)
@@ -214,7 +214,7 @@ def _cell_likelihoods(cells: np.ndarray, meas: Fingerprint,
     like = np.full(len(cells), _WEIGHT_FLOOR)
     rows = np.flatnonzero(model.valid[cells])
     n_type0 = model.n_type0[cells[rows]]
-    for k in np.unique(n_type0):
+    for k in np.flatnonzero(np.bincount(n_type0)):  # np.unique would load numpy.ma
         group = rows[n_type0 == k]
         expect = model.bins[cells[group]]
         sq0, unmatched0 = _match_cost_sq_rows(meas_groups[0], expect[:, :k])

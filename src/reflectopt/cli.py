@@ -15,7 +15,7 @@ import numpy as np
 from . import files
 from .geom import build_grid
 from .mopso import run as run_pso
-from .objectives import CoverageError, ambiguity, gdop_objective, penalty_pair
+from .objectives import ambiguity, gdop_objective, penalty_pair
 from .placement import check_constraints, placement_masks
 from .harness import run_experiment
 
@@ -173,15 +173,10 @@ def _cmd_simulate(args) -> int:
         if not report.feasible:
             print(f"error: {src} is infeasible; cannot simulate", file=sys.stderr)
             return EXIT_INFEASIBLE
-        try:
-            reports[label] = run_experiment(
-                room, placement, path_cfg, noise_cfg, seeds,
-                amcl_config=amcl_cfg, burn_in=burn_in, grid=grid, masks=masks,
-            )
-        except CoverageError as exc:
-            print(f"error: {src}: [sim] fingerprint_size = {amcl_cfg.n} exceeds what the "
-                  f"path sees: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        reports[label] = run_experiment(
+            room, placement, path_cfg, noise_cfg, seeds,
+            amcl_config=amcl_cfg, burn_in=burn_in, grid=grid, masks=masks,
+        )
 
     text_parts = []
     for label, _, src in placements:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .amcl import AmclConfig
-from .geom import Grid, Polygon, RoomModel
+from .geom import Grid, Polygon, RoomModel, build_grid
 from .harness import BURN_IN, ExperimentReport, NoiseConfig, PathConfig, gen_path
 from .mopso import IterationLog, ParetoArchive, PsoConfig
 from .objectives import GLOBAL, LOCAL, UNIQUE, EvalConfig
@@ -105,12 +105,12 @@ _FIELDS = {"fingerprint_size": "n", "cone_half_angle_deg": "cone_half_angle",
            "sigma_theta_deg": "sigma_theta"}
 _ROOM_KEYS = {"z_r": float, "z_l": float, "r_res": float, "cone_half_angle_deg": _radians,
               "wall_margin": float}
-# Read from [pso] by all three commands.
+# Read from [pso] by all three commands; simulate's tracker uses its fingerprint size.
 _CONSTRAINT_KEYS = {"fingerprint_size": int, "k_min": int, "d_min": float, "m_max": int}
 _PSO_KEYS = {"swarm_size": int, "iterations": int, "n_types": int, "seed": int,
              "snapshot_every": int}
 _NOISE_KEYS = {"sigma_meas": float, "sigma_d": float, "sigma_theta_deg": _radians}
-_AMCL_KEYS = {"n_particles": int, "fingerprint_size": int, "sigma_r": float}
+_AMCL_KEYS = {"n_particles": int, "sigma_r": float}
 # Every key a section may hold: the tables above plus the keys read by name.
 _KNOWN_KEYS = {
     "room": {"grid_size", *_ROOM_KEYS},
@@ -138,7 +138,7 @@ def _build(cls, **kwargs):
 
 
 def room_from_config(sections: dict[str, dict]) -> RoomModel:
-    """Build the room from the [room] keys and [vertices] rows."""
+    """Build the room from the [room] keys and [vertices] rows; its grid must not be empty."""
     if "room" not in sections:
         raise ConfigError("config needs a [room] section")
     if "vertices" not in sections or len(sections["vertices"]["rows"]) < 3:
@@ -152,8 +152,10 @@ def room_from_config(sections: dict[str, dict]) -> RoomModel:
         verts = verts[::-1]
     boundary = _build(Polygon, vertices=verts)
     grid_size = _get(room_sec, "grid_size", float, required=True)
-    return _build(RoomModel, boundary=boundary, grid_size=grid_size,
+    room = _build(RoomModel, boundary=boundary, grid_size=grid_size,
                   **_present(room_sec, _ROOM_KEYS))
+    _build(build_grid, room=room)
+    return room
 
 
 def eval_config_from_config(sections: dict[str, dict]) -> EvalConfig:
@@ -184,7 +186,8 @@ def sim_configs_from_config(
     path_cfg = PathConfig(waypoints=waypoints, **_present(sec, {"step": float}))
     n_steps = len(_build(gen_path, waypoints=waypoints, step=path_cfg.step, room=room))
     noise_cfg = _build(NoiseConfig, **_present(sec, _NOISE_KEYS))
-    amcl_cfg = _build(AmclConfig, sigma_d=noise_cfg.sigma_d, sigma_theta=noise_cfg.sigma_theta,
+    amcl_cfg = _build(AmclConfig, n=eval_config_from_config(sections).n,
+                      sigma_d=noise_cfg.sigma_d, sigma_theta=noise_cfg.sigma_theta,
                       **_present(sec, _AMCL_KEYS))
     if seed is not None:
         n_seeds = _get(sec, "n_seeds", int, 1)

@@ -430,7 +430,7 @@ def build_grid(room: RoomModel) -> Grid:
     pts = np.column_stack([xs, ys])
     keep = room.boundary.contains_points(pts)
     if not np.any(keep):
-        raise ValueError("no grid element centers fall inside the room")
+        raise ValueError(f"no grid element centers fall inside the room at grid_size = {g!r}")
     pts = pts[keep]
     ij = np.column_stack([cols.ravel()[keep], rows.ravel()[keep]])
     centers = np.column_stack([pts, np.full(len(pts), room.z_r)])

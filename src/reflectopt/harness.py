@@ -151,6 +151,23 @@ def rmse(truth: list[Pose], estimates: list[Pose]) -> float:
     return float(np.sqrt(np.mean(np.sum((t - e) ** 2, axis=1))))
 
 
+def median(values) -> float:
+    """``np.median`` of the values, bit for bit, computed without loading numpy.ma."""
+    s = sorted(values)
+    h = len(s) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
+
+
+def percentile(values, q: float) -> float:
+    """``np.percentile`` (its default linear rule), bit for bit, without loading numpy.ma."""
+    s = sorted(values)
+    v = (len(s) - 1) * (q / 100)
+    i = math.floor(v)
+    a, b = s[i], s[min(i + 1, len(s) - 1)]
+    t = v - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 @dataclass(frozen=True)
 class RunTrace:
     seed: int
@@ -167,15 +184,11 @@ class ExperimentReport:
     burn_in: int
 
     @property
-    def rmse_values(self) -> np.ndarray:
-        return np.array([t.rmse_after_burn_in for t in self.traces])
-
-    @property
     def median_rmse(self) -> float:
-        return float(np.median(self.rmse_values))
+        return median([t.rmse_after_burn_in for t in self.traces])
 
     def percentile(self, q: float) -> float:
-        return float(np.percentile(self.rmse_values, q))
+        return percentile([t.rmse_after_burn_in for t in self.traces], q)
 
     def error_histogram(self) -> tuple[np.ndarray, np.ndarray]:
         errors = np.concatenate([t.errors[self.burn_in:] for t in self.traces])

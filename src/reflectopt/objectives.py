@@ -45,6 +45,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.k_min < 4:
             raise ValueError("k_min must be at least 4: the GDOP needs 4 visible reflectors")
+        if self.n < 1:
+            raise ValueError("fingerprint size n must be at least 1")
         if self.n > self.k_min:
             raise ValueError("fingerprint size n must not exceed k_min")
         if not (np.isfinite(self.d_min) and self.d_min >= 0):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import reflectopt
-from reflectopt import files, mopso
-from reflectopt.amcl import AmclConfig
+from reflectopt import files, harness, mopso
+from reflectopt.amcl import AmclConfig, FingerprintModel
 from reflectopt.cli import main
 from reflectopt.geom import Polygon, RoomModel, build_grid
 from reflectopt.harness import BURN_IN, NoiseConfig, PathConfig
@@ -349,7 +349,17 @@ def test_malformed_placement_file_exit_2(tmp_path, capsys, command, indices, n_t
     ("optimize", [], "snapshot_every = 1", "snapshot_every = -3",
      "snapshot_every must be non-negative"),
     ("simulate", [], "n_particles = 250", "n_particles = 0", "n_particles must be at least 1"),
-    ("simulate", [], "n_particles = 250", "n_particles = 250\nfingerprint_size = 0",
+    ("optimize", [], "seed = 12", "seed = 12\nfingerprint_size = 0",
+     "fingerprint size n must be at least 1"),
+    ("evaluate", [], "seed = 12", "seed = 12\nfingerprint_size = 0",
+     "fingerprint size n must be at least 1"),
+    ("simulate", [], "seed = 12", "seed = 12\nfingerprint_size = 0",
+     "fingerprint size n must be at least 1"),
+    ("optimize", [], "seed = 12", "seed = 12\nfingerprint_size = -1",
+     "fingerprint size n must be at least 1"),
+    ("evaluate", [], "seed = 12", "seed = 12\nfingerprint_size = -1",
+     "fingerprint size n must be at least 1"),
+    ("simulate", [], "seed = 12", "seed = 12\nfingerprint_size = -1",
      "fingerprint size n must be at least 1"),
     ("simulate", [], "n_particles = 250", "n_particles = 250\nsigma_r = 0",
      "sigma_r must be finite and positive"),
@@ -362,23 +372,34 @@ def test_malformed_placement_file_exit_2(tmp_path, capsys, command, indices, n_t
      "burn_in must lie in [0, 40], the path's step count"),
     ("simulate", [], "burn_in = 10", "burn_in = 1000",
      "burn_in must lie in [0, 40], the path's step count"),
+    # one 100 m cell over the 4 x 4 m room: its center lies outside
+    ("optimize", [], "grid_size = 0.25", "grid_size = 100",
+     "no grid element centers fall inside the room at grid_size = 100.0"),
+    ("evaluate", [], "grid_size = 0.25", "grid_size = 100",
+     "no grid element centers fall inside the room at grid_size = 100.0"),
+    ("simulate", [], "grid_size = 0.25", "grid_size = 100",
+     "no grid element centers fall inside the room at grid_size = 100.0"),
 ], ids=["particles_zero", "particles_negative", "swarm_size_key", "iterations_negative",
         "iterations_key", "optimize_seed_negative", "optimize_seed_key",
         "simulate_seed_negative", "simulate_seeds_key", "simulate_n_seeds_zero",
         "simulate_seeds_repeated",
-        "archive_capacity_one", "snapshot_every_negative", "sim_particles_zero", "sim_fingerprint_size_zero",
+        "archive_capacity_one", "snapshot_every_negative", "sim_particles_zero",
+        "optimize_fingerprint_size_zero", "evaluate_fingerprint_size_zero",
+        "sim_fingerprint_size_zero", "optimize_fingerprint_size_negative",
+        "evaluate_fingerprint_size_negative", "sim_fingerprint_size_negative",
         "sigma_r_zero", "sigma_d_negative", "sigma_theta_infinite", "sigma_meas_negative",
-        "burn_in_negative", "burn_in_beyond_path"])
+        "burn_in_negative", "burn_in_beyond_path", "optimize_grid_size_coarse",
+        "evaluate_grid_size_coarse", "simulate_grid_size_coarse"])
 def test_bad_size_or_seed_exit_2(feasible_placement_file, tmp_path, capsys, command, flags,
                                   old, new, message):
-    section = PSO_SECTION if command == "optimize" else SIM_SECTION
+    text = ROOM_SECTION + "\n" + PSO_SECTION + "\n" + SIM_SECTION
     if old is not None:
-        assert section.count(old + "\n") == 1
-        section = section.replace(old + "\n", new + "\n")
+        assert text.count(old + "\n") == 1
+        text = text.replace(old + "\n", new + "\n")
     cfg = tmp_path / "cfg.cfg"
-    cfg.write_text(ROOM_SECTION + "\n" + section)
+    cfg.write_text(text)
     argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")] + flags
-    if command == "simulate":
+    if command != "optimize":
         argv += ["--placement", str(feasible_placement_file)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -755,6 +776,17 @@ class TestSimulateCommand:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_loads_no_numpy_ma(self, cfg_file, feasible_placement_file, tmp_path):
+        # np.unique, np.median and np.percentile load numpy.ma, about 1.2 MB resident
+        argv = ["simulate", "--config", str(cfg_file), "--placement",
+                str(feasible_placement_file), "--out-dir", str(tmp_path / "o")]
+        probe = ("import sys; from reflectopt.cli import main; "
+                 f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(reflectopt.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.stdout.split()[-2:] == ["0", "False"]
+
     def test_infeasible_placement_exit_4(self, cfg_file, tmp_path):
         pfile = tmp_path / "bad.txt"
         pl = Placement(xy=[[1.0, 1.0], [1.2, 1.0], [2.0, 2.0], [3.0, 3.0]],
@@ -852,43 +884,55 @@ class TestSimulateCommand:
                               "room's z_l = 5.0")
         assert not (tmp_path / "o").exists()
 
-    def test_fingerprint_size_beyond_k_min(self, cfg_file, feasible_placement_file, tmp_path):
-        # simulate checks feasibility with the [pso] constraints; the tracker's
-        # fingerprint size is its own setting and may exceed k_min
+    def test_fingerprint_size_beyond_k_min(self, cfg_file, feasible_placement_file, tmp_path,
+                                           capsys):
+        # the tracker takes its fingerprint size from [pso], where it may not exceed k_min
         cfg = tmp_path / "n5.cfg"
-        cfg.write_text(cfg_file.read_text().replace("[sim]\n", "[sim]\nfingerprint_size = 5\n"))
+        cfg.write_text(cfg_file.read_text().replace("[pso]\n", "[pso]\nfingerprint_size = 5\n"))
         code = main(["simulate", "--config", str(cfg),
                      "--placement", str(feasible_placement_file),
                      "--out-dir", str(tmp_path / "o")])
-        assert code == 0
+        assert code == 2
+        assert capsys.readouterr().err == "error: fingerprint size n must not exceed k_min\n"
+        assert not (tmp_path / "o").exists()
 
     def test_fingerprint_size_beyond_visible_exit_2(self, cfg_file, feasible_placement_file,
                                                     tmp_path, capsys):
-        # every element of the 4x4 room sees all 9 reflectors
+        # [sim] has no fingerprint size of its own
         cfg = tmp_path / "n10.cfg"
         cfg.write_text(cfg_file.read_text().replace("[sim]\n", "[sim]\nfingerprint_size = 10\n"))
         code = main(["simulate", "--config", str(cfg),
                      "--placement", str(feasible_placement_file),
                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {feasible_placement_file}: [sim] fingerprint_size = 10 exceeds what the "
-            "path sees: only 9 reflectors visible, fingerprint needs 10\n")
+        assert capsys.readouterr().err == "error: unknown key in [sim]: fingerprint_size\n"
+        assert not (tmp_path / "o").exists()
 
-    def test_fingerprint_size_beyond_visible_l_room_exit_2(self, tmp_path, capsys):
-        # README L room, placement and path: the start pose sees 6 reflectors
+    def test_fingerprint_size_beyond_visible_l_room_exit_2(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # README L room and placement: a [sim] fingerprint_size exits 2, and the
+        # [pso] one is the size the tracker matches
         pfile = tmp_path / "l_room.txt"
         files.write_placement(pfile, Placement(xy=L_ROOM_PLACEMENT_XY,
                                                types=type_assignment(22, 2), z=5.0), 2)
+        sim = "n_particles = 200\nseeds = 0\nburn_in = 5\n\n[path]\n1.0 1.0\n3.0 1.0\n"
         cfg = tmp_path / "l_room.cfg"
-        cfg.write_text(L_ROOM_SECTION + "\n[sim]\nfingerprint_size = 8\n\n[path]\n"
-                       "1.0 1.0\n9.0 1.0\n9.0 7.0\n")
-        code = main(["simulate", "--config", str(cfg), "--placement", str(pfile),
-                     "--out-dir", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {pfile}: [sim] fingerprint_size = 8 exceeds")
-        assert "only 6 reflectors visible, fingerprint needs 8" in err
+        cfg.write_text(L_ROOM_SECTION + "\n[sim]\nfingerprint_size = 3\n" + sim)
+        argv = ["simulate", "--config", str(cfg), "--placement", str(pfile),
+                "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown key in [sim]: fingerprint_size\n"
+
+        sizes = []
+
+        def spy(pl, masks, grid, room, n, sigma_r):
+            sizes.append(n)
+            return FingerprintModel(pl, masks, grid, room, n, sigma_r)
+
+        monkeypatch.setattr(harness, "FingerprintModel", spy)
+        cfg.write_text(L_ROOM_SECTION + "\n[pso]\nfingerprint_size = 3\n\n[sim]\n" + sim)
+        assert main(argv) == 0
+        assert sizes == [3]
 
     @pytest.mark.parametrize("burn_in", [0, 40])
     def test_burn_in_may_span_the_path(self, cfg_file, feasible_placement_file, tmp_path,

@@ -9,6 +9,8 @@ from reflectopt.harness import (
     NoiseConfig,
     PathConfig,
     gen_path,
+    median,
+    percentile,
     rmse,
     run_experiment,
     simulate_measurement,
@@ -205,6 +207,17 @@ class TestRmse:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rmse([Pose(0, 0, 0)], [])
+
+
+class TestReportStatistics:
+    @pytest.mark.parametrize("n", range(1, 40))
+    def test_match_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        draws = [rng.normal(size=n), rng.exponential(size=n), rng.integers(0, 3, size=n) * 0.1]
+        for values in draws:
+            assert median(values.tolist()) == float(np.median(values))
+            for q in (25, 75, 0, 100, 10.0 * rng.uniform(0, 10)):
+                assert percentile(values.tolist(), q) == float(np.percentile(values, q))
 
 
 class TestRunExperiment:
