@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .geom import build_grid
 from .mopso import run as run_pso
 from .objectives import ambiguity, gdop_objective, penalty_pair
 from .placement import check_constraints, placement_masks
@@ -104,7 +103,7 @@ def _cmd_evaluate(args) -> int:
     room = files.room_from_config(sections)
     cfg = files.eval_config_from_config(sections)
     pl, n_types = files.load_placement(args.placement, room)
-    grid = build_grid(room)
+    grid = room.grid
     masks = placement_masks(pl, grid, room, strict=False)
     report = check_constraints(pl, room, grid, masks, m_max=cfg.m_max,
                                k_min=cfg.k_min, d_min=cfg.d_min)
@@ -154,7 +153,7 @@ def _cmd_simulate(args) -> int:
     room = files.room_from_config(sections)
     cfg = files.eval_config_from_config(sections)
     pl, _ = files.load_placement(args.placement, room)
-    grid = build_grid(room)
+    grid = room.grid
     path_cfg, noise_cfg, amcl_cfg, seeds, burn_in = files.sim_configs_from_config(
         sections, room, seed=args.seed
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .amcl import AmclConfig
-from .geom import Grid, Polygon, RoomModel, build_grid
+from .geom import Grid, Polygon, RoomModel
 from .harness import BURN_IN, ExperimentReport, NoiseConfig, PathConfig, gen_path
 from .mopso import IterationLog, ParetoArchive, PsoConfig
 from .objectives import GLOBAL, LOCAL, UNIQUE, EvalConfig
@@ -144,9 +144,9 @@ def room_from_config(sections: dict[str, dict]) -> RoomModel:
     if "vertices" not in sections or len(sections["vertices"]["rows"]) < 3:
         raise ConfigError("config needs a [vertices] section with at least 3 rows")
     room_sec = sections["room"]
-    verts = np.array(sections["vertices"]["rows"], dtype=float)
-    if verts.shape[1] != 2:
+    if any(len(row) != 2 for row in sections["vertices"]["rows"]):
         raise ConfigError("[vertices] rows must hold x y pairs")
+    verts = np.array(sections["vertices"]["rows"], dtype=float)
     area2 = np.sum(verts[:, 0] * np.roll(verts[:, 1], -1) - np.roll(verts[:, 0], -1) * verts[:, 1])
     if area2 < 0:  # accept clockwise input, normalize to counterclockwise
         verts = verts[::-1]
@@ -154,7 +154,7 @@ def room_from_config(sections: dict[str, dict]) -> RoomModel:
     grid_size = _get(room_sec, "grid_size", float, required=True)
     room = _build(RoomModel, boundary=boundary, grid_size=grid_size,
                   **_present(room_sec, _ROOM_KEYS))
-    _build(build_grid, room=room)
+    _build(lambda: room.grid)
     return room
 
 

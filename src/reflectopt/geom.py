@@ -15,7 +15,7 @@ that only touches a wall or grazes a vertex counts as visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -280,6 +280,42 @@ class RoomModel:
         """Horizontal detection radius at radar height below a reflector."""
         return (self.z_l - self.z_r) * math.tan(self.cone_half_angle)
 
+    @cached_property
+    def grid(self) -> Grid:
+        """The room's grid, built by ``build_grid`` on first use."""
+        return build_grid(self)
+
+    @cached_property
+    def separated_elements(self) -> np.ndarray:
+        """Indices of grid elements lying pairwise more than 2 * cone_radius apart.
+
+        No reflector sees two of them, so covering every element k times
+        takes at least k times as many reflectors. The set is greedy, not
+        maximum: a farthest-point traversal started from each edge element
+        (one with a missing 4-neighbour), keeping the largest. The separation
+        carries a relative slack of 1e-9 against rounding. Computed on first
+        use; O(n_elements) working memory.
+        """
+        grid = self.grid
+        sep = 2.0 * self.cone_radius * (1.0 + 1e-9)
+        occ = np.pad(grid.cell_index >= 0, 1)
+        inner = occ[1:-1, 1:-1] & occ[:-2, 1:-1] & occ[2:, 1:-1] & occ[1:-1, :-2] & occ[1:-1, 2:]
+        starts = grid.cell_index[occ[1:-1, 1:-1] & ~inner]
+        x, y = grid.xy[:, 0], grid.xy[:, 1]
+        best = []
+        for s in starts:
+            chosen = [int(s)]
+            dmin = np.hypot(x - x[s], y - y[s])
+            while True:
+                j = int(np.argmax(dmin))
+                if dmin[j] <= sep:
+                    break
+                chosen.append(j)
+                np.minimum(dmin, np.hypot(x - x[j], y - y[j]), out=dmin)
+            if len(chosen) > len(best):
+                best = chosen
+        return np.array(best)
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -297,7 +333,6 @@ class Grid:
     size: float
     x0: float
     y0: float
-    _separated: dict[float, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self.centers.flags.writeable = False
@@ -315,37 +350,6 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         """(rows, cols) of the underlying lattice raster."""
         return self.cell_index.shape
-
-    def separated_elements(self, radius: float) -> np.ndarray:
-        """Indices of grid elements lying pairwise more than 2 * radius apart.
-
-        No disk of that radius holds two of them, so covering every element
-        k times with such disks takes at least k times as many disks. The set
-        is greedy, not maximum: a farthest-point traversal started from each
-        edge element (one with a missing 4-neighbour), keeping the largest.
-        The separation carries a relative slack of 1e-9 against rounding.
-        Computed on first use per radius; O(n_elements) working memory.
-        """
-        if radius not in self._separated:
-            sep = 2.0 * radius * (1.0 + 1e-9)
-            occ = np.pad(self.cell_index >= 0, 1)
-            inner = occ[1:-1, 1:-1] & occ[:-2, 1:-1] & occ[2:, 1:-1] & occ[1:-1, :-2] & occ[1:-1, 2:]
-            starts = self.cell_index[occ[1:-1, 1:-1] & ~inner]
-            x, y = self.xy[:, 0], self.xy[:, 1]
-            best = []
-            for s in starts:
-                chosen = [int(s)]
-                dmin = np.hypot(x - x[s], y - y[s])
-                while True:
-                    j = int(np.argmax(dmin))
-                    if dmin[j] <= sep:
-                        break
-                    chosen.append(j)
-                    np.minimum(dmin, np.hypot(x - x[j], y - y[j]), out=dmin)
-                if len(chosen) > len(best):
-                    best = chosen
-            self._separated[radius] = np.array(best)
-        return self._separated[radius]
 
     def nearest_element(self, points) -> np.ndarray:
         """Index of the grid element whose center is closest to each point.

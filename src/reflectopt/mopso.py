@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assign import align_leader
-from .geom import Grid, RoomModel, build_grid
+from .geom import Grid, RoomModel
 from .objectives import EvalConfig, evaluate
 from .placement import Placement, coverage_floor, placement_masks
 from .repair import _repair, random_feasible, sample_in_margin
@@ -151,6 +151,8 @@ class PsoConfig:
             raise ValueError("seed must be non-negative")
         if self.m_init_range[0] < 1 or self.m_init_range[1] > self.m_max:
             raise ValueError("m_init_range must lie within [1, m_max]")
+        if self.m_init_range[0] > self.m_init_range[1]:
+            raise ValueError(f"empty m_init_range {self.m_init_range}: m_init_min > m_init_max")
         if self.n_types not in (1, 2):
             raise ValueError("n_types must be 1 or 2")
         if self.snapshot_every < 0:
@@ -254,10 +256,11 @@ def downmutate(
     one with the lowest element); removing there avoids creating coverage
     holes. A particle at the coverage floor (see ``coverage_floor``) is
     returned unchanged. The counts come from the particle's masks, and a
-    repaired particle carries the masks that repair returns.
+    repaired particle carries the masks that repair returns. ``grid`` must
+    equal ``room.grid`` (``run`` passes it itself): the floor is read from the room.
     """
     pl = particle.placement
-    if pl.m <= coverage_floor(grid, room, config.k_min):
+    if pl.m <= coverage_floor(room, config.k_min):
         return particle  # one fewer would lie below the coverage floor
     counts = particle.masks.sum(axis=0)
     attain = counts == counts.max()
@@ -306,7 +309,7 @@ def run(
     whole mask matrix built here; an added reflector has its one row built.
     """
     rng = np.random.default_rng(config.seed)
-    grid = build_grid(room)
+    grid = room.grid
     eval_cfg = config.eval_config()
     # velocity bound: two bounding-box diagonals over the whole run
     xmin, ymin, xmax, ymax = room.boundary.bounds

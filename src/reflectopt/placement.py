@@ -82,13 +82,13 @@ def type_assignment(m: int, n_types: int) -> np.ndarray:
     raise ValueError("only 1 or 2 reflector types are supported")
 
 
-def coverage_floor(grid: Grid, room: RoomModel, k_min: int) -> int:
-    """Fewest reflectors that can let every grid element see k_min of them.
+def coverage_floor(room: RoomModel, k_min: int) -> int:
+    """Fewest reflectors that can let every element of ``room.grid`` see k_min of them.
 
-    No reflector sees two of ``grid.separated_elements(room.cone_radius)``,
-    and each of those elements must see k_min. The floor is at least k_min.
+    No reflector sees two of ``room.separated_elements``, and each of those
+    elements must see k_min. The floor is at least k_min.
     """
-    return k_min * len(grid.separated_elements(room.cone_radius))
+    return k_min * len(room.separated_elements)
 
 
 def placement_masks(pl: Placement, grid: Grid, room: RoomModel, strict: bool = True) -> np.ndarray:

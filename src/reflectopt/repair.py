@@ -246,11 +246,12 @@ def random_feasible(
     or below ``coverage_floor``. Raises ValueError before any draw when no
     room point keeps wall_margin from the walls: such a point would lie more
     than half a cell diagonal inside, so its lattice cell centre would be a
-    grid element farther from the walls than every grid element.
+    grid element farther from the walls than every grid element. ``grid`` must
+    equal ``room.grid`` (``mopso.run`` passes it itself): the floor is read from the room.
     """
     if m > config.m_max:
         raise RuntimeError(f"no feasible placement with {m} reflectors: m_max={config.m_max}")
-    floor = coverage_floor(grid, room, config.k_min)
+    floor = coverage_floor(room, config.k_min)
     if m < floor:
         n_spread = floor // config.k_min
         who = (f"{n_spread} grid elements lie pairwise more than 2 cone radii apart and each"

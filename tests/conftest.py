@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,24 @@ L_ROOM_PLACEMENT_B_XY = (
     (7.168638534983564, 6.08754935110839),
     (9.394568288236265, 6.079713137028732),
 )
+
+
+def spy_build_grid(monkeypatch) -> list:
+    """Record the room of every grid build from here on.
+
+    Wraps ``build_grid`` under every ``reflectopt`` module attribute that
+    names it, since ``from .geom import build_grid`` binds it per module.
+    """
+    rooms = []
+
+    def counting(room):
+        rooms.append(room)
+        return build_grid(room)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "reflectopt" and getattr(module, "build_grid", None) is build_grid:
+            monkeypatch.setattr(module, "build_grid", counting)
+    return rooms
 
 
 def five_test_rooms():

@@ -20,7 +20,7 @@ from reflectopt.mopso import PsoConfig
 from reflectopt.objectives import EvalConfig, evaluate
 from reflectopt.placement import Placement, placement_masks, type_assignment
 from reflectopt.repair import random_feasible
-from conftest import L_ROOM_PLACEMENT_B_XY, L_ROOM_PLACEMENT_XY
+from conftest import L_ROOM_PLACEMENT_B_XY, L_ROOM_PLACEMENT_XY, spy_build_grid
 
 ROOM_SECTION = """\
 [room]
@@ -379,6 +379,11 @@ def test_malformed_placement_file_exit_2(tmp_path, capsys, command, indices, n_t
      "no grid element centers fall inside the room at grid_size = 100.0"),
     ("simulate", [], "grid_size = 0.25", "grid_size = 100",
      "no grid element centers fall inside the room at grid_size = 100.0"),
+    ("optimize", [], "4.0 0.0", "4.0 0.0 1.0", "[vertices] rows must hold x y pairs"),
+    ("evaluate", [], "4.0 0.0", "4.0 0.0 1.0", "[vertices] rows must hold x y pairs"),
+    ("simulate", [], "4.0 0.0", "4.0 0.0 1.0", "[vertices] rows must hold x y pairs"),
+    ("optimize", [], "m_init_max = 9", "m_init_max = 7",
+     "empty m_init_range (8, 7): m_init_min > m_init_max"),
 ], ids=["particles_zero", "particles_negative", "swarm_size_key", "iterations_negative",
         "iterations_key", "optimize_seed_negative", "optimize_seed_key",
         "simulate_seed_negative", "simulate_seeds_key", "simulate_n_seeds_zero",
@@ -389,7 +394,8 @@ def test_malformed_placement_file_exit_2(tmp_path, capsys, command, indices, n_t
         "evaluate_fingerprint_size_negative", "sim_fingerprint_size_negative",
         "sigma_r_zero", "sigma_d_negative", "sigma_theta_infinite", "sigma_meas_negative",
         "burn_in_negative", "burn_in_beyond_path", "optimize_grid_size_coarse",
-        "evaluate_grid_size_coarse", "simulate_grid_size_coarse"])
+        "evaluate_grid_size_coarse", "simulate_grid_size_coarse", "optimize_vertices_ragged",
+        "evaluate_vertices_ragged", "simulate_vertices_ragged", "m_init_range_empty"])
 def test_bad_size_or_seed_exit_2(feasible_placement_file, tmp_path, capsys, command, flags,
                                   old, new, message):
     text = ROOM_SECTION + "\n" + PSO_SECTION + "\n" + SIM_SECTION
@@ -404,6 +410,52 @@ def test_bad_size_or_seed_exit_2(feasible_placement_file, tmp_path, capsys, comm
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+# The room of the installed-package smoke test: 4 x 4 m with a 1 x 1 m notch.
+SMOKE_CONFIG = """\
+[room]
+grid_size = 0.25
+z_l = 4.5
+cone_half_angle_deg = 60.0
+[vertices]
+0.0 0.0
+4.0 0.0
+4.0 4.0
+1.0 4.0
+1.0 3.0
+0.0 3.0
+[pso]
+swarm_size = 2
+iterations = 3
+m_max = 10
+m_init_min = 8
+m_init_max = 9
+[sim]
+n_particles = 200
+seeds = 0 1
+burn_in = 5
+[path]
+1.0 1.0
+3.0 1.0
+3.0 3.0
+"""
+
+
+def test_each_command_builds_one_grid(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text(SMOKE_CONFIG)
+    builds = spy_build_grid(monkeypatch)
+    assert main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "opt")]) == 0
+    counts = [len(builds)]
+    placement = str(tmp_path / "opt" / "placement_000.txt")
+    for command in ("evaluate", "simulate"):
+        builds.clear()
+        assert main([command, "--config", str(cfg), "--placement", placement,
+                     "--out-dir", str(tmp_path / command)]) == 0
+        counts.append(len(builds))
+    capsys.readouterr()
+    assert counts == [1, 1, 1]
 
 
 @pytest.mark.parametrize("command", ["optimize", "evaluate", "simulate"])

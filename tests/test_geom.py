@@ -111,6 +111,22 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(room)
 
+    def test_room_grid_is_built_once(self, readme_l_room):
+        room = dataclasses.replace(readme_l_room)
+        grid = room.grid
+        assert room.grid is grid
+        ref = build_grid(room)
+        for name in ("centers", "ij", "cell_index"):
+            assert np.array_equal(getattr(grid, name), getattr(ref, name))
+        assert (grid.size, grid.x0, grid.y0) == (ref.size, ref.x0, ref.y0)
+
+    def test_replaced_room_gets_its_own_grid(self, readme_l_room):
+        room = dataclasses.replace(readme_l_room)
+        fine = room.grid
+        coarse = dataclasses.replace(room, grid_size=0.4)
+        assert coarse.grid is not fine and room.grid is fine
+        assert (len(fine), len(coarse.grid), coarse.grid.size) == (1500, 380, 0.4)
+
     def test_raster_round_trip(self, small_grid):
         vals = np.arange(len(small_grid))
         raster = small_grid.rasterize(vals, fill=-1)
@@ -679,7 +695,7 @@ class TestSeparatedElements:
     def test_no_reflector_sees_two(self, room_index, readme_l_room):
         room = self._rooms(readme_l_room)[room_index]
         grid = build_grid(room)
-        s = grid.separated_elements(room.cone_radius)
+        s = room.separated_elements
         assert len(s) >= 1 and len(set(s.tolist())) == len(s)
         pts = grid.xy[s]
         dist = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
@@ -698,15 +714,16 @@ class TestSeparatedElements:
         assert np.all(placement_masks(pl, grid, room)[:, s].sum(axis=1) <= 1)
 
     def test_readme_l_room_floor_is_12(self, readme_l_room):
-        grid = build_grid(readme_l_room)
-        assert grid._separated == {}  # lazy: build_grid does not compute it
-        s = grid.separated_elements(readme_l_room.cone_radius)
+        room = dataclasses.replace(readme_l_room)  # a fresh room: nothing cached yet
+        assert len(room.grid) == 1500
+        assert "separated_elements" not in vars(room)  # lazy: the grid does not compute it
+        s = room.separated_elements
         assert 4 * len(s) == 12
-        assert grid.separated_elements(readme_l_room.cone_radius) is s
+        assert room.separated_elements is s
 
-    def test_room_inside_one_cone_has_floor_k_min(self, small_room, small_grid):
+    def test_room_inside_one_cone_has_floor_k_min(self, small_room):
         # 4 x 4 m room, cone radius ~6.9 m: one reflector can see every element.
-        assert len(small_grid.separated_elements(small_room.cone_radius)) == 1
+        assert len(small_room.separated_elements) == 1
 
 
 class TestProjectIntoMargin:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -23,6 +24,7 @@ from reflectopt.mopso import (
 from reflectopt.objectives import evaluate
 from reflectopt.placement import Placement, placement_masks, type_assignment
 from reflectopt.repair import random_feasible, sample_in_margin
+from conftest import spy_build_grid
 
 
 class TestDominates:
@@ -422,6 +424,13 @@ class TestRun:
         f2s = [rec.best_f2 for rec in log]
         assert all(a >= b for a, b in zip(f1s, f1s[1:]))
         assert all(a >= b for a, b in zip(f2s, f2s[1:]))
+
+    def test_room_with_built_grid_builds_none(self, small_room, monkeypatch):
+        room = dataclasses.replace(small_room)
+        grid = room.grid
+        builds = spy_build_grid(monkeypatch)
+        archive, _ = run(room, _desk_config(iterations=1))
+        assert builds == [] and room.grid is grid and len(archive) >= 1
 
     def test_velocity_length_tracks_placement(self, small_room, small_grid, monkeypatch):
         monkeypatch.setattr(mopso, "_P_UP", 0.4)
