@@ -40,8 +40,14 @@ def _as_points(arr) -> np.ndarray:
     return pts
 
 
-def _cross(ax, ay, bx, by):
-    return ax * by - ay * bx
+def _side(ox, oy, ux, uy, px, py):
+    """u x (p - o): positive where p lies left of the line through o along u."""
+    return ux * (py - oy) - uy * (px - ox)
+
+
+def _apart(s, t):
+    """True where sides s and t are strictly opposite: the segment-crossing rule."""
+    return s * t < -1e-12
 
 
 class Polygon:
@@ -92,8 +98,8 @@ class Polygon:
         """
         a, b = self._edges
         v = self.vertices
-        right = _cross(b[:, None, 0] - a[:, None, 0], b[:, None, 1] - a[:, None, 1],
-                       v[None, :, 0] - a[:, None, 0], v[None, :, 1] - a[:, None, 1]) < 0.0
+        right = _side(a[:, None, 0], a[:, None, 1], b[:, None, 0] - a[:, None, 0],
+                      b[:, None, 1] - a[:, None, 1], v[None, :, 0], v[None, :, 1]) < 0.0
         occ = right.any(axis=1)
         return a[occ], b[occ]
 
@@ -153,6 +159,10 @@ class Polygon:
         test, ``_contains_points_raw``. Every answer is the exact test's.
         """
         pts = _as_points(points)
+        return self._cell_verdicts(pts, lambda rest: _contains_points_raw(*self._edges, rest))
+
+    def _cell_verdicts(self, pts: np.ndarray, exact) -> np.ndarray:
+        """Each point's ``_inside_cells`` verdict, ``exact(pts[rest])`` where its cell has none."""
         n = _INSIDE_CELLS
         xmin, ymin, xmax, ymax = self.bounds
         wx, wy = (xmax - xmin) / n, (ymax - ymin) / n
@@ -163,7 +173,7 @@ class Polygon:
         inside = verdict > 0
         rest = np.flatnonzero(verdict < 0)
         if rest.size:
-            inside[rest] = _contains_points_raw(*self._edges, pts[rest])
+            inside[rest] = exact(pts[rest])
         return inside
 
     def edge_distances(self, points) -> np.ndarray:
@@ -178,6 +188,10 @@ class Polygon:
 
     def _nearest_edge_info(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(squared distance, closest boundary point, edge index) of each point's nearest edge."""
+        if np.isinf(pts).any():  # infinitely far, no closest point; NaN passes inf * 0 quietly
+            far = np.isinf(pts).any(axis=1)
+            dist2, proj, idx = self._nearest_edge_info(np.where(far[:, None], np.nan, pts))
+            return np.where(far, np.inf, dist2), proj, idx
         a, b = self._edges
         e = b - a
         elen2 = np.maximum(np.einsum("ij,ij->i", e, e), 1e-300)
@@ -546,18 +560,30 @@ def visibility_masks(xy, z: float, grid: Grid, room: RoomModel, strict: bool = T
     grazes a vertex counts as visible. A reflector not strictly inside the
     room (signed boundary distance at most _EDGE_TOL) raises with strict,
     and gets an all-false row otherwise.
+
+    A reflector whose ``Polygon._inside_cells`` cell has a verdict takes it. Per
+    occluder edge, only visible pairs straddling the edge line get the segment-line test.
     """
     xy = _as_points(xy)
-    inside = boundary_distances(xy, room.boundary) > _EDGE_TOL
+    poly = room.boundary
+    inside = poly._cell_verdicts(xy, lambda rest: boundary_distances(rest, poly) > _EDGE_TOL)
     if strict and not inside.all():
         raise ValueError("reflector (x, y) must lie strictly inside the room")
     radius = (float(z) - room.z_r) * math.tan(room.cone_half_angle)
     gx, gy = grid.xy[:, 0], grid.xy[:, 1]
-    qx, qy = xy[:, 0:1], xy[:, 1:2]
-    out = np.hypot(gx - qx, gy - qy) <= radius
-    out &= inside[:, None]
-    out &= sight_lines_clear(qx, qy, gx, gy, room)
-    return out
+    qx, qy = np.where(inside, xy.T, np.nan)  # NaN sees nothing, without warnings
+    vis = np.hypot(gx - qx[:, None], gy - qy[:, None]) <= radius
+    for (ax, ay), (bx, by) in zip(*(e.tolist() for e in poly.occluder_edges)):
+        ex, ey = bx - ax, by - ay
+        k = np.flatnonzero(vis & _apart(_side(ax, ay, ex, ey, qx, qy)[:, None],
+                                        _side(ax, ay, ex, ey, gx, gy)))
+        # Pad to whole steps of 128 pairs, repeating the last: numpy keeps freed
+        # blocks under 1 KiB per exact size, and a new size per call grew the heap.
+        k = k.take(np.arange(-(-len(k) // 128) * 128), mode="clip")
+        r, c = np.divmod(k, len(gx))
+        seg = qx[r], qy[r], gx[c] - qx[r], gy[c] - qy[r]  # origin and direction of each segment
+        vis.put(k[_apart(_side(*seg, ax, ay), _side(*seg, bx, by))], False)
+    return vis
 
 
 def sight_lines_clear(qx, qy, px, py, room: RoomModel) -> np.ndarray:
@@ -569,12 +595,11 @@ def sight_lines_clear(qx, qy, px, py, room: RoomModel) -> np.ndarray:
     segment that only touches a wall or grazes a vertex stays clear.
     """
     clear = np.ones(np.broadcast(qx, qy, px, py).shape, dtype=bool)
+    dx, dy = px - qx, py - qy
     for (ax, ay), (bx, by) in zip(*room.boundary.occluder_edges):
-        d1 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
-        d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        d3 = (px - qx) * (ay - qy) - (py - qy) * (ax - qx)
-        d4 = (px - qx) * (by - qy) - (py - qy) * (bx - qx)
-        clear &= ~(((d1 * d2) < -1e-12) & ((d3 * d4) < -1e-12))
+        ex, ey = bx - ax, by - ay
+        clear &= ~(_apart(_side(ax, ay, ex, ey, qx, qy), _side(ax, ay, ex, ey, px, py))
+                   & _apart(_side(qx, qy, dx, dy, ax, ay), _side(qx, qy, dx, dy, bx, by)))
     return clear
 
 

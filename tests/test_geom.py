@@ -77,6 +77,27 @@ class TestBoundaryDistance:
         assert boundary_distance((0.1, 0.5), unit_square) == pytest.approx(0.1)
 
 
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [(np.inf, 2.0), (2.0, -np.inf), (np.inf, np.inf),
+                                     (np.nan, 2.0), (np.inf, np.nan)])
+    def test_neither_in_margin_nor_inside(self, readme_l_room, bad):
+        room = readme_l_room
+        pts = np.array([(2.0, 2.0), bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = room.boundary.edge_distances(pts)
+            signed = boundary_distances(pts, room.boundary)
+            margin = in_margin(pts, room)
+            with pytest.raises(ValueError):
+                project_into_margin(pts, room)
+        assert dist[0] == signed[0] == 2.0 and margin[0]
+        assert not margin[1] and not signed[1] > _EDGE_TOL
+        if np.isinf(bad).any():  # infinitely far, whatever the other coordinate
+            assert dist[1] == np.inf and signed[1] == -np.inf
+        else:
+            assert np.isnan(dist[1]) and np.isnan(signed[1])
+
+
 class TestBuildGrid:
     def test_unit_square_half_meter(self, unit_square):
         room = RoomModel(boundary=unit_square, grid_size=0.5, z_r=0.5, z_l=3.0)
@@ -283,7 +304,7 @@ class TestContainsPoints:
         room = {"readme_L": readme_l_room, "U": u_room,
                 "comb": dataclasses.replace(u_room, boundary=comb_room_poly())}[room_name]
         poly = room.boundary
-        # finite points only: the nearest-edge search warns on +-inf
+        # finite points only: sight_lines_clear warns on +-inf (inf * 0)
         pts = _raster_probe_points(poly, np.random.default_rng(7))
         pts = pts[np.isfinite(pts).all(axis=1)]
         inside = _exact_contains(poly, pts)
@@ -623,19 +644,54 @@ def _test_room(vertices, grid_size=0.25, z_l=4.0):
 
 
 def _oracle_masks(xy, grid, room):
-    """Cone AND brute-force segment test, one row per reflector."""
+    """Cone AND brute-force segment test, one row per reflector strictly inside the room."""
+    poly = room.boundary
+    strictly = _exact_contains(poly, xy) & (poly.edge_distances(xy) > _EDGE_TOL)
     rows = []
-    for q in xy:
+    for q, ok in zip(xy, strictly):
         cone = np.hypot(grid.xy[:, 0] - q[0], grid.xy[:, 1] - q[1]) <= room.cone_radius
-        rows.append(cone & segment_visible(q, grid.xy, room.boundary))
-    return np.array(rows)
+        rows.append(ok & cone & segment_visible(q, grid.xy, poly))
+    return np.array(rows).reshape(len(xy), len(grid))
+
+
+def _probe_reflectors(room, grid, rng, k=30) -> np.ndarray:
+    """Reflector positions where the mask kernel's shortcuts could go wrong."""
+    poly = room.boundary
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    # grid centres, and the lattice corners and edge midpoints around them
+    lattice = (grid.xy[rng.integers(0, len(grid), k)]
+               + rng.choice([-0.5, 0.0, 0.5], (k, 2)) * grid.size)
+    i = rng.integers(0, len(v), k)
+    walls = v[i] + rng.uniform(0.0, 1.0, (k, 1)) * e[i]
+    # 1e-9 to 1e-6 m from a reflex vertex (any vertex in a convex room)
+    before = np.roll(e, 1, axis=0)
+    reflex = v[before[:, 0] * e[:, 1] - before[:, 1] * e[:, 0] < 0.0]
+    corners = reflex if len(reflex) else v
+    angle = rng.uniform(0.0, 2.0 * math.pi, k)
+    away = np.column_stack([np.cos(angle), np.sin(angle)]) * 10.0 ** rng.uniform(-9.0, -6.0, (k, 1))
+    near = corners[rng.integers(0, len(corners), k)] + away
+    xmin, ymin, xmax, ymax = poly.bounds
+    contour = project_into_margin(rng.uniform([xmin, ymin], [xmax, ymax], (k, 2)), room)
+    # in raster cells with no verdict
+    r, c = np.nonzero(poly._inside_cells[1:-1, 1:-1] < 0)
+    cols, rows = _raster_lines(poly)
+    pick = rng.integers(0, len(r), k)
+    undecided = np.column_stack([cols[c[pick]] + rng.uniform(0.0, 1.0, k) * (cols[1] - cols[0]),
+                                 rows[r[pick]] + rng.uniform(0.0, 1.0, k) * (rows[1] - rows[0])])
+    return np.concatenate([lattice, walls, near, contour, undecided])
 
 
 class TestVisibilityMasks:
-    @pytest.mark.parametrize("room_index", range(6))
-    def test_placement_masks_equal_oracle(self, room_index, readme_l_room):
-        # The five test rooms, then the README L room (0.2 m grid, 4.5 m cone).
-        rooms = [_test_room(poly.vertices) for poly in five_test_rooms()] + [readme_l_room]
+    @pytest.mark.parametrize("room_index", range(9))
+    def test_placement_masks_equal_oracle(self, room_index, readme_l_room, u_room):
+        # The five test rooms, the README L room, the U room, the comb room
+        # and a 30 x 30 m hall.
+        hall = Polygon([(0, 0), (30, 0), (30, 30), (0, 30)])
+        rooms = [_test_room(poly.vertices) for poly in five_test_rooms()] + [
+            readme_l_room, u_room,
+            dataclasses.replace(u_room, boundary=comb_room_poly(), grid_size=0.4),
+            dataclasses.replace(u_room, boundary=hall, grid_size=1.0)]
         room = rooms[room_index]
         grid = build_grid(room)
         rng = np.random.default_rng(100 + room_index)
@@ -645,6 +701,80 @@ class TestVisibilityMasks:
         assert len(xy) == 60
         pl = Placement(xy=xy, types=np.zeros(len(xy), int), z=room.z_l)
         masks = placement_masks(pl, grid, room)
+        assert np.array_equal(masks, _oracle_masks(xy, grid, room))
+        # and where rounding, walls and the raster's undecided cells could matter
+        xy = _probe_reflectors(room, grid, rng)
+        pl = Placement(xy=xy, types=np.zeros(len(xy), int), z=room.z_l)
+        masks = placement_masks(pl, grid, room, strict=False)
+        expected = _oracle_masks(xy, grid, room)
+        assert np.array_equal(masks, expected)
+        assert expected.any(axis=1).mean() > 0.5 and not expected.any(axis=1).all()
+
+    @pytest.mark.parametrize("room_name", ["readme_L", "U", "comb"])
+    def test_strictly_inside_verdict_at_the_tolerance(self, room_name, readme_l_room, u_room):
+        room = {"readme_L": readme_l_room, "U": u_room,
+                "comb": dataclasses.replace(u_room, boundary=comb_room_poly())}[room_name]
+        poly = room.boundary
+        v = poly.vertices
+        e = np.roll(v, -1, axis=0) - v
+        normal = np.column_stack([-e[:, 1], e[:, 0]]) / np.linalg.norm(e, axis=1)[:, None]
+        t = np.linspace(0.05, 0.95, 7)
+        on_walls = v[:, None, :] + t[None, :, None] * e[:, None, :]
+        # inward, just short of and just past the reach of the on-edge test
+        offsets = _EDGE_TOL * np.array([1.0 - 1e-3, 1.0 + 1e-3])
+        pts = (on_walls[:, :, None, :]
+               + offsets[:, None] * normal[:, None, None, :]).reshape(-1, 2)
+        strictly = boundary_distances(pts, poly) > _EDGE_TOL
+        assert strictly.any() and not strictly.all()
+        coarse = dataclasses.replace(room, grid_size=1.0)
+        grid = build_grid(coarse)
+        clear = sight_lines_clear(pts[:, 0:1], pts[:, 1:2], grid.xy[:, 0], grid.xy[:, 1], coarse)
+        masks = visibility_masks(pts, coarse.z_r + 500.0, grid, coarse, strict=False)
+        assert np.array_equal(masks, strictly[:, None] & clear)
+        assert np.array_equal(masks.any(axis=1), strictly)
+
+    def test_cells_with_a_verdict_need_no_boundary_distance(self, oracle_room, monkeypatch):
+        room = oracle_room
+        poly = room.boundary
+        cols, rows = _raster_lines(poly)
+        r, c = np.nonzero(poly._inside_cells >= 0)  # raster index plus one
+        frac = np.random.default_rng(9).uniform(0.01, 0.99, (len(r), 2))
+        xy = np.column_stack([cols[c - 1] + frac[:, 0] * (cols[1] - cols[0]),
+                              rows[r - 1] + frac[:, 1] * (rows[1] - rows[0])])
+        expected = visibility_masks(xy, room.z_l, room.grid, room, strict=False)
+        assert expected.any()
+
+        def no_boundary_distances(points, poly):
+            raise AssertionError("boundary_distances asked for a reflector in a decided cell")
+
+        monkeypatch.setattr(geom, "boundary_distances", no_boundary_distances)
+        assert np.array_equal(visibility_masks(xy, room.z_l, room.grid, room, strict=False),
+                              expected)
+
+    # No shrink phase, as in TestContainsPoints.
+    @settings(max_examples=100, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(0.5, 5.0)),
+                    min_size=4, max_size=12),
+           st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(0.2, 0.5),
+           st.integers(0, 2**32 - 1))
+    def test_random_star_polygons_match_oracle(self, spokes, cx, cy, size, seed):
+        n = len(spokes)
+        verts = [(cx + r * math.cos(2 * math.pi * (i + f) / n),
+                  cy + r * math.sin(2 * math.pi * (i + f) / n))
+                 for i, (f, r) in enumerate(spokes)]
+        try:
+            room = RoomModel(boundary=Polygon(verts), grid_size=size)
+            grid = build_grid(room)
+        except ValueError:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        xmin, ymin, xmax, ymax = room.boundary.bounds
+        v = room.boundary.vertices
+        xy = np.concatenate([rng.uniform([xmin, ymin], [xmax, ymax], (12, 2)),
+                             grid.xy[rng.integers(0, len(grid), 4)],
+                             v + rng.uniform(-1e-6, 1e-6, v.shape)])
+        masks = visibility_masks(xy, room.z_l, grid, room, strict=False)
         assert np.array_equal(masks, _oracle_masks(xy, grid, room))
 
     def test_u_room_grazing_ray_is_visible(self):
@@ -680,6 +810,19 @@ class TestVisibilityMasks:
     def test_empty_batch(self, small_room, small_grid):
         masks = visibility_masks(np.empty((0, 2)), small_room.z_l, small_grid, small_room)
         assert masks.shape == (0, len(small_grid))
+
+    def test_non_finite_reflectors_get_no_mask(self, readme_l_room):
+        room = readme_l_room
+        inside = (2.0, 2.0)
+        for bad in [(np.inf, 2.0), (2.0, -np.inf), (np.nan, 2.0), (np.inf, np.nan)]:
+            xy = np.array([inside, bad])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="strictly inside"):
+                    visibility_masks(xy, room.z_l, room.grid, room, strict=True)
+                masks = visibility_masks(xy, room.z_l, room.grid, room, strict=False)
+            assert not masks[1].any()
+            assert np.array_equal(masks[0], visibility_mask([*inside, room.z_l], room.grid, room))
 
 
 class TestSeparatedElements:
