@@ -12,7 +12,7 @@ import pathlib
 import numpy as np
 
 from reflectopt.geom import (
-    Polygon, RoomModel, build_grid, cone_mask, visibility_mask, visibility_polygon,
+    Polygon, RoomModel, build_grid, visibility_mask, visibility_polygon,
 )
 from reflectopt.files import write_value_pgm
 
@@ -37,7 +37,9 @@ vis_poly = visibility_polygon(reflector[:2], room.boundary)
 print(f"visibility polygon from {reflector[:2]}: area {vis_poly.area:.2f} m^2 "
       f"of {room.boundary.area:.1f} m^2 (the notch shadows the rest)")
 
-cone = cone_mask(reflector, grid, room)
+# The cone alone: elements within the cone radius of the reflector, the rule
+# that visibility_mask applies before the line-of-sight test.
+cone = np.hypot(grid.xy[:, 0] - reflector[0], grid.xy[:, 1] - reflector[1]) <= room.cone_radius
 full = visibility_mask(reflector, grid, room)
 print(f"cone covers {cone.sum()} elements; cone AND line-of-sight: {full.sum()}")
 

@@ -29,6 +29,7 @@ _PROJECT_TOL = 1e-6
 _PROJECT_MAX_ITER = 50
 _INSIDE_CELLS = 64  # raster cells per side of the bounding box in Polygon._inside_cells
 _INSIDE_PAD = 1e-6  # relative clearance between a wall and a cell that gets a verdict
+_CONE_BAND = 1e-12  # relative band around radius**2 where the cone test asks np.hypot
 
 
 def _as_points(arr) -> np.ndarray:
@@ -525,18 +526,6 @@ def visibility_polygon(q_xy, poly: Polygon) -> Polygon:
     return Polygon(_visibility_vertices(q, poly))
 
 
-def cone_mask(q, grid: Grid, room: RoomModel) -> np.ndarray:
-    """Grid elements lying under the detection cone of a reflector at q.
-
-    A grid element is covered iff its horizontal distance to the reflector
-    is at most (q_z - z_r) * tan(cone_half_angle).
-    """
-    q = np.asarray(q, dtype=float).reshape(3)
-    radius = (q[2] - room.z_r) * math.tan(room.cone_half_angle)
-    d = np.hypot(grid.xy[:, 0] - q[0], grid.xy[:, 1] - q[1])
-    return d <= radius
-
-
 def visibility_mask(q, grid: Grid, room: RoomModel, strict: bool = True) -> np.ndarray:
     """Elementwise AND of the cone mask and the line-of-sight mask of q.
 
@@ -561,8 +550,10 @@ def visibility_masks(xy, z: float, grid: Grid, room: RoomModel, strict: bool = T
     room (signed boundary distance at most _EDGE_TOL) raises with strict,
     and gets an all-false row otherwise.
 
-    A reflector whose ``Polygon._inside_cells`` cell has a verdict takes it. Per
-    occluder edge, only visible pairs straddling the edge line get the segment-line test.
+    A reflector whose ``Polygon._inside_cells`` cell has a verdict takes it. Squared
+    offsets decide the cone rule ``hypot(dx, dy) <= radius`` outside a relative band of
+    _CONE_BAND. Per occluder edge, only visible pairs straddling the edge line get the
+    segment-line test.
     """
     xy = _as_points(xy)
     poly = room.boundary
@@ -572,7 +563,20 @@ def visibility_masks(xy, z: float, grid: Grid, room: RoomModel, strict: bool = T
     radius = (float(z) - room.z_r) * math.tan(room.cone_half_angle)
     gx, gy = grid.xy[:, 0], grid.xy[:, 1]
     qx, qy = np.where(inside, xy.T, np.nan)  # NaN sees nothing, without warnings
-    vis = np.hypot(gx - qx[:, None], gy - qy[:, None]) <= radius
+    d2, dy = gx - qx[:, None], gy - qy[:, None]  # squared in place: two (M, N) planes
+    d2 *= d2
+    d2 += np.multiply(dy, dy, out=dy)
+    # d2 and radius**2 lie within 2 ulp of the exact squares and np.hypot within 1 ulp,
+    # so outside the band the squares decide. A negative radius, or one whose square
+    # may leave the normal range, sends every pair to np.hypot.
+    lo, hi = 0.0, math.inf
+    if 1e-150 <= radius <= 1e150:
+        lo, hi = radius * radius * (1.0 - _CONE_BAND), radius * radius * (1.0 + _CONE_BAND)
+    vis = d2 < lo
+    k = np.flatnonzero((d2 <= hi) ^ vis)
+    del d2, dy
+    r, c = np.divmod(k, len(gx))
+    vis.put(k, np.hypot(gx[c] - qx[r], gy[c] - qy[r]) <= radius)
     for (ax, ay), (bx, by) in zip(*(e.tolist() for e in poly.occluder_edges)):
         ex, ey = bx - ax, by - ay
         k = np.flatnonzero(vis & _apart(_side(ax, ay, ex, ey, qx, qy)[:, None],
@@ -662,6 +666,9 @@ def project_into_margin(points, room: RoomModel) -> np.ndarray:
     """
     shape = np.shape(points)
     q = _as_points(points).copy()
+    if not np.isfinite(q).all():
+        i = int(np.argmin(np.isfinite(q).all(axis=1)))
+        raise ValueError(f"cannot project non-finite point {i}: {tuple(q[i].tolist())}")
     a, b = room.boundary._edges
     margin = room.wall_margin
     target = margin + 0.5 * _PROJECT_TOL

@@ -17,7 +17,6 @@ from reflectopt.geom import (
     boundary_distance,
     boundary_distances,
     build_grid,
-    cone_mask,
     in_margin,
     point_in_polygon,
     project_into_margin,
@@ -88,7 +87,7 @@ class TestNonFinitePoints:
             dist = room.boundary.edge_distances(pts)
             signed = boundary_distances(pts, room.boundary)
             margin = in_margin(pts, room)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"non-finite point 1: \("):
                 project_into_margin(pts, room)
         assert dist[0] == signed[0] == 2.0 and margin[0]
         assert not margin[1] and not signed[1] > _EDGE_TOL
@@ -537,7 +536,7 @@ class TestConeMask:
                          cone_half_angle=np.deg2rad(45.0))
         grid = build_grid(room)
         q = np.array([5.0, 4.0, 2.5])
-        mask = cone_mask(q, grid, room)
+        mask = visibility_mask(q, grid, room)  # a convex room: the cone alone
         d = np.hypot(grid.xy[:, 0] - 5.0, grid.xy[:, 1] - 4.0)
         assert np.array_equal(mask, d <= 2.0)
         assert mask[grid.nearest_element([(5.0 + 1.9, 4.0)])[0]]
@@ -548,7 +547,7 @@ class TestConeMask:
         room = RoomModel(boundary=rect, grid_size=0.1, z_r=0.5, z_l=2.5,
                          cone_half_angle=np.deg2rad(30.0))
         grid = build_grid(room)
-        mask = cone_mask(np.array([5.0, 4.0, 2.5]), grid, room)
+        mask = visibility_mask(np.array([5.0, 4.0, 2.5]), grid, room)
         radius = 2.0 * math.tan(np.deg2rad(30.0))
         d = np.hypot(grid.xy[:, 0] - 5.0, grid.xy[:, 1] - 4.0)
         assert np.array_equal(mask, d <= radius)
@@ -616,6 +615,91 @@ class TestVisibilityMask:
         with pytest.raises(ValueError):
             visibility_mask(q, small_grid, small_room)
         assert not visibility_mask(q, small_grid, small_room, strict=False).any()
+
+
+def _cone_rule(xy, z, grid, room) -> np.ndarray:
+    """The cone rule itself: np.hypot of the offsets at most the cone radius at height z."""
+    radius = (z - room.z_r) * math.tan(room.cone_half_angle)
+    return np.hypot(grid.xy[:, 0] - xy[:, :1], grid.xy[:, 1] - xy[:, 1:]) <= radius
+
+
+class TestConeBand:
+    """Cone verdicts where the squared-distance pre-test hands pairs to np.hypot."""
+
+    @pytest.fixture
+    def room(self):
+        # 12 x 12 m with a 0.3 m grid and a 45 degree cone of radius 4.5 m: the
+        # lattice offsets (2.7, 3.6), (3.6, 2.7) and (4.5, 0) lie on the cone radius.
+        return RoomModel(boundary=Polygon([(0, 0), (12, 0), (12, 12), (0, 12)]), grid_size=0.3,
+                         z_r=0.5, z_l=5.0, cone_half_angle=np.deg2rad(45.0))
+
+    @pytest.fixture
+    def hypot_pairs(self, monkeypatch):
+        """Element count of every np.hypot call from here on."""
+        pairs = []
+        real = np.hypot
+
+        def spy(a, b, *args, **kwargs):
+            pairs.append(np.broadcast(a, b).size)
+            return real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "hypot", spy)
+        return pairs
+
+    def test_elements_on_the_radius(self, room, hypot_pairs):
+        grid = room.grid
+        q = grid.xy[grid.element_at((6.15, 6.15))]
+        # on the element centre, and moved 1 ulp each way along x, y and both
+        xy = np.array([q, [np.nextafter(q[0], 13.0), q[1]], [np.nextafter(q[0], -1.0), q[1]],
+                       [q[0], np.nextafter(q[1], 13.0)], [q[0], np.nextafter(q[1], -1.0)],
+                       np.nextafter(q, 13.0), np.nextafter(q, -1.0)])
+        dx, dy = grid.xy[:, 0] - xy[:, :1], grid.xy[:, 1] - xy[:, 1:]
+        on_radius = np.abs(np.hypot(dx, dy) - 4.5) < 1e-9
+        assert (on_radius.sum(axis=1) == 12).all()
+        squares_differ = 0
+        for z in room.z_l + math.ulp(room.z_l) * np.arange(-2, 3):  # radii within ulps of 4.5 m
+            radius = (z - room.z_r) * math.tan(room.cone_half_angle)
+            expected = _cone_rule(xy, z, grid, room)
+            squares_differ += int((expected != (dx * dx + dy * dy <= radius * radius)).sum())
+            hypot_pairs.clear()
+            assert np.array_equal(visibility_masks(xy, z, grid, room), expected)
+            # the band holds the elements on the radius, and no pair far from it
+            assert on_radius.sum() <= sum(hypot_pairs) < 2 * on_radius.sum()
+        assert squares_differ > 0  # a plain squared comparison would get some wrong
+
+    def test_reflector_below_the_radar_sees_nothing(self, room, hypot_pairs):
+        xy = room.grid.xy[[100, 700]]
+        z = room.z_r - 1.0  # negative radius
+        masks = visibility_masks(xy, z, room.grid, room)
+        assert not masks.any()
+        hypot_pairs.clear()
+        assert np.array_equal(masks, _cone_rule(xy, z, room.grid, room))
+
+    @pytest.mark.parametrize("z", [1e200, 0.5])
+    def test_squared_radius_off_the_normal_range_takes_the_exact_test(self, room, hypot_pairs, z):
+        # radius**2 overflows at z = 1e200; at z = z_r the radius is 0
+        xy = room.grid.xy[[100, 700]]
+        masks = visibility_masks(xy, z, room.grid, room)
+        assert sum(hypot_pairs) == masks.size
+        assert np.array_equal(masks, _cone_rule(xy, z, room.grid, room))
+        assert masks.all() if z > 1.0 else masks.sum(axis=1).tolist() == [1, 1]
+
+    def test_nan_reflector_gets_an_empty_row(self, room, hypot_pairs):
+        xy = np.array([room.grid.xy[100], (np.nan, 6.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masks = visibility_masks(xy, room.z_l, room.grid, room, strict=False)
+        assert not masks[1].any()
+        assert sum(hypot_pairs) < len(room.grid)  # the NaN row takes no exact test
+        hypot_pairs.clear()
+        assert np.array_equal(masks[0], _cone_rule(xy[:1], room.z_l, room.grid, room)[0])
+
+    def test_single_reflector_mask(self, room):
+        grid = room.grid
+        q = grid.xy[grid.element_at((6.15, 6.15))]
+        mask = visibility_mask([*q, room.z_l], grid, room)
+        assert np.array_equal(mask, _cone_rule(q[None], room.z_l, grid, room)[0])
+        assert mask.sum() < len(grid)
 
 
 class TestOccluderEdges:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -34,6 +35,17 @@ from reflectopt.objectives import (
 from reflectopt.placement import Placement, placement_masks, type_assignment, visible_reflectors
 from reflectopt.repair import random_feasible
 from conftest import comb_room_poly
+
+
+def _einsum_nearest_visible(pl, masks, grid, n):
+    """nearest_visible as an (N, M, 3) difference with an einsum norm, for reference."""
+    diff = grid.centers[:, None, :] - pl.positions3d[None, :, :]
+    d = np.where(masks.T, np.sqrt(np.einsum("nmk,nmk->nm", diff, diff)), np.inf)
+    order = np.argsort(d, axis=1, kind="stable")[:, :n]
+    dsel = np.take_along_axis(d, order, axis=1)
+    short = n - order.shape[1]
+    order = np.pad(order, ((0, 0), (0, max(short, 0))))
+    return order, np.pad(dsel, ((0, 0), (0, max(short, 0))), constant_values=np.inf)
 
 
 def trace_inverse_3x3(j):
@@ -164,6 +176,36 @@ class TestFingerprint:
             assert np.allclose(dist[idx, :k], [d for _, d in vis], rtol=1e-12, atol=0.0)
             assert np.all(np.isinf(dist[idx, k:]))
         assert order[e, :2].tolist() == [7, 8]  # equal distances: lower index first
+
+    @pytest.mark.parametrize("room_name", ["L", "U", "comb"])
+    def test_nearest_visible_matches_einsum_reference(self, room_name, readme_l_room, u_room):
+        room = {"L": readme_l_room, "U": u_room,
+                "comb": dataclasses.replace(u_room, boundary=comb_room_poly(),
+                                            grid_size=0.4)}[room_name]
+        grid = room.grid
+        rng = np.random.default_rng({"L": 31, "U": 32, "comb": 33}[room_name])
+        lo, hi = np.reshape(room.boundary.bounds, (2, 2))
+        short = tied = 0
+        for t in range(70):
+            m = int(rng.integers(1, 4)) if t % 7 == 0 else int(rng.integers(4, 30))
+            if t % 3 == 0:  # grid centres and the lattice corners between them
+                xy = (grid.xy[rng.integers(0, len(grid), m)]
+                      + rng.choice([-0.5, 0.0, 0.5], (m, 2)) * grid.size)
+            elif t % 3 == 1:  # equidistant pairs either side of grid centres
+                c = grid.xy[rng.integers(0, len(grid), (m + 1) // 2)]
+                step = rng.choice([0.1, 0.3, 0.5], (len(c), 1)) * [[1.0, 0.0]]
+                xy = np.concatenate([c + step, c - step])[:m]
+            else:
+                xy = rng.uniform(lo, hi, (m, 2))
+            pl = Placement(xy=xy, types=type_assignment(m, 2), z=room.z_l)
+            masks = placement_masks(pl, grid, room, strict=False)
+            for n in (3, 4):
+                order, dist = nearest_visible(pl, masks, grid, n)
+                ref_order, ref_dist = _einsum_nearest_visible(pl, masks, grid, n)
+                assert np.array_equal(order, ref_order) and np.array_equal(dist, ref_dist)
+            short += int(np.isinf(dist).any())
+            tied += int(((dist[:, 1:] == dist[:, :-1]) & np.isfinite(dist[:, 1:])).any())
+        assert short > 10 and tied > 10  # elements seeing fewer than n; equal distances
 
     def test_permutation_invariance(self, small_room, small_grid):
         rng = np.random.default_rng(14)
