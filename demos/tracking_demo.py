@@ -14,7 +14,7 @@ import numpy as np
 
 from reflectopt.amcl import AmclConfig
 from reflectopt.geom import Polygon, RoomModel, build_grid
-from reflectopt.harness import NoiseConfig, PathConfig, run_experiment
+from reflectopt.harness import NoiseConfig, gen_path, run_experiment
 from reflectopt.objectives import ambiguity
 from reflectopt.placement import placement_masks
 from reflectopt.repair import random_feasible
@@ -29,10 +29,10 @@ room = RoomModel(
     wall_margin=0.5,
 )
 grid = build_grid(room)
-path = PathConfig(
-    waypoints=((1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0), (1.0, 1.0),
-               (3.0, 1.0), (3.0, 3.0), (1.0, 3.0), (1.0, 1.0)),
-    step=0.2,
+path = gen_path(  # start pose and 0.2 m steps, built once for both placements
+    [(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0), (1.0, 1.0),
+     (3.0, 1.0), (3.0, 3.0), (1.0, 3.0), (1.0, 1.0)],
+    step=0.2, room=room,
 )
 noise = NoiseConfig()  # measurement sigma = r_res, odometry 2 cm / 5 deg
 amcl = AmclConfig(n_particles=1500)

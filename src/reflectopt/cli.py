@@ -154,7 +154,7 @@ def _cmd_simulate(args) -> int:
     cfg = files.eval_config_from_config(sections)
     pl, _ = files.load_placement(args.placement, room)
     grid = room.grid
-    path_cfg, noise_cfg, amcl_cfg, seeds, burn_in = files.sim_configs_from_config(
+    path, noise_cfg, amcl_cfg, seeds, burn_in = files.sim_configs_from_config(
         sections, room, seed=args.seed
     )
     placements = [("placement", pl, Path(args.placement))]
@@ -173,7 +173,7 @@ def _cmd_simulate(args) -> int:
             print(f"error: {src} is infeasible; cannot simulate", file=sys.stderr)
             return EXIT_INFEASIBLE
         reports[label] = run_experiment(
-            room, placement, path_cfg, noise_cfg, seeds,
+            room, placement, path, noise_cfg, seeds,
             amcl_config=amcl_cfg, burn_in=burn_in, grid=grid, masks=masks,
         )
 

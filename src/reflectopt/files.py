@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .amcl import AmclConfig
-from .geom import Grid, Polygon, RoomModel
-from .harness import BURN_IN, ExperimentReport, NoiseConfig, PathConfig, gen_path
+from .geom import Grid, Polygon, RoomModel, _shoelace2
+from .harness import BURN_IN, STEP, ExperimentReport, NoiseConfig, TruthPath, gen_path
 from .mopso import IterationLog, ParetoArchive, PsoConfig
 from .objectives import GLOBAL, LOCAL, UNIQUE, EvalConfig
 from .placement import Placement
@@ -147,8 +147,7 @@ def room_from_config(sections: dict[str, dict]) -> RoomModel:
     if any(len(row) != 2 for row in sections["vertices"]["rows"]):
         raise ConfigError("[vertices] rows must hold x y pairs")
     verts = np.array(sections["vertices"]["rows"], dtype=float)
-    area2 = np.sum(verts[:, 0] * np.roll(verts[:, 1], -1) - np.roll(verts[:, 0], -1) * verts[:, 1])
-    if area2 < 0:  # accept clockwise input, normalize to counterclockwise
+    if _shoelace2(verts) < 0:  # accept clockwise input, normalize to counterclockwise
         verts = verts[::-1]
     boundary = _build(Polygon, vertices=verts)
     grid_size = _get(room_sec, "grid_size", float, required=True)
@@ -174,7 +173,7 @@ def pso_config_from_config(sections: dict[str, dict], **overrides) -> PsoConfig:
 
 def sim_configs_from_config(
     sections: dict[str, dict], room: RoomModel, seed: int | None = None
-) -> tuple[PathConfig, NoiseConfig, AmclConfig, list[int], int]:
+) -> tuple[TruthPath, NoiseConfig, AmclConfig, list[int], int]:
     """(path, noise, amcl, seeds, burn_in) from [sim] and [path]; the path must fit the room."""
     if "path" not in sections or len(sections["path"]["rows"]) < 2:
         raise ConfigError("config needs a [path] section with at least 2 waypoints")
@@ -182,9 +181,8 @@ def sim_configs_from_config(
     rows = sections["path"]["rows"]
     if any(len(row) != 2 or not all(map(math.isfinite, row)) for row in rows):
         raise ConfigError("[path] rows must hold finite x y pairs")
-    waypoints = tuple((x, y) for x, y in rows)
-    path_cfg = PathConfig(waypoints=waypoints, **_present(sec, {"step": float}))
-    n_steps = len(_build(gen_path, waypoints=waypoints, step=path_cfg.step, room=room))
+    path = _build(gen_path, waypoints=rows, step=_get(sec, "step", float, STEP), room=room)
+    n_steps = len(path[1])
     noise_cfg = _build(NoiseConfig, **_present(sec, _NOISE_KEYS))
     amcl_cfg = _build(AmclConfig, n=eval_config_from_config(sections).n,
                       sigma_d=noise_cfg.sigma_d, sigma_theta=noise_cfg.sigma_theta,
@@ -206,7 +204,7 @@ def sim_configs_from_config(
             raise ConfigError(f"the default burn_in of {BURN_IN} exceeds the path's {n_steps} "
                               f"steps; set [sim] burn_in to a value in [0, {n_steps}]")
         raise ConfigError(f"burn_in must lie in [0, {n_steps}], the path's step count")
-    return path_cfg, noise_cfg, amcl_cfg, seeds, burn_in
+    return path, noise_cfg, amcl_cfg, seeds, burn_in
 
 
 def format_placement(pl: Placement, n_types: int) -> str:

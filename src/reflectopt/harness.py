@@ -8,7 +8,7 @@ filter, and reports RMSE statistics per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +18,9 @@ from .objectives import EvalConfig, Fingerprint, nearest_fingerprint
 from .placement import Placement
 
 BURN_IN = 20  # estimates left out of rmse_after_burn_in while the filter converges
+STEP = 0.2  # meters between position estimates
+TruthPath = tuple[Pose, list[tuple[Pose, OdometryInput]]]  # gen_path: start pose, steps
 HISTOGRAM_BIN = 0.05  # error histogram bin width (m)
-
-
-@dataclass(frozen=True)
-class PathConfig:
-    waypoints: tuple[tuple[float, float], ...]
-    step: float = 0.2  # meters between position estimates
 
 
 @dataclass(frozen=True)
@@ -38,14 +34,14 @@ class NoiseConfig:
                     sigma_theta=self.sigma_theta)
 
 
-def gen_path(waypoints, step: float, room: RoomModel) -> list[tuple[Pose, OdometryInput]]:
+def gen_path(waypoints, step: float, room: RoomModel) -> TruthPath:
     """Resample a waypoint polyline at fixed arc-length steps.
 
-    Returns one (truth pose, odometry) pair per step; the start pose is the
-    first waypoint with the heading of the first segment and is not part of
-    the returned list. Odometry rotation is the heading change of the step.
-    A final partial step shorter than ``step`` is dropped. Raises ValueError
-    for a path that leaves the room or is shorter than one step.
+    Returns the start pose, the first waypoint with the heading of the first
+    segment, and one (truth pose, odometry) pair per step. Odometry rotation
+    is the heading change of the step. A final partial step shorter than
+    ``step`` is dropped. Raises ValueError for a path that leaves the room or
+    is shorter than one step.
     """
     wp = np.asarray(waypoints, dtype=float)
     if len(wp) < 2:
@@ -77,7 +73,7 @@ def gen_path(waypoints, step: float, room: RoomModel) -> list[tuple[Pose, Odomet
         out.append((Pose(float(pos[0]), float(pos[1]), float(heading)),
                     OdometryInput(distance=step, rotation=rotation)))
         prev_heading = heading
-    return out
+    return Pose(float(wp[0, 0]), float(wp[0, 1]), float(seg_heading[0])), out
 
 
 def _check_path_inside(wp: np.ndarray, room: RoomModel):
@@ -103,7 +99,7 @@ def _check_path_inside(wp: np.ndarray, room: RoomModel):
 
 
 def simulate_measurement(
-    truth: Pose,
+    cell: int,
     pl: Placement,
     masks: np.ndarray,
     grid: Grid,
@@ -112,17 +108,13 @@ def simulate_measurement(
     n: int = EvalConfig.n,
     sigma: float | None = None,
 ) -> Fingerprint:
-    """Noisy fingerprint at the grid cell nearest to the truth pose.
+    """Noisy fingerprint at grid element ``cell``, measured from its center.
 
-    The cell is ``grid.nearest_element`` of the pose: where the pose lies on
-    a cell edge or corner and the distances tie exactly, the cell with the
-    lowest element index. Gaussian noise (std sigma, default r_res) is added
-    to the true distances of the visible reflectors, and
-    ``nearest_fingerprint`` keeps the n smallest. Raises CoverageError when
-    fewer than n are visible.
+    Gaussian noise (std sigma, default r_res) is added to the true distances
+    of the visible reflectors, and ``nearest_fingerprint`` keeps the n
+    smallest. Raises CoverageError when fewer than n are visible.
     """
     sigma = room.r_res if sigma is None else sigma
-    cell = int(grid.nearest_element(np.array([[truth.x, truth.y]]))[0])
     vis = np.flatnonzero(masks[:, cell])
     d = np.linalg.norm(pl.positions3d[vis] - grid.centers[cell], axis=1)
     noisy = d + rng.normal(0.0, sigma, size=len(d))
@@ -201,7 +193,7 @@ class ExperimentReport:
 def run_experiment(
     room: RoomModel,
     pl: Placement,
-    path_config: PathConfig,
+    path: TruthPath,
     noise_config: NoiseConfig,
     seeds: list[int],
     *,
@@ -212,15 +204,19 @@ def run_experiment(
 ) -> ExperimentReport:
     """Track the robot along the path once per seed and collect RMSE stats.
 
+    ``path`` is the start pose and steps that ``gen_path`` returns. Each
+    truth pose is measured at its ``grid.nearest_element``, looked up for
+    the whole path in one call: where a pose lies on a cell edge or corner
+    and the distances tie exactly, the cell with the lowest element index.
     Measurement, odometry and filter randomness use independent streams
     derived from each seed, so odometry noise realizations are identical
     across placements compared on matched seeds. ``masks`` are the
     placement's visibility masks on ``grid``; every seed's filter scores
     against the one fingerprint model built from them.
     """
-    steps = gen_path(path_config.waypoints, path_config.step, room)
-    start = Pose(*path_config.waypoints[0], steps[0][0].heading)
+    start, steps = path
     truth_poses = [start] + [pose for pose, _ in steps]
+    cells = grid.nearest_element(np.array([(p.x, p.y) for p in truth_poses])).tolist()
     model = FingerprintModel(pl, masks, grid, room, amcl_config.n, amcl_config.sigma_r)
 
     traces = []
@@ -229,13 +225,13 @@ def run_experiment(
         rng_odo = np.random.default_rng([seed, 1])
         rng_filter = np.random.default_rng([seed, 2])
 
-        initial_meas = simulate_measurement(start, pl, masks, grid, room, rng_meas,
+        initial_meas = simulate_measurement(cells[0], pl, masks, grid, room, rng_meas,
                                             amcl_config.n, noise_config.sigma_meas)
         scenario = []
-        for pose, odo in steps:
+        for (_, odo), cell in zip(steps, cells[1:]):
             noisy_odo = simulate_odometry(odo, rng_odo, noise_config.sigma_d,
                                           noise_config.sigma_theta)
-            meas = simulate_measurement(pose, pl, masks, grid, room, rng_meas,
+            meas = simulate_measurement(cell, pl, masks, grid, room, rng_meas,
                                         amcl_config.n, noise_config.sigma_meas)
             scenario.append((noisy_odo, meas))
 

@@ -14,8 +14,8 @@ import reflectopt
 from reflectopt import files, harness, mopso
 from reflectopt.amcl import AmclConfig, FingerprintModel
 from reflectopt.cli import main
-from reflectopt.geom import Polygon, RoomModel, build_grid
-from reflectopt.harness import BURN_IN, NoiseConfig, PathConfig
+from reflectopt.geom import Grid, Polygon, RoomModel, build_grid
+from reflectopt.harness import BURN_IN, NoiseConfig, gen_path
 from reflectopt.mopso import PsoConfig
 from reflectopt.objectives import EvalConfig, evaluate
 from reflectopt.placement import Placement, placement_masks, type_assignment
@@ -154,7 +154,7 @@ class TestReadmeConfig:
             swarm_size=60, iterations=60, m_max=16, m_init_range=(11, 14), n_types=2, seed=0)
         assert files.eval_config_from_config(sections) == EvalConfig(m_max=16)
         path, noise, amcl, seeds, burn_in = files.sim_configs_from_config(sections, room)
-        assert path == PathConfig(waypoints=((1.0, 1.0), (9.0, 1.0), (9.0, 7.0)), step=0.2)
+        assert path == gen_path([(1.0, 1.0), (9.0, 1.0), (9.0, 7.0)], 0.2, room)
         assert noise == NoiseConfig(sigma_d=0.02, sigma_theta=math.radians(5.0))
         assert amcl == AmclConfig(n_particles=2000, sigma_d=0.02,
                                   sigma_theta=math.radians(5.0))
@@ -171,7 +171,7 @@ class TestReadmeConfig:
         assert files.pso_config_from_config(sections) == PsoConfig()
         assert files.eval_config_from_config(sections) == EvalConfig()
         path, noise, amcl, seeds, burn_in = files.sim_configs_from_config(sections, room)
-        assert path == PathConfig(waypoints=((1.0, 1.0), (9.0, 1.0), (9.0, 7.0)))
+        assert path == gen_path([(1.0, 1.0), (9.0, 1.0), (9.0, 7.0)], 0.2, room)
         assert (noise, amcl, seeds, burn_in) == (NoiseConfig(), AmclConfig(), [0], BURN_IN)
 
 
@@ -882,7 +882,8 @@ class TestSimulateCommand:
          "path segment leaves the room"),
         ("step = 0.2", "step = 50.0", "path too short for the step size"),
         ("step = 0.2", "step = 0.0", "path step must be positive"),
-    ], ids=["outside", "corner_cut", "too_short", "zero_step"])
+        ("step = 0.2", "step = -0.2", "path step must be positive"),
+    ], ids=["outside", "corner_cut", "too_short", "zero_step", "negative_step"])
     def test_bad_path_exit_2(self, tmp_path, capsys, old, new, message):
         # A feasible placement in the README L room, so only the path is wrong.
         pfile = tmp_path / "l_room.txt"
@@ -1046,6 +1047,39 @@ class TestSimulateCommand:
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
         assert digest.hexdigest() == (
             "feca9e364712e0c45dad7a7bdd72b3d89f035e1960fb0b68401bdbf4b77c932b")
+
+    def test_compare_builds_the_path_once_and_looks_up_no_single_point(self, tmp_path,
+                                                                       monkeypatch):
+        # README L room and path (71 truth poses), one seed: the path is built
+        # once for both placements, and each placement looks up its truth
+        # cells in one call
+        for label, xy in (("a", L_ROOM_PLACEMENT_XY), ("b", L_ROOM_PLACEMENT_B_XY)):
+            files.write_placement(tmp_path / f"{label}.txt", Placement(
+                xy=xy, types=type_assignment(len(xy), 2), z=5.0), 2)
+        cfg = tmp_path / "l_room.cfg"
+        cfg.write_text(L_ROOM_SECTION + "\n[sim]\nn_particles = 200\nseeds = 7\n\n[path]\n"
+                       "1.0 1.0\n9.0 1.0\n9.0 7.0\n")
+        builds, lookups = [], []
+
+        def counted_gen_path(*args, **kwargs):
+            builds.append(1)
+            return gen_path(*args, **kwargs)
+
+        lookup = Grid.nearest_element
+
+        def counted_lookup(grid, points):
+            lookups.append(len(np.atleast_2d(points)))
+            return lookup(grid, points)
+
+        for module in (files, harness):
+            monkeypatch.setattr(module, "gen_path", counted_gen_path)
+        monkeypatch.setattr(Grid, "nearest_element", counted_lookup)
+        assert main(["simulate", "--config", str(cfg), "--placement", str(tmp_path / "a.txt"),
+                     "--compare", str(tmp_path / "b.txt"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(builds) == 1
+        assert 1 not in lookups
+        assert lookups.count(71) == 2
 
     def test_compare_mode(self, cfg_file, feasible_placement_file, tmp_path, small_room, small_grid):
         pl2 = random_feasible(small_room, 8, 2, np.random.default_rng(23), small_grid)

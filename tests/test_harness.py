@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from reflectopt import harness
 from reflectopt.amcl import AmclConfig, FingerprintModel, OdometryInput, Pose, _cell_likelihoods
 from reflectopt.geom import build_grid
 from reflectopt.harness import (
     NoiseConfig,
-    PathConfig,
     gen_path,
     median,
     percentile,
@@ -17,13 +17,15 @@ from reflectopt.harness import (
     simulate_odometry,
 )
 from reflectopt.objectives import CoverageError, distance_bins, fingerprint
-from reflectopt.placement import Placement, placement_masks
+from reflectopt.placement import Placement, placement_masks, type_assignment
 from reflectopt.repair import random_feasible, sample_in_margin
+from conftest import L_ROOM_PLACEMENT_XY
 
 
 class TestGenPath:
     def test_straight_line(self, small_room):
-        steps = gen_path([(0.0, 0.0), (1.0, 0.0)], step=0.2, room=small_room)
+        start, steps = gen_path([(0.0, 0.0), (1.0, 0.0)], step=0.2, room=small_room)
+        assert start == Pose(0.0, 0.0, 0.0)
         assert len(steps) == 5
         for pose, odo in steps:
             assert odo.distance == pytest.approx(0.2)
@@ -31,7 +33,7 @@ class TestGenPath:
         assert steps[-1][0].x == pytest.approx(1.0)
 
     def test_right_angle_turn(self, small_room):
-        steps = gen_path([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], step=0.2, room=small_room)
+        _, steps = gen_path([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], step=0.2, room=small_room)
         rotations = [odo.rotation for _, odo in steps]
         turns = [r for r in rotations if abs(r) > 1e-9]
         assert len(turns) == 1
@@ -40,7 +42,7 @@ class TestGenPath:
     def test_total_length_recovered(self, small_room):
         wp = [(0.0, 0.0), (2.3, 0.0), (2.3, 1.7), (0.5, 1.7)]
         step = 0.2
-        steps = gen_path(wp, step, small_room)
+        _, steps = gen_path(wp, step, small_room)
         polyline = sum(
             math.dist(a, b) for a, b in zip(wp[:-1], wp[1:])
         )
@@ -70,8 +72,8 @@ class TestGenPath:
         # touches the corners (3, 8) and (7, 8), so it crosses no wall
         with pytest.raises(ValueError, match="path segment leaves the room"):
             gen_path([(1.0, 8.0), (9.0, 8.0)], 0.2, room=u_room)
-        assert len(gen_path([(1.0, 8.0), (3.0, 8.0), (3.0, 3.0), (7.0, 3.0)], 0.2,
-                            room=u_room)) == 55  # along the walls: inside
+        _, steps = gen_path([(1.0, 8.0), (3.0, 8.0), (3.0, 3.0), (7.0, 3.0)], 0.2, room=u_room)
+        assert len(steps) == 55  # along the walls: inside
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +89,7 @@ class TestSimulateMeasurement:
         pl, masks = sim_setup
         c = small_grid.centers[30]
         meas = simulate_measurement(
-            Pose(c[0], c[1], 0.0), pl, masks, small_grid, small_room,
-            np.random.default_rng(0), n=4, sigma=0.0,
+            30, pl, masks, small_grid, small_room, np.random.default_rng(0), n=4, sigma=0.0,
         )
         fp = fingerprint(c, pl, masks, small_grid, 4, small_room.r_res)
         assert meas.entries == fp.entries
@@ -99,8 +100,8 @@ class TestSimulateMeasurement:
         # replay-noise oracle: same rng draw sequence, manual computation
         seed = 1234
         meas = simulate_measurement(
-            Pose(c[0], c[1], 0.0), pl, masks, small_grid, small_room,
-            np.random.default_rng(seed), n=4, sigma=small_room.r_res,
+            30, pl, masks, small_grid, small_room, np.random.default_rng(seed),
+            n=4, sigma=small_room.r_res,
         )
         rng = np.random.default_rng(seed)
         vis = np.flatnonzero(masks[:, 30])
@@ -122,8 +123,7 @@ class TestSimulateMeasurement:
         lowest = []
         for _ in range(10_000):
             meas = simulate_measurement(
-                Pose(c[0], c[1], 0.0), pl, masks, small_grid, small_room, rng,
-                n=4, sigma=small_room.r_res,
+                30, pl, masks, small_grid, small_room, rng, n=4, sigma=small_room.r_res,
             )
             lowest.append(meas.entries[0][0])
         lowest = np.array(lowest)
@@ -135,9 +135,10 @@ class TestSimulateMeasurement:
         from reflectopt.placement import Placement
         pl = Placement(xy=[[2.0, 2.0]], types=[0], z=small_room.z_l)
         masks = placement_masks(pl, small_grid, small_room)
+        cell = int(small_grid.nearest_element([(2.0, 2.0)])[0])
         with pytest.raises(ValueError):
-            simulate_measurement(Pose(2.0, 2.0, 0.0), pl, masks, small_grid,
-                                 small_room, np.random.default_rng(0), n=4)
+            simulate_measurement(cell, pl, masks, small_grid, small_room,
+                                 np.random.default_rng(0), n=4)
 
 
 class TestSensorFilterAgreement:
@@ -153,14 +154,13 @@ class TestSensorFilterAgreement:
         model = FingerprintModel(pl, masks, grid, room, n)
         assert 0 < model.valid.sum() < len(grid)
         for cell, c in enumerate(grid.centers):
-            truth = Pose(c[0], c[1], 0.0)
             if not model.valid[cell]:
                 with pytest.raises(CoverageError):
-                    simulate_measurement(truth, pl, masks, grid, room, rng, n=n, sigma=0.0)
+                    simulate_measurement(cell, pl, masks, grid, room, rng, n=n, sigma=0.0)
                 with pytest.raises(CoverageError):
                     fingerprint(c, pl, masks, grid, n, room.r_res)
                 continue
-            meas = simulate_measurement(truth, pl, masks, grid, room, rng, n=n, sigma=0.0)
+            meas = simulate_measurement(cell, pl, masks, grid, room, rng, n=n, sigma=0.0)
             assert meas == fingerprint(c, pl, masks, grid, n, room.r_res)
             assert _cell_likelihoods(np.array([cell]), meas, model)[0] == 1.0
 
@@ -221,18 +221,15 @@ class TestReportStatistics:
 
 
 class TestRunExperiment:
-    def _path(self):
-        return PathConfig(
-            waypoints=((1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0), (1.0, 1.0)),
-            step=0.2,
-        )
+    def _path(self, room):
+        return gen_path([(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0), (1.0, 1.0)], 0.2, room)
 
     def test_deterministic(self, small_room, small_grid, sim_setup):
         pl, masks = sim_setup
         cfg = AmclConfig(n_particles=300)
-        r1 = run_experiment(small_room, pl, self._path(), NoiseConfig(), [7],
+        r1 = run_experiment(small_room, pl, self._path(small_room), NoiseConfig(), [7],
                             amcl_config=cfg, grid=small_grid, masks=masks)
-        r2 = run_experiment(small_room, pl, self._path(), NoiseConfig(), [7],
+        r2 = run_experiment(small_room, pl, self._path(small_room), NoiseConfig(), [7],
                             amcl_config=cfg, grid=small_grid, masks=masks)
         assert r1.traces[0].estimates == r2.traces[0].estimates
         assert r1.traces[0].rmse_after_burn_in == r2.traces[0].rmse_after_burn_in
@@ -243,7 +240,7 @@ class TestRunExperiment:
         pl, masks = sim_setup
         cfg = AmclConfig(n_particles=800)
         noise = NoiseConfig(sigma_meas=0.0, sigma_d=0.0, sigma_theta=0.0)
-        report = run_experiment(small_room, pl, self._path(), noise, [3],
+        report = run_experiment(small_room, pl, self._path(small_room), noise, [3],
                                 amcl_config=cfg, grid=small_grid, masks=masks, burn_in=20)
         diag = math.sqrt(2) * small_room.grid_size
         assert report.traces[0].rmse_after_burn_in <= diag
@@ -260,11 +257,11 @@ class TestRunExperiment:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(FingerprintModel, "__init__", counted)
-        both = run_experiment(small_room, pl, self._path(), NoiseConfig(), [3, 7],
+        both = run_experiment(small_room, pl, self._path(small_room), NoiseConfig(), [3, 7],
                               amcl_config=cfg, grid=small_grid, masks=masks)
         assert len(built) == 1
         for trace in both.traces:
-            alone = run_experiment(small_room, pl, self._path(), NoiseConfig(), [trace.seed],
+            alone = run_experiment(small_room, pl, self._path(small_room), NoiseConfig(), [trace.seed],
                                    amcl_config=cfg, grid=small_grid, masks=masks).traces[0]
             assert trace.estimates == alone.estimates
             assert (trace.rmse_full, trace.rmse_after_burn_in) == (alone.rmse_full,
@@ -280,3 +277,24 @@ class TestRunExperiment:
         a = [simulate_odometry(OdometryInput(0.2, 0.0), rng_a) for _ in range(50)]
         b = [simulate_odometry(OdometryInput(0.2, 0.0), rng_b) for _ in range(50)]
         assert a == b
+
+    def test_batched_cells_equal_single_point_cells(self, readme_l_room, monkeypatch):
+        # every README-path pose lies on a cell edge or corner, where the tie
+        # rule picks the cell; the one lookup of the whole path picks the same
+        room, grid = readme_l_room, readme_l_room.grid
+        pl = Placement(xy=L_ROOM_PLACEMENT_XY, types=type_assignment(22, 2), z=room.z_l)
+        masks = placement_masks(pl, grid, room)
+        path = gen_path([(1.0, 1.0), (9.0, 1.0), (9.0, 7.0)], 0.2, room)
+        measured = []
+
+        def spy(cell, *args):
+            measured.append(cell)
+            return simulate_measurement(cell, *args)
+
+        monkeypatch.setattr(harness, "simulate_measurement", spy)
+        report = run_experiment(room, pl, path, NoiseConfig(), [0],
+                                amcl_config=AmclConfig(n_particles=50), grid=grid, masks=masks)
+        truth = report.traces[0].truth
+        assert len(truth) == 71
+        assert measured == [int(grid.nearest_element(np.array([[p.x, p.y]]))[0])
+                            for p in truth]
