@@ -12,7 +12,7 @@ Run:  python3 demos/repair_demo.py
 
 import numpy as np
 
-from reflectopt.geom import Polygon, RoomModel, build_grid
+from reflectopt.geom import Polygon, RoomModel
 from reflectopt.placement import Placement, check_constraints, placement_masks, type_assignment
 from reflectopt.objectives import EvalConfig
 from reflectopt.repair import repair
@@ -25,7 +25,7 @@ room = RoomModel(
     cone_half_angle=np.deg2rad(45.0),
     wall_margin=0.5,
 )
-grid = build_grid(room)
+grid = room.grid
 cfg = EvalConfig()
 rng = np.random.default_rng(2)
 
@@ -45,7 +45,7 @@ def show(label, pl):
 
 
 show("before repair", start)
-pl, feasible, iterations = repair(start, room, grid, cfg, rng)
+pl, feasible, iterations = repair(start, room, cfg, rng)
 show("after repair ", pl)
 
 if feasible:

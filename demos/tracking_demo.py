@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from reflectopt.amcl import AmclConfig
-from reflectopt.geom import Polygon, RoomModel, build_grid
+from reflectopt.geom import Polygon, RoomModel
 from reflectopt.harness import NoiseConfig, gen_path, run_experiment
 from reflectopt.objectives import ambiguity
 from reflectopt.placement import placement_masks
@@ -28,7 +28,7 @@ room = RoomModel(
     cone_half_angle=np.deg2rad(60.0),
     wall_margin=0.5,
 )
-grid = build_grid(room)
+grid = room.grid
 path = gen_path(  # start pose and 0.2 m steps, built once for both placements
     [(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0), (1.0, 1.0),
      (3.0, 1.0), (3.0, 3.0), (1.0, 3.0), (1.0, 1.0)],
@@ -39,7 +39,7 @@ amcl = AmclConfig(n_particles=1500)
 
 print("comparing two feasible placements of 9 reflectors (2 types):")
 for label, seed in (("placement A", 3), ("placement B", 19)):
-    pl = random_feasible(room, 9, 2, np.random.default_rng(seed), grid)
+    pl = random_feasible(room, 9, 2, np.random.default_rng(seed))
     masks = placement_masks(pl, grid, room)
     f1, _ = ambiguity(pl, grid, masks, 4, room.r_res, with_map=False)
     report = run_experiment(room, pl, path, noise, seeds=[0, 1, 2],

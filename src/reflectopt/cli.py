@@ -191,7 +191,7 @@ def _cmd_simulate(args) -> int:
             "paired comparison (matched seeds)\n"
             f"median_rmse_placement = {a!r}\n"
             f"median_rmse_compare = {b!r}\n"
-            f"winner = {'placement' if a < b else 'compare'}\n"
+            f"winner = {'tie' if a == b else 'placement' if a < b else 'compare'}\n"
         )
     text = "\n".join(text_parts)
     (out / "report.txt").write_text(text)

@@ -337,13 +337,11 @@ class Grid:
     """Regular lattice of evaluated robot positions inside the room.
 
     ``centers`` holds the 3D element centers [x, y, z_r] in list order;
-    ``ij`` the matching integer lattice coordinates (column, row);
     ``cell_index`` maps lattice (row, col) back to the list position (-1
     where the lattice cell center falls outside the room).
     """
 
     centers: np.ndarray
-    ij: np.ndarray
     cell_index: np.ndarray
     size: float
     x0: float
@@ -351,7 +349,6 @@ class Grid:
 
     def __post_init__(self):
         self.centers.flags.writeable = False
-        self.ij.flags.writeable = False
         self.cell_index.flags.writeable = False
 
     def __len__(self) -> int:
@@ -360,11 +357,6 @@ class Grid:
     @property
     def xy(self) -> np.ndarray:
         return self.centers[:, :2]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(rows, cols) of the underlying lattice raster."""
-        return self.cell_index.shape
 
     def nearest_element(self, points) -> np.ndarray:
         """Index of the grid element whose center is closest to each point.
@@ -455,12 +447,7 @@ def build_grid(room: RoomModel) -> Grid:
     centers = np.column_stack([pts, np.full(len(pts), room.z_r)])
     cell_index = np.full((ny, nx), -1, dtype=np.int64)
     cell_index[ij[:, 1], ij[:, 0]] = np.arange(len(pts))
-    return Grid(centers=centers, ij=ij, cell_index=cell_index, size=g, x0=xmin, y0=ymin)
-
-
-def point_in_polygon(p, poly: Polygon) -> bool:
-    """True iff p lies inside or on the boundary of the polygon."""
-    return bool(poly.contains_points(np.asarray(p, dtype=float).reshape(1, 2))[0])
+    return Grid(centers=centers, cell_index=cell_index, size=g, x0=xmin, y0=ymin)
 
 
 def boundary_distances(points, poly: Polygon) -> np.ndarray:

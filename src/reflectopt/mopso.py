@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assign import align_leader
-from .geom import Grid, RoomModel
+from .geom import RoomModel
 from .objectives import EvalConfig, evaluate
 from .placement import Placement, coverage_floor, placement_masks
 from .repair import _repair, random_feasible, sample_in_margin
@@ -190,7 +190,6 @@ def velocity_update(
 def position_update(
     particle: SwarmParticle,
     room: RoomModel,
-    grid: Grid,
     config: EvalConfig,
     rng: np.random.Generator,
 ) -> tuple[Placement, np.ndarray | None]:
@@ -200,14 +199,13 @@ def position_update(
     holds for it (None for a count outside (0, config.m_max]).
     """
     moved = particle.placement.with_xy(particle.placement.xy + particle.velocity)
-    repaired, _, _, masks = _repair(moved, room, grid, config, rng)
+    repaired, _, _, masks = _repair(moved, room, config, rng)
     return repaired, masks
 
 
 def upmutate(
     particle: SwarmParticle,
     room: RoomModel,
-    grid: Grid,
     config: PsoConfig,
     rng: np.random.Generator,
     v_max: float,
@@ -238,13 +236,12 @@ def upmutate(
     return replace(particle, placement=placement,
                    velocity=np.vstack([particle.velocity, new_v[None, :]]),
                    masks=np.vstack([particle.masks,
-                                    placement_masks(added, grid, room, strict=False)]))
+                                    placement_masks(added, room.grid, room, strict=False)]))
 
 
 def downmutate(
     particle: SwarmParticle,
     room: RoomModel,
-    grid: Grid,
     config: PsoConfig,
     rng: np.random.Generator,
 ) -> SwarmParticle:
@@ -256,12 +253,12 @@ def downmutate(
     one with the lowest element); removing there avoids creating coverage
     holes. A particle at the coverage floor (see ``coverage_floor``) is
     returned unchanged. The counts come from the particle's masks, and a
-    repaired particle carries the masks that repair returns. ``grid`` must
-    equal ``room.grid`` (``run`` passes it itself): the floor is read from the room.
+    repaired particle carries the masks that repair returns.
     """
     pl = particle.placement
     if pl.m <= coverage_floor(room, config.k_min):
         return particle  # one fewer would lie below the coverage floor
+    grid = room.grid
     counts = particle.masks.sum(axis=0)
     attain = counts == counts.max()
     roots = grid.components(attain)
@@ -277,7 +274,7 @@ def downmutate(
     keep = np.ones(pl.m, dtype=bool)
     keep[remove] = False
     reduced = Placement(xy=pl.xy[keep], types=pl.types[keep], z=pl.z)
-    repaired, feasible, _, masks = _repair(reduced, room, grid, config.eval_config(), rng)
+    repaired, feasible, _, masks = _repair(reduced, room, config.eval_config(), rng)
     if not feasible:
         return particle
     return replace(particle, placement=repaired, velocity=particle.velocity[keep], masks=masks)
@@ -322,7 +319,7 @@ def run(
         for _ in range(redraws):
             m = int(rng.integers(config.m_init_range[0], config.m_init_range[1] + 1))
             try:
-                placements.append(random_feasible(room, m, config.n_types, rng, grid, eval_cfg))
+                placements.append(random_feasible(room, m, config.n_types, rng, eval_cfg))
                 break
             except RuntimeError as exc:
                 last_error = exc  # size infeasible for this room; redraw m
@@ -352,12 +349,12 @@ def run(
         for k, p in enumerate(particles):
             leader = archive.select_leader(rng)
             p.velocity = velocity_update(p, leader, config, rng, v_max)
-            p.placement, p.masks = position_update(p, room, grid, eval_cfg, rng)
+            p.placement, p.masks = position_update(p, room, eval_cfg, rng)
             u = rng.random()
             if u < _P_UP:
-                p = upmutate(p, room, grid, config, rng, v_max)
+                p = upmutate(p, room, config, rng, v_max)
             elif u < _P_UP + _P_DOWN:
-                p = downmutate(p, room, grid, config, rng)
+                p = downmutate(p, room, config, rng)
             p.check_dimensions()
             particles[k] = p
             objs.append(evaluate(p.placement, room, grid, p.masks, eval_cfg))

@@ -140,7 +140,6 @@ def _rescue_jump(pl: Placement, grid: Grid, masks: np.ndarray, counts: np.ndarra
 def repair(
     pl: Placement,
     room: RoomModel,
-    grid: Grid,
     config: EvalConfig = EvalConfig(),
     rng: np.random.Generator | None = None,
 ) -> tuple[Placement, bool, int]:
@@ -153,17 +152,16 @@ def repair(
     the input only: ``project_into_margin`` returns points that ``in_margin``
     accepts. ``_repair`` also returns the masks of the placement.
     """
-    return _repair(pl, room, grid, config, rng)[:3]
+    return _repair(pl, room, config, rng)[:3]
 
 
 def _repair(
     pl: Placement,
     room: RoomModel,
-    grid: Grid,
     config: EvalConfig,
     rng: np.random.Generator | None,
 ) -> tuple[Placement, bool, int, np.ndarray | None]:
-    """``repair``, plus the (M, n_elements) ``strict=False`` masks of the placement returned.
+    """``repair``, plus the (M, n_elements) ``strict=False`` ``room.grid`` masks of its result.
 
     The masks are None only when the count lies outside (0, config.m_max].
     The mask matrix and its per-element counts are kept across iterations:
@@ -172,6 +170,7 @@ def _repair(
     """
     if not 0 < pl.m <= config.m_max:
         return pl, False, 0, None
+    grid = room.grid
     margin_violations = np.count_nonzero(~in_margin(pl.xy, room))
     current = pl
     masks = placement_masks(current, grid, room, strict=False)
@@ -236,7 +235,6 @@ def random_feasible(
     m: int,
     n_types: int,
     rng: np.random.Generator,
-    grid: Grid,
     config: EvalConfig = EvalConfig(),
 ) -> Placement:
     """Random placement repaired into feasibility, with restarts.
@@ -246,8 +244,7 @@ def random_feasible(
     or below ``coverage_floor``. Raises ValueError before any draw when no
     room point keeps wall_margin from the walls: such a point would lie more
     than half a cell diagonal inside, so its lattice cell centre would be a
-    grid element farther from the walls than every grid element. ``grid`` must
-    equal ``room.grid`` (``mopso.run`` passes it itself): the floor is read from the room.
+    grid element farther from the walls than every grid element.
     """
     if m > config.m_max:
         raise RuntimeError(f"no feasible placement with {m} reflectors: m_max={config.m_max}")
@@ -258,14 +255,14 @@ def random_feasible(
                if n_spread > 1 else "every grid element")
         raise RuntimeError(f"no feasible placement with {m} reflectors: need at least {floor} "
                            f"reflectors: {who} must see k_min={config.k_min} of them")
-    deepest = room.boundary.edge_distances(grid.xy).max() + grid.size * np.sqrt(0.5)
+    deepest = room.boundary.edge_distances(room.grid.xy).max() + room.grid_size * np.sqrt(0.5)
     if room.wall_margin - _EDGE_TOL > deepest:
         raise _margin_error(room)
     types = type_assignment(m, n_types)
     for _ in range(_RESTARTS):
         xy = sample_in_margin(room, m, rng)
         pl = Placement(xy=xy, types=types, z=room.z_l)
-        repaired, feasible, _ = repair(pl, room, grid, config, rng)
+        repaired, feasible, _ = repair(pl, room, config, rng)
         if feasible:
             return repaired
     raise RuntimeError(f"no feasible placement with {m} reflectors after {_RESTARTS} restarts")

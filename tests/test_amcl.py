@@ -156,7 +156,7 @@ class TestMatchCost:
 @pytest.fixture(scope="module")
 def tracking_setup(small_room, small_grid):
     rng = np.random.default_rng(1234)
-    pl = random_feasible(small_room, 9, 2, rng, small_grid)
+    pl = random_feasible(small_room, 9, 2, rng)
     masks = placement_masks(pl, small_grid, small_room)
     return pl, masks
 

@@ -98,8 +98,7 @@ def cfg_file(tmp_path_factory):
 def feasible_placement_file(tmp_path_factory, cfg_file):
     sections = files.load_config(cfg_file)
     room = files.room_from_config(sections)
-    grid = build_grid(room)
-    pl = random_feasible(room, 9, 2, np.random.default_rng(7), grid)
+    pl = random_feasible(room, 9, 2, np.random.default_rng(7))
     d = tmp_path_factory.mktemp("pl")
     path = d / "placement.txt"
     files.write_placement(path, pl, 2)
@@ -176,8 +175,8 @@ class TestReadmeConfig:
 
 
 class TestPlacementFile:
-    def test_round_trip_byte_identical(self, tmp_path, small_room, small_grid):
-        pl = random_feasible(small_room, 8, 2, np.random.default_rng(3), small_grid)
+    def test_round_trip_byte_identical(self, tmp_path, small_room):
+        pl = random_feasible(small_room, 8, 2, np.random.default_rng(3))
         p1 = tmp_path / "a.txt"
         files.write_placement(p1, pl, 2)
         loaded, n_types = files.load_placement(p1)
@@ -680,8 +679,8 @@ class TestEvaluateCommand:
         assert "placement z_l = 3.0 differs from the room's z_l = 5.0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_spacing_violation_reported(self, cfg_file, tmp_path, small_room, small_grid):
-        pl = random_feasible(small_room, 8, 2, np.random.default_rng(11), small_grid)
+    def test_spacing_violation_reported(self, cfg_file, tmp_path, small_room):
+        pl = random_feasible(small_room, 8, 2, np.random.default_rng(11))
         xy = pl.xy.copy()
         xy[1] = xy[0] + [0.3, 0.0]
         bad = Placement(xy=xy, types=pl.types, z=pl.z)
@@ -903,7 +902,7 @@ class TestSimulateCommand:
         # apart, lie closer than the default d_min of 0.5 m
         if keys.startswith("m_max"):
             pl = random_feasible(readme_l_room, 34, 2, np.random.default_rng(0),
-                                 build_grid(readme_l_room), EvalConfig(m_max=40))
+                                 EvalConfig(m_max=40))
         else:
             xy = np.array(L_ROOM_PLACEMENT_XY)
             xy[0] = xy[6] + [0.4, 0.0]
@@ -1081,8 +1080,8 @@ class TestSimulateCommand:
         assert 1 not in lookups
         assert lookups.count(71) == 2
 
-    def test_compare_mode(self, cfg_file, feasible_placement_file, tmp_path, small_room, small_grid):
-        pl2 = random_feasible(small_room, 8, 2, np.random.default_rng(23), small_grid)
+    def test_compare_mode(self, cfg_file, feasible_placement_file, tmp_path, small_room):
+        pl2 = random_feasible(small_room, 8, 2, np.random.default_rng(23))
         second = tmp_path / "second.txt"
         files.write_placement(second, pl2, 2)
         out = tmp_path / "out"
@@ -1093,3 +1092,13 @@ class TestSimulateCommand:
         text = (out / "report.txt").read_text()
         assert "paired comparison (matched seeds)" in text
         assert (out / "error_histogram_compare.csv").exists()
+
+    def test_compare_with_itself_is_a_tie(self, cfg_file, feasible_placement_file, tmp_path):
+        # matched seeds track one placement twice alike: equal medians, no winner
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_file),
+                     "--placement", str(feasible_placement_file),
+                     "--compare", str(feasible_placement_file), "--out-dir", str(out)]) == 0
+        pairs = (out / "report.txt").read_text().split("paired comparison (matched seeds)\n")[1]
+        a, b, winner = (line.split(" = ")[1] for line in pairs.splitlines())
+        assert a == b and winner == "tie"

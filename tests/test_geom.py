@@ -18,7 +18,6 @@ from reflectopt.geom import (
     boundary_distances,
     build_grid,
     in_margin,
-    point_in_polygon,
     project_into_margin,
     sight_lines_clear,
     visibility_mask,
@@ -50,19 +49,17 @@ class TestPolygon:
 
 class TestPointInPolygon:
     def test_interior(self, unit_square):
-        assert point_in_polygon((0.5, 0.5), unit_square)
+        assert unit_square.contains_points([(0.5, 0.5)]).tolist() == [True]
 
     def test_exterior(self, unit_square):
-        assert not point_in_polygon((1.5, 0.5), unit_square)
+        assert unit_square.contains_points([(1.5, 0.5)]).tolist() == [False]
 
     def test_boundary_counts_as_inside(self, unit_square):
-        assert point_in_polygon((1.0, 0.5), unit_square)
-        assert point_in_polygon((0.0, 0.0), unit_square)
+        assert unit_square.contains_points([(1.0, 0.5), (0.0, 0.0)]).tolist() == [True, True]
 
     def test_concave(self, l_room_poly):
-        assert point_in_polygon((2, 2), l_room_poly)
-        assert not point_in_polygon((2, 6), l_room_poly)  # removed block
-        assert point_in_polygon((7, 6), l_room_poly)
+        # (2, 6) lies in the removed block
+        assert l_room_poly.contains_points([(2, 2), (2, 6), (7, 6)]).tolist() == [True, False, True]
 
 
 class TestBoundaryDistance:
@@ -115,14 +112,14 @@ class TestBuildGrid:
         assert len(grid) == 100 * 80
 
     def test_l_room_count_matches_point_in_polygon(self, l_room_poly):
-        # Independent oracle: run point_in_polygon over the full lattice.
+        # Independent oracle: test every lattice point on its own.
         room = RoomModel(boundary=l_room_poly, grid_size=0.1)
         grid = build_grid(room)
         count = 0
         for ix in range(100):
             for iy in range(80):
                 p = (0.05 + 0.1 * ix, 0.05 + 0.1 * iy)
-                count += point_in_polygon(p, l_room_poly)
+                count += l_room_poly.contains_points([p])[0]
         assert len(grid) == count == 6000
 
     def test_empty_grid_is_error(self, unit_square):
@@ -136,7 +133,7 @@ class TestBuildGrid:
         grid = room.grid
         assert room.grid is grid
         ref = build_grid(room)
-        for name in ("centers", "ij", "cell_index"):
+        for name in ("centers", "cell_index"):
             assert np.array_equal(getattr(grid, name), getattr(ref, name))
         assert (grid.size, grid.x0, grid.y0) == (ref.size, ref.x0, ref.y0)
 
@@ -150,7 +147,7 @@ class TestBuildGrid:
     def test_raster_round_trip(self, small_grid):
         vals = np.arange(len(small_grid))
         raster = small_grid.rasterize(vals, fill=-1)
-        back = raster[small_grid.ij[:, 1], small_grid.ij[:, 0]]
+        back = raster[tuple(np.argwhere(small_grid.cell_index >= 0).T)]
         assert np.array_equal(back, vals)
 
 
@@ -322,7 +319,7 @@ class TestContainsPoints:
         # lattice centres on walls, too, at 0.4 m
         for size in (room.grid_size, 0.4):
             grid = build_grid(dataclasses.replace(room, grid_size=size))
-            ny, nx = grid.shape
+            ny, nx = grid.cell_index.shape
             cols, rows = np.meshgrid(np.arange(nx), np.arange(ny))
             lattice = np.column_stack([grid.x0 + (cols.ravel() + 0.5) * size,
                                        grid.y0 + (rows.ravel() + 0.5) * size])
@@ -356,7 +353,7 @@ def _lattice_probe_points(grid, boundary, rng, n) -> np.ndarray:
     """Random points, lattice vertices, points on, near and one ulp off cell
     edges, wall projections, far points around the grid's lattice, and
     finite points far beyond it."""
-    ny, nx = grid.shape
+    ny, nx = grid.cell_index.shape
     g = grid.size
     cols = grid.x0 + np.arange(-2, nx + 3) * g
     rows = grid.y0 + np.arange(-2, ny + 3) * g
@@ -473,7 +470,7 @@ class TestNearestElement:
         # compare all elements
         room = _nearest_test_room(room_index, small_room, readme_l_room, u_room)
         grid = build_grid(room)
-        ny, nx = grid.shape
+        ny, nx = grid.cell_index.shape
         lo = np.array([grid.x0, grid.y0])
         hi = lo + grid.size * np.array([nx, ny])
         pts = np.random.default_rng(8).uniform(lo - 10.0, hi + 10.0, (40_000, 2))

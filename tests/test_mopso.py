@@ -180,7 +180,7 @@ class TestCrowdingDistances:
 
 def _particle(small_room, small_grid, seed=0, m=8):
     rng = np.random.default_rng(seed)
-    pl = random_feasible(small_room, m, 2, rng, small_grid)
+    pl = random_feasible(small_room, m, 2, rng)
     return SwarmParticle(
         placement=pl,
         velocity=np.zeros((pl.m, 2)),
@@ -252,8 +252,7 @@ class TestPositionUpdate:
     def test_zero_velocity_feasible_unchanged(self, small_room, small_grid):
         p = _particle(small_room, small_grid)
         cfg = _desk_config()
-        out, masks = position_update(p, small_room, small_grid, cfg.eval_config(),
-                                     np.random.default_rng(0))
+        out, masks = position_update(p, small_room, cfg.eval_config(), np.random.default_rng(0))
         assert np.allclose(out.xy, p.placement.xy)
         assert np.array_equal(masks, placement_masks(out, small_grid, small_room, strict=False))
 
@@ -262,8 +261,7 @@ class TestPositionUpdate:
         p.velocity = np.zeros((p.placement.m, 2))
         p.velocity[0] = [-10.0, 0.0]  # shove reflector 0 out of the room
         cfg = _desk_config()
-        out, masks = position_update(p, small_room, small_grid, cfg.eval_config(),
-                                     np.random.default_rng(0))
+        out, masks = position_update(p, small_room, cfg.eval_config(), np.random.default_rng(0))
         assert np.all(in_margin(out.xy, small_room))
         assert np.array_equal(masks, placement_masks(out, small_grid, small_room, strict=False))
 
@@ -272,8 +270,7 @@ class TestPositionUpdate:
         p.velocity = np.zeros((p.placement.m, 2))
         p.velocity[0] = p.placement.xy[1] - p.placement.xy[0]  # collapse onto #1
         cfg = _desk_config()
-        out, masks = position_update(p, small_room, small_grid, cfg.eval_config(),
-                                     np.random.default_rng(0))
+        out, masks = position_update(p, small_room, cfg.eval_config(), np.random.default_rng(0))
         assert np.array_equal(masks, placement_masks(out, small_grid, small_room, strict=False))
         diff = out.xy[:, None, :] - out.xy[None, :, :]
         dist = np.sqrt((diff ** 2).sum(-1))
@@ -285,14 +282,14 @@ class TestMutations:
     def test_upmutate_at_cap_is_noop(self, small_room, small_grid):
         p = _particle(small_room, small_grid, m=8)
         cfg = _desk_config(m_max=8, m_init_range=(8, 8))
-        out = upmutate(p, small_room, small_grid, cfg, np.random.default_rng(0), v_max=1.0)
+        out = upmutate(p, small_room, cfg, np.random.default_rng(0), v_max=1.0)
         assert out.placement.m == 8
         assert out is p
 
     def test_upmutate_restores_equal_split(self, small_room, small_grid):
         p = _particle(small_room, small_grid, m=8)  # types 4 + 4
         cfg = _desk_config(m_max=12)
-        out = upmutate(p, small_room, small_grid, cfg, np.random.default_rng(0), v_max=1.0)
+        out = upmutate(p, small_room, cfg, np.random.default_rng(0), v_max=1.0)
         assert out.placement.m == 9
         assert (out.placement.types == 0).sum() == 5
         assert (out.placement.types == 1).sum() == 4
@@ -304,7 +301,7 @@ class TestMutations:
     def test_downmutate_restores_equal_split(self, small_room, small_grid):
         p = _particle(small_room, small_grid, m=9)  # types 5 + 4
         cfg = _desk_config(m_max=12)
-        out = downmutate(p, small_room, small_grid, cfg, np.random.default_rng(0))
+        out = downmutate(p, small_room, cfg, np.random.default_rng(0))
         if out.placement.m == 9:
             pytest.skip("repair failed after removal; mutation reverted")
         assert out.placement.m == 8
@@ -317,7 +314,7 @@ class TestMutations:
     def test_downmutate_at_minimum_is_noop(self, small_room, small_grid):
         p = _particle(small_room, small_grid, m=4)
         cfg = _desk_config(m_max=12)
-        out = downmutate(p, small_room, small_grid, cfg, np.random.default_rng(0))
+        out = downmutate(p, small_room, cfg, np.random.default_rng(0))
         assert out is p
 
     def test_downmutate_never_repairs_below_coverage_floor(self, readme_l_room, monkeypatch):
@@ -339,7 +336,7 @@ class TestMutations:
             p = SwarmParticle(placement=pl, velocity=np.zeros((m, 2)),
                               masks=placement_masks(pl, grid, readme_l_room, strict=False),
                               pbest=pl, pbest_objectives=(1.0, 1.0))
-            assert downmutate(p, readme_l_room, grid, cfg, rng) is p
+            assert downmutate(p, readme_l_room, cfg, rng) is p
         assert repaired_sizes == [12]
 
     def test_downmutate_uniform_visibility_targets_grid_centroid(self, small_room, small_grid):
@@ -353,7 +350,7 @@ class TestMutations:
         assert masks.all()
         centroid = small_grid.xy.mean(axis=0)
         expect = int(np.argmin(np.linalg.norm(pl.xy - centroid, axis=1)))
-        out = downmutate(p, small_room, small_grid, cfg, np.random.default_rng(0))
+        out = downmutate(p, small_room, cfg, np.random.default_rng(0))
         if out.placement.m == 9:
             pytest.skip("repair failed after removal; mutation reverted")
         kept = {tuple(r) for r in np.round(out.placement.xy, 12)}
@@ -367,7 +364,7 @@ class TestMutations:
         # two 2 x 2 blocks share the top count 2; the one with the lowest
         # element index (lower left, centroid (0.25, 0.25)) counts as the largest
         xy = np.array([[0.6, 0.6], [3.4, 3.4], [2.0, 2.5], [2.0, 1.0], [1.2, 2.2], [3.0, 2.0]])
-        row, col = small_grid.ij[:, 1], small_grid.ij[:, 0]
+        row, col = np.argwhere(small_grid.cell_index >= 0).T
         masks = np.zeros((6, len(small_grid)), dtype=bool)
         masks[0] = True
         masks[1] = ((row < 2) & (col < 2)) | ((row >= 14) & (col >= 14))
@@ -382,7 +379,7 @@ class TestMutations:
         p = SwarmParticle(placement=pl, velocity=np.zeros((6, 2)), masks=masks,
                           pbest=pl, pbest_objectives=(1.0, 1.0))
         cfg = _desk_config(m_max=12, n_types=1 + max(types))
-        assert downmutate(p, small_room, small_grid, cfg, np.random.default_rng(0)) is p
+        assert downmutate(p, small_room, cfg, np.random.default_rng(0)) is p
         assert np.array_equal(reduced[0].xy, np.delete(xy, removed, axis=0))
 
 
@@ -441,7 +438,7 @@ class TestRun:
 
     def test_permutation_invariant_objectives(self, small_room, small_grid, monkeypatch):
         rng = np.random.default_rng(77)
-        placements = [random_feasible(small_room, 8, 2, rng, small_grid) for _ in range(6)]
+        placements = [random_feasible(small_room, 8, 2, rng) for _ in range(6)]
         shuffled = []
         shuffle_rng = np.random.default_rng(88)
         for pl in placements:

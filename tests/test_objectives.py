@@ -266,7 +266,7 @@ class TestAmbiguity:
         grid = build_grid(room)
         # 8 reflectors cover the 4 x 4 room, 20 the 10 x 8 m L and U rooms
         m = 8 if room.boundary.area < 20 else 20
-        pl = random_feasible(room, m, 2, np.random.default_rng(40), grid)
+        pl = random_feasible(room, m, 2, np.random.default_rng(40))
         masks = placement_masks(pl, grid, room)
         _, amb_map = ambiguity(pl, grid, masks, n=4, r_res=room.r_res)
         assert {LOCAL, GLOBAL} <= set(amb_map.classes.tolist())
@@ -274,7 +274,8 @@ class TestAmbiguity:
         groups = {}
         for i, gid in enumerate(amb_map.group_ids):
             groups.setdefault(int(gid), []).append(i)
-        ij = {tuple(grid.ij[i]): i for i in range(len(grid))}
+        cells = np.argwhere(grid.cell_index >= 0)  # (row, col) of each element
+        ij = {(c, r): i for i, (r, c) in enumerate(cells.tolist())}
         for gid, members in groups.items():
             if len(members) == 1:
                 assert amb_map.classes[members[0]] == UNIQUE
@@ -290,7 +291,7 @@ class TestAmbiguity:
                 seen.add(start)
                 while stack:
                     cur = stack.pop()
-                    cx, cy = grid.ij[cur]
+                    cy, cx = cells[cur]
                     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                         nb = ij.get((cx + dx, cy + dy))
                         if nb is not None and nb in member_set and nb not in seen:
@@ -307,8 +308,7 @@ def raster_grid(raster: np.ndarray) -> tuple[Grid, np.ndarray]:
     cell_index = np.full(raster.shape, -1, dtype=np.int64)
     cell_index[rows, cols] = np.arange(len(rows))
     centers = np.column_stack([cols + 0.5, rows + 0.5, np.zeros(len(rows))])
-    grid = Grid(centers=centers, ij=np.column_stack([cols, rows]), cell_index=cell_index,
-                size=1.0, x0=0.0, y0=0.0)
+    grid = Grid(centers=centers, cell_index=cell_index, size=1.0, x0=0.0, y0=0.0)
     return grid, raster[rows, cols]
 
 
@@ -561,7 +561,7 @@ def _random_cases(small_room, small_grid, readme_l_room):
         yield pl, placement_masks(pl, small_grid, small_room), small_grid, small_room
     l_grid = build_grid(readme_l_room)
     for m in (13, 16):
-        pl = random_feasible(readme_l_room, m, 2, rng, l_grid)
+        pl = random_feasible(readme_l_room, m, 2, rng)
         yield pl, placement_masks(pl, l_grid, readme_l_room), l_grid, readme_l_room
 
 

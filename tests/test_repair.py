@@ -18,7 +18,7 @@ from reflectopt.repair import (
     repair,
     sample_in_margin,
 )
-from conftest import L_ROOM_PLACEMENT_XY, comb_room_poly
+from conftest import L_ROOM_PLACEMENT_XY, comb_room_poly, spy_build_grid
 
 
 def _pl(xy, z=3.0):
@@ -194,7 +194,7 @@ def ndimage_coverage_regions(grid, masks, k_min):
 
     violated = masks.sum(axis=0) < k_min
     labels, n_regions = ndimage.label(grid.rasterize(violated.astype(np.int8), fill=0))
-    element_labels = labels[grid.ij[:, 1], grid.ij[:, 0]]
+    element_labels = labels[tuple(np.argwhere(grid.cell_index >= 0).T)]
     regions = []
     for region in range(1, n_regions + 1):
         members = np.flatnonzero(element_labels == region)
@@ -264,11 +264,10 @@ class TestDeficitGravitation:
 
 
 class TestRepair:
-    def test_feasible_input_unchanged(self, small_room, small_grid):
+    def test_feasible_input_unchanged(self, small_room):
         base = np.array([[x, y] for x in (1.0, 2.0, 3.0) for y in (1.0, 2.0, 3.0)])
         pl = _pl(base, z=small_room.z_l)
-        out, feasible, iters = repair(pl, small_room, small_grid,
-                                      rng=np.random.default_rng(0))
+        out, feasible, iters = repair(pl, small_room, rng=np.random.default_rng(0))
         assert feasible and iters == 0
         assert np.array_equal(out.xy, pl.xy)
 
@@ -276,32 +275,24 @@ class TestRepair:
         rng = np.random.default_rng(1)
         xy = rng.uniform(1.8, 2.2, size=(8, 2))
         pl = _pl(xy, z=small_room.z_l)
-        out, feasible, iters = repair(pl, small_room, small_grid, rng=rng)
+        out, feasible, iters = repair(pl, small_room, rng=rng)
         assert feasible
         masks = placement_masks(out, small_grid, small_room)
         rep = check_constraints(out, small_room, small_grid, masks, m_max=8, k_min=4, d_min=0.5)
         assert rep.feasible
 
-    def test_impossible_coverage_flagged(self, small_room, small_grid, monkeypatch):
+    def test_impossible_coverage_flagged(self, small_room, monkeypatch):
         monkeypatch.setattr(repair_module, "_MAX_ITER", 20)
         pl = _pl([[2.0, 2.0]], z=small_room.z_l)  # one reflector, K_min=4
-        out, feasible, iters = repair(pl, small_room, small_grid,
-                                      rng=np.random.default_rng(0))
+        out, feasible, iters = repair(pl, small_room, rng=np.random.default_rng(0))
         assert not feasible
         assert iters == 20
 
-    def test_count_above_m_max_returned_at_once(self, small_room, small_grid):
-        # a clustered start that repair would fix, but 8 reflectors exceed m_max=7
-        rng = np.random.default_rng(1)
-        pl = _pl(rng.uniform(1.8, 2.2, size=(8, 2)), z=small_room.z_l)
-        out, feasible, iters = repair(pl, small_room, small_grid, EvalConfig(m_max=7), rng)
-        assert (out, feasible, iters) == (pl, False, 0)
-
-    def test_deterministic_given_seed(self, small_room, small_grid):
+    def test_deterministic_given_seed(self, small_room):
         xy = np.full((6, 2), 2.0) + np.linspace(0, 0.01, 12).reshape(6, 2)
         pl = _pl(xy, z=small_room.z_l)
-        out1, _, _ = repair(pl, small_room, small_grid, rng=np.random.default_rng(7))
-        out2, _, _ = repair(pl, small_room, small_grid, rng=np.random.default_rng(7))
+        out1, _, _ = repair(pl, small_room, rng=np.random.default_rng(7))
+        out2, _, _ = repair(pl, small_room, rng=np.random.default_rng(7))
         assert np.array_equal(out1.xy, out2.xy)
 
     def test_seeded_l_room_result_is_unchanged(self, readme_l_room):
@@ -311,8 +302,7 @@ class TestRepair:
         rng = np.random.default_rng(3)
         xy = rng.uniform([6.0, 0.6], [9.4, 2.5], size=(12, 2))
         pl = Placement(xy=xy, types=type_assignment(12, 2), z=readme_l_room.z_l)
-        out, feasible, iters = repair(pl, readme_l_room, build_grid(readme_l_room),
-                                      PsoConfig().eval_config(), rng)
+        out, feasible, iters = repair(pl, readme_l_room, PsoConfig().eval_config(), rng)
         assert (feasible, iters) == (True, 35)
         assert out.xy.tolist() == [
             [5.5, 7.4999995], [7.909191484749368, 4.007656931328147],
@@ -330,8 +320,7 @@ class TestRepair:
         xy = np.array(L_ROOM_PLACEMENT_XY)
         xy[0] = (-0.0017, -0.8566)
         pl = Placement(xy=xy, types=type_assignment(len(xy), 2), z=readme_l_room.z_l)
-        out, feasible, iters = repair(pl, readme_l_room, build_grid(readme_l_room),
-                                      rng=np.random.default_rng(0))
+        out, feasible, iters = repair(pl, readme_l_room, rng=np.random.default_rng(0))
         assert (feasible, iters) == (True, 1)
         assert np.array_equal(out.xy[1:], xy[1:])
 
@@ -372,7 +361,7 @@ class TestRepair:
             monkeypatch.setattr(repair_module, name, checked(getattr(repair_module, name)))
         for k in range(41):
             monkeypatch.setattr(repair_module, "_MAX_ITER", k)
-            out, feasible, iters, kept = repair_module._repair(pl, room, grid, config,
+            out, feasible, iters, kept = repair_module._repair(pl, room, config,
                                                                np.random.default_rng(seed))
             masks = placement_masks(out, grid, room, strict=False)
             assert np.array_equal(kept, masks)
@@ -397,27 +386,26 @@ class TestRepair:
                                    k_min=4, d_min=0.5)
         assert report.margin_violations.tolist() == [2]
         assert report.m_ok and report.coverage_ok and report.spacing_ok
-        out, feasible, iters = repair(pl, readme_l_room, grid, rng=np.random.default_rng(0))
+        out, feasible, iters = repair(pl, readme_l_room, rng=np.random.default_rng(0))
         assert (feasible, iters) == (True, 1)
         assert np.array_equal(np.delete(out.xy, 2, axis=0), np.delete(xy, 2, axis=0))
 
     @pytest.mark.parametrize("m", [0, 8])
-    def test_count_outside_range_computes_no_masks(self, small_room, small_grid, monkeypatch,
-                                                   m):
+    def test_count_outside_range_computes_no_masks(self, small_room, monkeypatch, m):
         def no_masks(*args, **kwargs):
             raise AssertionError("placement_masks called")
 
         monkeypatch.setattr(repair_module, "placement_masks", no_masks)
         xy = np.random.default_rng(1).uniform(1.8, 2.2, size=(m, 2))
         pl = Placement(xy=xy, types=np.zeros(m, int), z=small_room.z_l)
-        out, feasible, iters = repair(pl, small_room, small_grid, EvalConfig(m_max=7),
+        out, feasible, iters = repair(pl, small_room, EvalConfig(m_max=7),
                                       np.random.default_rng(0))
         assert (out, feasible, iters) == (pl, False, 0)
         out, feasible, iters, masks = repair_module._repair(
-            pl, small_room, small_grid, EvalConfig(m_max=7), np.random.default_rng(0))
+            pl, small_room, EvalConfig(m_max=7), np.random.default_rng(0))
         assert (out, feasible, iters, masks) == (pl, False, 0, None)
 
-    def test_recomputes_only_moved_rows(self, small_room, small_grid, monkeypatch):
+    def test_recomputes_only_moved_rows(self, small_room, monkeypatch):
         import reflectopt.repair as repair_module
 
         rows = []
@@ -432,7 +420,7 @@ class TestRepair:
         # eighth, so only that magnet pair moves.
         base = [[x, y] for x in (1.0, 2.0, 3.0) for y in (1.0, 3.0)] + [[2.0, 2.0], [1.0, 2.0]]
         pl = _pl(base + [[1.2, 2.0]], z=small_room.z_l)
-        out, feasible, iters = repair(pl, small_room, small_grid, rng=np.random.default_rng(0))
+        out, feasible, iters = repair(pl, small_room, rng=np.random.default_rng(0))
         assert feasible and iters == 1
         assert rows == [9, 2]
 
@@ -451,12 +439,24 @@ class TestSampleInMargin:
 
 
 class TestRandomFeasible:
-    def test_deterministic_under_seed(self, small_room, small_grid):
-        a = random_feasible(small_room, 8, 2, np.random.default_rng(42), small_grid)
-        b = random_feasible(small_room, 8, 2, np.random.default_rng(42), small_grid)
+    def test_deterministic_under_seed(self, small_room):
+        a = random_feasible(small_room, 8, 2, np.random.default_rng(42))
+        b = random_feasible(small_room, 8, 2, np.random.default_rng(42))
         assert a == b
 
-    def test_impossible_m_fails(self, small_room, small_grid, monkeypatch):
+    def test_fresh_room_builds_one_grid(self, small_room, monkeypatch):
+        # drawing and repairing take the room alone: both read the one grid
+        # that the room builds on first use
+        room = dataclasses.replace(small_room)
+        builds = spy_build_grid(monkeypatch)
+        pl = random_feasible(room, 8, 2, np.random.default_rng(42))
+        xy = pl.xy.copy()
+        xy[0] = (0.1, 0.1)  # inside the wall margin
+        out, feasible, iters = repair(pl.with_xy(xy), room, rng=np.random.default_rng(0))
+        assert feasible and iters >= 1
+        assert len(builds) == 1 and builds[0] is room
+
+    def test_impossible_m_fails(self, small_room, monkeypatch):
         # m = 4 meets the coverage floor of the 4 x 4 room, but no 4 points of
         # its 3 x 3 m margin square lie pairwise 3.5 m apart: every repair
         # runs out of iterations and every restart fails
@@ -472,15 +472,14 @@ class TestRandomFeasible:
 
         monkeypatch.setattr(repair_module, "repair", counted)
         with pytest.raises(RuntimeError, match="after 2 restarts"):
-            random_feasible(small_room, 4, 2, np.random.default_rng(0), small_grid,
-                            EvalConfig(d_min=3.5))
+            random_feasible(small_room, 4, 2, np.random.default_rng(0), EvalConfig(d_min=3.5))
         assert outcomes == [(False, 15), (False, 15)]
 
-    def test_m_below_k_min_fails_before_any_draw(self, small_room, small_grid):
+    def test_m_below_k_min_fails_before_any_draw(self, small_room):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(RuntimeError, match="k_min=4"):
-            random_feasible(small_room, 3, 2, rng, small_grid)
+            random_feasible(small_room, 3, 2, rng)
         assert rng.bit_generator.state == state
 
     def test_m_below_coverage_floor_fails_before_any_draw_or_repair(self, readme_l_room,
@@ -497,16 +496,15 @@ class TestRandomFeasible:
             rng = np.random.default_rng(0)
             state = rng.bit_generator.state
             with pytest.raises(RuntimeError, match="need at least 12 reflectors"):
-                random_feasible(readme_l_room, 11, 2, rng, grid)
+                random_feasible(readme_l_room, 11, 2, rng)
             assert rng.bit_generator.state == state
-        pl = random_feasible(readme_l_room, 12, 2, np.random.default_rng(0), grid)
+        pl = random_feasible(readme_l_room, 12, 2, np.random.default_rng(0))
         masks = placement_masks(pl, grid, readme_l_room)
         assert pl.m == 12
         assert check_constraints(pl, readme_l_room, grid, masks, m_max=12, k_min=4,
                                  d_min=0.5).feasible
 
-    def test_m_above_m_max_fails_before_any_draw_or_repair(self, small_room, small_grid,
-                                                           monkeypatch):
+    def test_m_above_m_max_fails_before_any_draw_or_repair(self, small_room, monkeypatch):
         def no_repair(*args, **kwargs):
             raise AssertionError("repair called for a size above m_max")
 
@@ -514,37 +512,35 @@ class TestRandomFeasible:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(RuntimeError, match="9 reflectors: m_max=8"):
-            random_feasible(small_room, 9, 2, rng, small_grid, EvalConfig(m_max=8))
+            random_feasible(small_room, 9, 2, rng, EvalConfig(m_max=8))
         assert rng.bit_generator.state == state
 
-    def test_empty_margin_interior_fails_before_any_draw(self, small_room, small_grid):
+    def test_empty_margin_interior_fails_before_any_draw(self, small_room):
         # no point of the 4 x 4 room lies 3 m from every wall
         room = dataclasses.replace(small_room, wall_margin=3.0)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="wall_margin = 3 leaves too small a region"):
-            random_feasible(room, 9, 2, rng, small_grid)
+            random_feasible(room, 9, 2, rng)
         assert rng.bit_generator.state == state
 
-    def test_thin_margin_interior_is_left_to_sampling(self, small_room, small_grid,
-                                                      monkeypatch):
+    def test_thin_margin_interior_is_left_to_sampling(self, small_room, monkeypatch):
         # a 0.1 m square lies 1.95 m from every wall, deeper than every grid
         # centre (1.875 m) but within half a cell diagonal of one
         monkeypatch.setattr(repair_module, "_MAX_ITER", 1)
         monkeypatch.setattr(repair_module, "_RESTARTS", 1)
         room = dataclasses.replace(small_room, wall_margin=1.95)
         with pytest.raises(RuntimeError, match="after 1 restarts"):
-            random_feasible(room, 4, 2, np.random.default_rng(0), small_grid)
+            random_feasible(room, 4, 2, np.random.default_rng(0))
 
-    def test_restarts_run_out(self, small_room, small_grid, monkeypatch):
+    def test_restarts_run_out(self, small_room, monkeypatch):
         # d_min beyond the room diagonal: no placement of 4 can be spaced out.
         monkeypatch.setattr(repair_module, "_MAX_ITER", 5)
         monkeypatch.setattr(repair_module, "_RESTARTS", 2)
         with pytest.raises(RuntimeError, match="after 2 restarts"):
-            random_feasible(small_room, 4, 2, np.random.default_rng(0), small_grid,
-                            EvalConfig(d_min=10.0))
+            random_feasible(small_room, 4, 2, np.random.default_rng(0), EvalConfig(d_min=10.0))
 
-    def test_types_follow_equal_split(self, small_room, small_grid):
-        pl = random_feasible(small_room, 7, 2, np.random.default_rng(5), small_grid)
+    def test_types_follow_equal_split(self, small_room):
+        pl = random_feasible(small_room, 7, 2, np.random.default_rng(5))
         assert (pl.types == 0).sum() == 4
         assert (pl.types == 1).sum() == 3
