@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +46,11 @@ class ParticleSet:
     def __len__(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def heading_vectors(self) -> np.ndarray:
+        """(2, n) rows cos and sin of the headings, cached: a set's headings stay as made."""
+        return np.array((np.cos(self.headings), np.sin(self.headings)))
+
 
 @dataclass(frozen=True)
 class AmclConfig:
@@ -73,7 +79,9 @@ def check_noise(**sigmas: float | None):
 
 def wrap_angle(theta):
     """Wrap radians into (-pi, pi]."""
-    return -(np.mod(-np.asarray(theta) + math.pi, 2.0 * math.pi) - math.pi)
+    y = np.asarray(-np.asarray(theta) + math.pi)  # np.mod keeps [0, 2 pi) as it is
+    np.mod(y, 2.0 * math.pi, out=y, where=~((y >= 0.0) & (y < 2.0 * math.pi)))
+    return -(y - math.pi)
 
 
 def init_particles(room: RoomModel, n: int, rng: np.random.Generator) -> ParticleSet:
@@ -110,15 +118,15 @@ def motion_update(
     n = len(particles)
     headings = wrap_angle(particles.headings + odo.rotation + rng.normal(0.0, sigma_theta, n))
     dist = odo.distance + rng.normal(0.0, sigma_d, n)
-    positions = particles.positions + np.column_stack(
-        [dist * np.cos(headings), dist * np.sin(headings)]
-    )
-    weights = particles.weights.copy()
+    moved = ParticleSet(np.empty((n, 2)), headings, particles.weights.copy())
+    positions = moved.positions
+    np.multiply(dist, moved.heading_vectors, out=positions.T)
+    positions += particles.positions
     outside = ~boundary.contains_points(positions)
     if outside.any():
         positions[outside] = boundary.nearest_boundary_points(positions[outside])
-        weights[outside] *= 0.1
-    return ParticleSet(positions=positions, headings=headings, weights=weights)
+        moved.weights[outside] *= 0.1
+    return moved
 
 
 class FingerprintModel:
@@ -175,14 +183,14 @@ def _match_cost_sq_rows(meas: tuple[int, ...], expect: np.ndarray) -> tuple[np.n
     (sum |d|, sum d^2) monotone-matching recursion on int64 columns and
     returns (sum of squared matched differences per row, unmatched count).
     """
-    meas_rows = np.broadcast_to(np.array(meas, dtype=np.int64), (len(expect), len(meas)))
-    a, b = (meas_rows, expect) if len(meas) <= expect.shape[1] else (expect, meas_rows)
+    meas_row = np.array(meas, dtype=np.int64)[None, :]  # broadcasts against the K rows
+    a, b = (meas_row, expect) if len(meas) <= expect.shape[1] else (expect, meas_row)
     p, q = a.shape[1], b.shape[1]
     zero = np.zeros(len(expect), dtype=np.int64)
     prev = [(zero, zero)] * (q + 1)  # zero a-entries matched
     for i in range(1, p + 1):
         cur = [None] * (q + 1)
-        for j in range(i, q + 1):
+        for j in range(i, q - p + i + 1):  # the p - i entries left need the rest of b
             d = np.abs(a[:, i - 1] - b[:, j - 1])
             take_abs, take_sq = prev[j - 1][0] + d, prev[j - 1][1] + d * d
             if j > i:
@@ -203,7 +211,8 @@ def _cell_likelihoods(cells: np.ndarray, meas: Fingerprint,
     group by type group (minimum-cost matching on |bin difference|); matched
     pairs contribute Gaussian kernels of the bin residual, unmatched entries
     a fixed small factor. Cells are matched in groups of equal type-0 count,
-    so that every group shares its type-group sizes; the weight is computed
+    so that every group shares its type-group sizes (where both equal the
+    measurement's, the matching is the identity); the weight is computed
     once per distinct squared total of a group.
     """
     meas_groups = (
@@ -217,13 +226,15 @@ def _cell_likelihoods(cells: np.ndarray, meas: Fingerprint,
     for k in np.flatnonzero(np.bincount(n_type0)):  # np.unique would load numpy.ma
         group = rows[n_type0 == k]
         expect = model.bins[cells[group]]
-        sq0, unmatched0 = _match_cost_sq_rows(meas_groups[0], expect[:, :k])
-        sq1, unmatched1 = _match_cost_sq_rows(meas_groups[1], expect[:, k:])
-        mismatch = _MISMATCH_FACTOR ** (unmatched0 + unmatched1)
-        sq_values, inverse = np.unique(sq0 + sq1, return_inverse=True)
-        weights = [max(math.exp(-0.5 * scale * float(sq)) * mismatch, _WEIGHT_FLOOR)
-                   for sq in sq_values]
-        like[group] = np.array(weights)[inverse]
+        if k == len(meas_groups[0]) and expect.shape[1] == len(meas.entries):
+            sq, mismatch = np.square(expect - (meas_groups[0] + meas_groups[1])).sum(axis=1), 1.0
+        else:
+            sq0, unmatched0 = _match_cost_sq_rows(meas_groups[0], expect[:, :k])
+            sq1, unmatched1 = _match_cost_sq_rows(meas_groups[1], expect[:, k:])
+            sq, mismatch = sq0 + sq1, _MISMATCH_FACTOR ** (unmatched0 + unmatched1)
+        sq = sq.tolist()
+        weight = {v: max(math.exp(-0.5 * scale * v) * mismatch, _WEIGHT_FLOOR) for v in set(sq)}
+        like[group] = [weight[v] for v in sq]
     return like
 
 
@@ -252,11 +263,8 @@ def resample(particles: ParticleSet, rng: np.random.Generator) -> ParticleSet:
     cum[-1] = 1.0
     points = (rng.random() + np.arange(n)) / n
     idx = np.searchsorted(cum, points)
-    return ParticleSet(
-        positions=particles.positions[idx].copy(),
-        headings=particles.headings[idx].copy(),
-        weights=np.full(n, 1.0 / n),
-    )
+    return ParticleSet(particles.positions.take(idx, axis=0), particles.headings.take(idx),
+                       np.full(n, 1.0 / n))
 
 
 def estimate(particles: ParticleSet) -> Pose:
@@ -268,7 +276,8 @@ def estimate(particles: ParticleSet) -> Pose:
         total = 1.0
     w = w / total
     x, y = w @ particles.positions
-    heading = math.atan2(w @ np.sin(particles.headings), w @ np.cos(particles.headings))
+    cos, sin = particles.heading_vectors
+    heading = math.atan2(w @ sin, w @ cos)
     return Pose(float(x), float(y), float(wrap_angle(heading)))
 
 
@@ -288,8 +297,8 @@ def _weight_update(particles: ParticleSet, meas: Fingerprint,
         weights = np.full(len(particles), 1.0 / len(particles))
     else:
         weights = weights / total
-    return ParticleSet(positions=particles.positions, headings=particles.headings,
-                       weights=weights)
+    particles.weights = weights  # the same set keeps its heading vectors
+    return particles
 
 
 def track(

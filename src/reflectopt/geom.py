@@ -301,6 +301,11 @@ class RoomModel:
         return build_grid(self)
 
     @cached_property
+    def deepest_element_depth(self) -> float:
+        """Largest distance from a grid element centre to the walls, computed on first use."""
+        return self.boundary.edge_distances(self.grid.xy).max()
+
+    @cached_property
     def separated_elements(self) -> np.ndarray:
         """Indices of grid elements lying pairwise more than 2 * cone_radius apart.
 

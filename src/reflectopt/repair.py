@@ -255,7 +255,7 @@ def random_feasible(
                if n_spread > 1 else "every grid element")
         raise RuntimeError(f"no feasible placement with {m} reflectors: need at least {floor} "
                            f"reflectors: {who} must see k_min={config.k_min} of them")
-    deepest = room.boundary.edge_distances(room.grid.xy).max() + room.grid_size * np.sqrt(0.5)
+    deepest = room.deepest_element_depth + room.grid_size * np.sqrt(0.5)
     if room.wall_margin - _EDGE_TOL > deepest:
         raise _margin_error(room)
     types = type_assignment(m, n_types)

@@ -12,6 +12,7 @@ from reflectopt.amcl import (
     _WEIGHT_FLOOR,
     _cell_likelihoods,
     _match_cost_sq,
+    _weight_update,
     estimate,
     init_particles,
     motion_update,
@@ -36,6 +37,31 @@ class TestWrapAngle:
     def test_pi_maps_to_pi(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+
+    def test_bits_equal_one_mod_over_every_value(self):
+        def reference(theta):
+            return -(np.mod(-np.asarray(theta) + math.pi, 2.0 * math.pi) - math.pi)
+
+        def bits(x):
+            return np.asarray(x, dtype=np.float64).view(np.int64)
+
+        # the ends of [0, 2 pi) that np.mod meets lie at odd multiples of pi
+        k_pi = np.arange(-9, 10) * math.pi
+        edges = np.concatenate([k_pi, np.nextafter(k_pi, np.inf), np.nextafter(k_pi, -np.inf)])
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e17, -1e17, 1e300, -1e300,
+                            math.nan, -math.nan, math.inf, -math.inf])
+        rng = np.random.default_rng(5)
+        arrays = [edges, special, rng.uniform(-10.0, 10.0, 2000),
+                  rng.uniform(-math.pi, math.pi, 2000), rng.normal(0.0, 1e4, 500)]
+        with np.errstate(invalid="ignore"):  # np.mod of an infinity
+            for theta in arrays:
+                before = theta.copy()
+                assert np.array_equal(bits(wrap_angle(theta)), bits(reference(theta)))
+                assert np.array_equal(bits(theta), bits(before))  # input left as it was
+            for theta in [*edges.tolist(), *special.tolist(), np.array(7.5), np.array(-math.pi)]:
+                got, want = wrap_angle(theta), reference(theta)
+                assert type(got) is type(want) is np.float64
+                assert bits(got) == bits(want)
 
 
 class TestInitParticles:
@@ -76,6 +102,23 @@ class TestMotionUpdate:
         out = motion_update(ps, OdometryInput(0.2, 0.0), (0.0, 0.0),
                             np.random.default_rng(0), small_room.boundary)
         assert np.allclose(out.positions, [[2.2, 2.0]])
+
+    def test_estimate_reads_the_moved_headings(self, small_room, small_grid, tracking_setup):
+        # motion_update computes the heading vectors, weighting keeps them
+        # and estimate reads them: the same bits as a set rebuilt from its arrays
+        pl, masks = tracking_setup
+        model = FingerprintModel(pl, masks, small_grid, small_room, 4)
+        fp = fingerprint(small_grid.centers[30], pl, masks, small_grid, 4, small_room.r_res)
+        rng = np.random.default_rng(8)
+        ps = init_particles(small_room, 300, rng)
+        estimate(ps)  # the vectors of the initial headings
+        for odo in [OdometryInput(0.2, 0.4), OdometryInput(0.2, -1.3), OdometryInput(0.0, 2.0)]:
+            moved = motion_update(ps, odo, (0.02, 0.1), rng, small_room.boundary)
+            ps = _weight_update(moved, fp, model)
+            assert ps is moved  # weighting changes the weights only
+            rebuilt = ParticleSet(ps.positions.copy(), ps.headings.copy(), ps.weights.copy())
+            assert (np.array(estimate(ps)).view(np.int64).tolist()
+                    == np.array(estimate(rebuilt)).view(np.int64).tolist())
 
     def test_noise_spread_matches_sigma(self, small_room):
         n = 10_000
@@ -239,7 +282,7 @@ class TestCellLikelihoods:
         assert {0, n} <= set(model.n_type0[model.valid].tolist())  # empty type groups
         cells = np.arange(len(grid))
         valid_cells = np.flatnonzero(model.valid)
-        seen = set()
+        seen, identity_rows = set(), set()
         for trial in range(8):
             size = [n, n, n, n, 2, 3, 5, 1][trial]
             base = expected[int(rng.choice(valid_cells))]
@@ -251,7 +294,12 @@ class TestCellLikelihoods:
             want = [_pairwise_likelihood(meas, e, (1.0 / sigma_factor) ** 2) for e in expected]
             assert got.tolist() == want
             seen.update(want)
+            # the closed form scores the rows whose type groups match the
+            # measurement's in size, the matching recursion all the others
+            same_split = model.n_type0[valid_cells] == size - types.sum()
+            identity_rows.update((same_split & (size == n)).tolist())
         assert len(seen) > 20
+        assert identity_rows == {True, False}
 
 
 class TestFingerprintModel:

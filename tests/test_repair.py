@@ -456,6 +456,24 @@ class TestRandomFeasible:
         assert feasible and iters >= 1
         assert len(builds) == 1 and builds[0] is room
 
+    def test_deepest_element_depth_is_computed_once_per_room(self, small_room, monkeypatch):
+        # the wall-margin pre-check reads the depth that the room caches
+        room = dataclasses.replace(small_room)
+        grid_queries = []
+        original = Polygon.edge_distances
+
+        def counted(poly, points):
+            grid = vars(room).get("grid")
+            if grid is not None and np.shares_memory(points, grid.centers):
+                grid_queries.append(poly)
+            return original(poly, points)
+
+        monkeypatch.setattr(Polygon, "edge_distances", counted)
+        for seed in (0, 1):
+            random_feasible(room, 8, 2, np.random.default_rng(seed))
+        assert grid_queries == [room.boundary]
+        assert room.deepest_element_depth == original(room.boundary, room.grid.xy).max()
+
     def test_impossible_m_fails(self, small_room, monkeypatch):
         # m = 4 meets the coverage floor of the 4 x 4 room, but no 4 points of
         # its 3 x 3 m margin square lie pairwise 3.5 m apart: every repair
