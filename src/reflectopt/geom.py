@@ -24,9 +24,9 @@ import numpy as np
 _EDGE_TOL = 1e-9
 # Angular offset of the auxiliary rays cast on both sides of every vertex ray.
 _RAY_EPS = 1e-4
-# The margin projection lands within _PROJECT_TOL (m) of the margin contour.
+# The margin projection offsets the walls by wall_margin + _PROJECT_TOL / 2 (m), so
+# the points it returns pass in_margin with rounding to spare.
 _PROJECT_TOL = 1e-6
-_PROJECT_MAX_ITER = 50
 _INSIDE_CELLS = 64  # raster cells per side of the bounding box in Polygon._inside_cells
 _INSIDE_PAD = 1e-6  # relative clearance between a wall and a cell that gets a verdict
 _CONE_BAND = 1e-12  # relative band around radius**2 where the cone test asks np.hypot
@@ -187,12 +187,12 @@ class Polygon:
         pts = _as_points(points)
         return self._nearest_edge_info(pts)[1]
 
-    def _nearest_edge_info(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(squared distance, closest boundary point, edge index) of each point's nearest edge."""
+    def _nearest_edge_info(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(squared distance, closest boundary point) of each point's nearest edge."""
         if np.isinf(pts).any():  # infinitely far, no closest point; NaN passes inf * 0 quietly
             far = np.isinf(pts).any(axis=1)
-            dist2, proj, idx = self._nearest_edge_info(np.where(far[:, None], np.nan, pts))
-            return np.where(far, np.inf, dist2), proj, idx
+            dist2, proj = self._nearest_edge_info(np.where(far[:, None], np.nan, pts))
+            return np.where(far, np.inf, dist2), proj
         a, b = self._edges
         e = b - a
         elen2 = np.maximum(np.einsum("ij,ij->i", e, e), 1e-300)
@@ -203,7 +203,7 @@ class Polygon:
         dist2 = np.einsum("nvi,nvi->nv", diff, diff)
         idx = np.argmin(dist2, axis=1)
         rows = np.arange(len(pts))
-        return dist2[rows, idx], proj[rows, idx], idx
+        return dist2[rows, idx], proj[rows, idx]
 
 
 def _shoelace2(verts: np.ndarray) -> float:
@@ -301,9 +301,16 @@ class RoomModel:
         return build_grid(self)
 
     @cached_property
-    def deepest_element_depth(self) -> float:
-        """Largest distance from a grid element centre to the walls, computed on first use."""
-        return self.boundary.edge_distances(self.grid.xy).max()
+    def margin_corners(self) -> np.ndarray:
+        """(n, 2) corners of the margin region R (``margin.py``), computed on first use.
+
+        A component of R turns by 2 pi along its boundary, by 0 along the
+        shifted wall lines and negatively along the vertex circles, which
+        bulge into it, so it has a convex corner: R is empty iff this is.
+        """
+        from .margin import corners  # evaluate and simulate never load it
+
+        return corners(self)
 
     @cached_property
     def separated_elements(self) -> np.ndarray:
@@ -634,64 +641,27 @@ def _contains_points_raw(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.nd
 
 def in_margin(points, room: RoomModel) -> np.ndarray:
     """The wall-margin rule: inside the room and at least wall_margin - _EDGE_TOL from every wall."""
-    return _margin_info(_as_points(points), room)[0]
-
-
-def _margin_info(pts: np.ndarray, room: RoomModel) -> tuple[np.ndarray, ...]:
-    """(in_margin verdict, signed boundary distance, nearest boundary point, its edge index)."""
+    pts = _as_points(points)
     poly = room.boundary
-    inside = poly.contains_points(pts)
-    dist2, near, edge = poly._nearest_edge_info(pts)
-    dist = np.sqrt(dist2)
-    ok = inside & (dist >= room.wall_margin - _EDGE_TOL)
-    return ok, np.where(inside, dist, -dist), near, edge
+    return poly.contains_points(pts) & (poly.edge_distances(pts) >= room.wall_margin - _EDGE_TOL)
 
 
 def project_into_margin(points, room: RoomModel) -> np.ndarray:
-    """Move each point that fails ``in_margin`` onto the wall-margin contour.
+    """Move each point that fails ``in_margin`` to the nearest point of the margin region.
 
     Takes a point of shape (2,) or an (n, 2) array and returns the same
-    shape; points passing the rule come back unchanged. The others step along
-    the gradient of the signed boundary distance toward a target half of
-    _PROJECT_TOL past the margin, halving a step that lands farther from it
-    (concave corners), until they pass the rule within _PROJECT_TOL of it.
+    shape; points passing the rule come back unchanged, the others go to
+    ``margin.nearest_points``. Raises ValueError for a non-finite point and
+    when the region is empty.
     """
     shape = np.shape(points)
     q = _as_points(points).copy()
     if not np.isfinite(q).all():
         i = int(np.argmin(np.isfinite(q).all(axis=1)))
         raise ValueError(f"cannot project non-finite point {i}: {tuple(q[i].tolist())}")
-    a, b = room.boundary._edges
-    margin = room.wall_margin
-    target = margin + 0.5 * _PROJECT_TOL
-    ok, d, near, edge = _margin_info(q, room)
-    active = ~ok
-    scale = np.ones(len(q))
-    for _ in range(_PROJECT_MAX_ITER):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        qa, da = q[rows], d[rows]
-        # Ascent direction of the signed distance; on the boundary itself the
-        # inward normal of the nearest edge.
-        grad = np.where((da > 0)[:, None], qa - near[rows], near[rows] - qa)
-        # Row by row: np.linalg.norm is a BLAS dot, which batched norms round differently.
-        norm = np.array([np.linalg.norm(g) for g in grad])
-        wall = norm < 1e-12
-        e = b[edge[rows[wall]]] - a[edge[rows[wall]]]
-        grad[wall] = np.column_stack([-e[:, 1], e[:, 0]])
-        norm[wall] = [np.linalg.norm(g) for g in grad[wall]]
-        q_new = qa + (target - da)[:, None] * (grad / norm[:, None]) * scale[rows, None]
-        ok_new, d_new, near_new, edge_new = _margin_info(q_new, room)
-        # Equality acceptance lets corner cases switch their nearest edge.
-        better = np.abs(d_new - target) <= np.abs(da - target)
-        moved, stuck = rows[better], rows[~better]
-        q[moved], d[moved] = q_new[better], d_new[better]
-        near[moved], edge[moved] = near_new[better], edge_new[better]
-        active[moved] = ~(ok_new[better] & (np.abs(d_new[better] - margin) <= _PROJECT_TOL))
-        scale[moved] = 1.0
-        scale[stuck] *= 0.5
-        scale[stuck[scale[stuck] < 1e-9]] = 1.0
-    if active.any():
-        raise ValueError("no point satisfying the wall margin found (room too thin?)")
+    rows = np.flatnonzero(~in_margin(q, room))
+    if rows.size:
+        from .margin import nearest_points  # evaluate and simulate never load it
+
+        q[rows] = nearest_points(q[rows], room)
     return q.reshape(shape)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geom import _EDGE_TOL, Grid, RoomModel, in_margin, project_into_margin
+from .geom import Grid, RoomModel, in_margin, project_into_margin
 from .objectives import EvalConfig
 from .placement import Placement, close_pairs, coverage_floor, placement_masks, type_assignment
 
@@ -242,9 +242,8 @@ def random_feasible(
     Raises RuntimeError when no feasible placement is found after _RESTARTS
     attempts, and at once, before any draw, when m lies above config.m_max
     or below ``coverage_floor``. Raises ValueError before any draw when no
-    room point keeps wall_margin from the walls: such a point would lie more
-    than half a cell diagonal inside, so its lattice cell centre would be a
-    grid element farther from the walls than every grid element.
+    room point keeps wall_margin from the walls: the margin region has no
+    corner (``RoomModel.margin_corners``).
     """
     if m > config.m_max:
         raise RuntimeError(f"no feasible placement with {m} reflectors: m_max={config.m_max}")
@@ -255,8 +254,7 @@ def random_feasible(
                if n_spread > 1 else "every grid element")
         raise RuntimeError(f"no feasible placement with {m} reflectors: need at least {floor} "
                            f"reflectors: {who} must see k_min={config.k_min} of them")
-    deepest = room.deepest_element_depth + room.grid_size * np.sqrt(0.5)
-    if room.wall_margin - _EDGE_TOL > deepest:
+    if not len(room.margin_corners):
         raise _margin_error(room)
     types = type_assignment(m, n_types)
     for _ in range(_RESTARTS):

@@ -56,6 +56,30 @@ wall_margin = 0.5
 0.0 4.0
 """
 
+SPIKE_ROOM_CONFIG = """\
+[room]
+grid_size = 0.25
+z_l = 4.5
+cone_half_angle_deg = 45.0
+wall_margin = 0.5
+
+[vertices]
+0.0 0.0
+5.0 1.0
+7.0 0.0
+8.0 4.0
+6.0 3.0
+4.0 6.0
+1.0 4.0
+
+[pso]
+swarm_size = 4
+iterations = 2
+m_max = 30
+m_init_min = 12
+m_init_max = 20
+"""
+
 PSO_SECTION = """\
 [pso]
 swarm_size = 5
@@ -533,6 +557,15 @@ class TestOptimizeCommand:
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
         assert digest.hexdigest() == (
             "e2fca640995e45e9a540231ddcef3d5ee7f017fdf0d25b29306b13bea45fba48")
+
+    def test_spike_room_optimize_exits_0(self, tmp_path):
+        # A seven-vertex room with a 49 degree corner at (8, 4), where a
+        # gradient-ascent margin projection stalled and raised
+        cfg = tmp_path / "spike.cfg"
+        cfg.write_text(SPIKE_ROOM_CONFIG)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--out-dir", str(out), "--seed", "3"]) == 0
+        assert len((out / "front.csv").read_text().splitlines()) >= 2
 
     def test_front_rows_mutually_non_dominated(self, cfg_file, tmp_path):
         out = tmp_path / "out"

@@ -997,22 +997,62 @@ class TestProjectIntoMargin:
         assert _inline_margin_ok(q[None], readme_l_room)[0]
         assert np.array_equal(project_into_margin(q, readme_l_room), q)
 
-    @pytest.mark.parametrize("room_name", ["square", "L", "U"])
-    def test_batch_matches_points_and_scalar_reference(self, room_name, readme_l_room):
-        room = {"square": _test_room([(0, 0), (4, 0), (4, 4), (0, 4)]),
-                "L": readme_l_room,
-                "U": _test_room(_U_ROOM, grid_size=0.2, z_l=5.0)}[room_name]
+    def test_spike_room_point_lands_in_margin(self):
+        # 0.14 m inside the 49 degree corner at (8, 4): a gradient ascent of
+        # the wall distance stalled on the ridge between the two walls here
+        room = _test_room(five_test_rooms()[3].vertices)
+        q = project_into_margin((7.787, 3.733), room)
+        assert in_margin(q, room)[0]
+
+    @pytest.mark.parametrize("room_index", range(8), ids=[
+        "convex", "l_shape", "u_shape", "rand1", "rand2", "readme_L", "U", "comb"])
+    def test_nearest_point_of_the_margin_region(self, room_index, readme_l_room, u_room):
+        room = ([_test_room(poly.vertices) for poly in five_test_rooms()]
+                + [readme_l_room, u_room, _test_room(comb_room_poly().vertices)])[room_index]
         xmin, ymin, xmax, ymax = room.boundary.bounds
-        pts = np.random.default_rng(17).uniform([xmin - 1, ymin - 1], [xmax + 1, ymax + 1],
-                                                size=(6000, 2))
-        batch = project_into_margin(pts, room)
-        assert batch.shape == pts.shape
-        assert np.array_equal(batch, np.array([project_into_margin(p, room) for p in pts]))
-        assert _inline_margin_ok(batch, room).all()
-        ref = np.array([_scalar_projection(p, room) for p in pts])
-        ref_ok = _inline_margin_ok(ref, room)
-        assert np.array_equal(batch[ref_ok], ref[ref_ok])
-        assert ref_ok.mean() > 0.999
+        v = room.boundary.vertices
+        pts = np.concatenate([
+            np.random.default_rng(40 + room_index).uniform([xmin - 1, ymin - 1],
+                                                           [xmax + 1, ymax + 1], (200, 2)),
+            v, 0.5 * (v + np.roll(v, -1, axis=0)), room.margin_corners])
+        _check_projection(room, pts, _margin_lattice(room, 0.02))
+
+    # No shrink phase, as in TestContainsPoints.
+    @settings(max_examples=50, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(0.5, 5.0)),
+                    min_size=3, max_size=12),
+           st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(0.05, 1.5),
+           st.integers(0, 2**32 - 1))
+    def test_random_star_polygons(self, spokes, cx, cy, margin, seed):
+        n = len(spokes)
+        verts = [(cx + r * math.cos(2 * math.pi * (i + f) / n),
+                  cy + r * math.sin(2 * math.pi * (i + f) / n))
+                 for i, (f, r) in enumerate(spokes)]
+        try:
+            room = RoomModel(boundary=Polygon(verts), wall_margin=margin)
+        except ValueError:
+            assume(False)
+        xmin, ymin, xmax, ymax = room.boundary.bounds
+        pts = np.random.default_rng(seed).uniform([xmin - 1, ymin - 1], [xmax + 1, ymax + 1],
+                                                  (20, 2))
+        lattice = _margin_lattice(room, 0.05)
+        if len(room.margin_corners) == 0:  # the region is empty
+            assert len(lattice) == 0
+            with pytest.raises(ValueError, match="leaves no room point"):
+                project_into_margin(pts, room)
+        else:
+            _check_projection(room, np.concatenate([pts, room.boundary.vertices]), lattice)
+
+    def test_margin_corners_of_a_square(self, unit_square):
+        room = RoomModel(boundary=unit_square, grid_size=0.25, wall_margin=0.25)
+        assert "margin_corners" not in vars(room)  # computed on first use
+        corners = room.margin_corners
+        t = 0.25 + 0.5 * geom._PROJECT_TOL
+        assert np.allclose(sorted(corners.tolist()),
+                           [(t, t), (t, 1 - t), (1 - t, t), (1 - t, 1 - t)], rtol=0.0, atol=1e-12)
+        assert room.margin_corners is corners
+        assert len(dataclasses.replace(room, wall_margin=0.5).margin_corners) == 0
 
     def test_margin_violations_match_the_inline_rule(self, small_room, small_grid):
         # Points from 2e-6 m short of the margin to 1e-6 m past it, along a
@@ -1031,62 +1071,39 @@ class TestProjectIntoMargin:
         assert 0 < len(expected) < len(xy)
 
 
-_U_ROOM = [(0, 0), (10, 0), (10, 8), (7, 8), (7, 3), (3, 3), (3, 8), (0, 8)]
-
-
 def _inline_margin_ok(xy, room):
     """The wall-margin verdict as check_constraints wrote it inline."""
     inside = room.boundary.contains_points(xy)
     return ~(~inside | (room.boundary.edge_distances(xy) < room.wall_margin - 1e-9))
 
 
-def _scalar_projection(p, room, tol=1e-6, max_iter=50):
-    """Reference: the one-point projection that the batched one replaced."""
-    poly = room.boundary
-    margin = room.wall_margin
-    p = np.asarray(p, dtype=float).reshape(2)
-    d = boundary_distance(p, poly)
-    if d >= margin:
-        return p.copy()
-    target = margin + 0.5 * tol
-    q = p.copy()
-    scale = 1.0
-    for _ in range(max_iter):
-        d = boundary_distance(q, poly)
-        if abs(d - margin) <= tol and d >= margin - tol:
-            return q
-        grad = _scalar_gradient(q, poly, d)
-        step = (target - d) * grad * scale
-        q_new = q + step
-        d_new = boundary_distance(q_new, poly)
-        if abs(d_new - target) <= abs(d - target):
-            q = q_new
-            scale = 1.0
-        else:
-            scale *= 0.5
-            if scale < 1e-9:
-                scale = 1.0
-    d = boundary_distance(q, poly)
-    if abs(d - margin) <= tol and d >= margin - tol:
-        return q
-    raise ValueError("no point satisfying the wall margin found")
+def _margin_lattice(room, step):
+    """The points of a step-spaced lattice over the room's bounds that in_margin accepts."""
+    xmin, ymin, xmax, ymax = room.boundary.bounds
+    xs, ys = np.meshgrid(np.arange(xmin, xmax, step), np.arange(ymin, ymax, step))
+    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    chunks = np.array_split(pts, len(pts) // 10_000 + 1)
+    return np.concatenate([c[in_margin(c, room)] for c in chunks])
 
 
-def _scalar_gradient(q, poly, d):
-    b = poly.nearest_boundary_points(q.reshape(1, 2))[0]
-    u = q - b
-    norm = np.linalg.norm(u)
-    if norm < 1e-12:
-        a, bb = poly._edges
-        e = bb - a
-        elen2 = np.maximum(np.einsum("ij,ij->i", e, e), 1e-300)
-        dvec = q[None, :] - a
-        t = np.clip(np.einsum("ij,ij->i", dvec, e) / elen2, 0.0, 1.0)
-        proj = a + t[:, None] * e
-        i = int(np.argmin(np.einsum("ij,ij->i", q[None, :] - proj, q[None, :] - proj)))
-        n = np.array([-e[i, 1], e[i, 0]])
-        return n / np.linalg.norm(n)
-    return u / norm if d > 0 else -u / norm
+def _check_projection(room, pts, lattice):
+    """project_into_margin against the margin rule and the nearest lattice point of the region.
+
+    The projection offsets the walls by _PROJECT_TOL / 2 past the margin, and
+    in_margin accepts points _EDGE_TOL short of it, so a lattice point may lie
+    up to about (_PROJECT_TOL / 2) * sqrt(2) nearer than the exact nearest
+    point: 1e-6 m covers that.
+    """
+    batch = project_into_margin(pts, room)
+    assert batch.shape == pts.shape
+    assert np.array_equal(batch, np.array([project_into_margin(p, room) for p in pts]))
+    assert in_margin(batch, room).all()
+    assert np.array_equal(project_into_margin(batch, room), batch)
+    inside = in_margin(pts, room)
+    assert np.array_equal(batch[inside], pts[inside])
+    nearest = np.array([np.sqrt(np.min((lattice[:, 0] - x) ** 2 + (lattice[:, 1] - y) ** 2,
+                                       initial=np.inf)) for x, y in pts])
+    assert np.all(np.hypot(*(batch - pts).T) <= nearest + 1e-6)
 
 
 class TestVisibilityMonteCarloSuite:

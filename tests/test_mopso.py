@@ -477,7 +477,7 @@ class TestRun:
         ]
         xy_bytes = b"".join(e.placement.xy.tobytes() for e in archive.entries)
         assert hashlib.sha256(xy_bytes).hexdigest() == (
-            "c0b5391419d4a32f877e2a4246d084c986efbc17925b41a29928f43779fe5abc")
+            "8c4abf11a2f803a701c1be8db442f63f7caecf8be80193c2d3c9c6fa99ade75a")
 
     # seed 6 with mutations: 2 reflectors added and 3 removed
     @pytest.mark.parametrize("p_mutate, seed", [(0.0, 3), (0.2, 6)],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reflectopt import repair as repair_module
-from reflectopt.geom import Polygon, RoomModel, build_grid
+from reflectopt.geom import RoomModel, build_grid
 from reflectopt.mopso import PsoConfig
 from reflectopt.objectives import EvalConfig
 from reflectopt.placement import (Placement, check_constraints, close_pairs, placement_masks,
@@ -456,24 +456,6 @@ class TestRandomFeasible:
         assert feasible and iters >= 1
         assert len(builds) == 1 and builds[0] is room
 
-    def test_deepest_element_depth_is_computed_once_per_room(self, small_room, monkeypatch):
-        # the wall-margin pre-check reads the depth that the room caches
-        room = dataclasses.replace(small_room)
-        grid_queries = []
-        original = Polygon.edge_distances
-
-        def counted(poly, points):
-            grid = vars(room).get("grid")
-            if grid is not None and np.shares_memory(points, grid.centers):
-                grid_queries.append(poly)
-            return original(poly, points)
-
-        monkeypatch.setattr(Polygon, "edge_distances", counted)
-        for seed in (0, 1):
-            random_feasible(room, 8, 2, np.random.default_rng(seed))
-        assert grid_queries == [room.boundary]
-        assert room.deepest_element_depth == original(room.boundary, room.grid.xy).max()
-
     def test_impossible_m_fails(self, small_room, monkeypatch):
         # m = 4 meets the coverage floor of the 4 x 4 room, but no 4 points of
         # its 3 x 3 m margin square lie pairwise 3.5 m apart: every repair
@@ -542,9 +524,24 @@ class TestRandomFeasible:
             random_feasible(room, 9, 2, rng)
         assert rng.bit_generator.state == state
 
+    def test_margin_just_past_the_room_centre_fails_before_any_draw(self, unit_square,
+                                                                     monkeypatch):
+        # no point of the unit square lies 0.52 m from every wall, though the
+        # deepest grid centre (0.375 m) plus half a cell diagonal reaches 0.552 m
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled an empty margin region")
+
+        monkeypatch.setattr(repair_module, "sample_in_margin", no_sampling)
+        room = RoomModel(boundary=unit_square, grid_size=0.25, wall_margin=0.52)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="wall_margin = 0.52 leaves too small a region"):
+            random_feasible(room, 4, 2, rng)
+        assert rng.bit_generator.state == state
+
     def test_thin_margin_interior_is_left_to_sampling(self, small_room, monkeypatch):
-        # a 0.1 m square lies 1.95 m from every wall, deeper than every grid
-        # centre (1.875 m) but within half a cell diagonal of one
+        # a 0.1 m square lies 1.95 m from every wall: the region is not
+        # empty, so the pre-check leaves it to sampling and repair
         monkeypatch.setattr(repair_module, "_MAX_ITER", 1)
         monkeypatch.setattr(repair_module, "_RESTARTS", 1)
         room = dataclasses.replace(small_room, wall_margin=1.95)
